@@ -212,6 +212,8 @@ def crit07_rollout(quick: bool, seed: int):
         Check("rollout.final_bound", margin, 5e-2, rep["final_ok"], 5e-2),
         Check("rollout.per_step", float(rep["per_step_ok"]), 1.0,
               rep["per_step_ok"], 5e-2),
+        Check("rollout.horizon_complete", float(rep["horizon_complete"]), 1.0,
+              rep["horizon_complete"], 0.0),
     ]
 
 

@@ -365,23 +365,6 @@ def residual_bound_check(curve: LawCurve, tt: TestTuple, K: float,
     }
 
 
-def _quadrature_scale(curve: LawCurve, tt: TestTuple, drift: DriftSpec) -> float:
-    """Magnitude of the integrands cancelled by the cross-route identity."""
-    vals = np.empty(len(curve.times))
-    for s, (t, e) in enumerate(zip(curve.times, curve.ensembles)):
-        acc = 0.0
-        for i in range(e.size):
-            u = e.member(i)
-            model = drift.apply(t, u)
-            acc += (product_observable_dt(tt, t, u)
-                    + product_observable_du(tt, t, u, model))
-        vals[s] = acc / e.size
-    e0 = curve.ensembles[0]
-    init = np.mean([abs(product_observable(tt, 0.0, e0.member(i)))
-                    for i in range(e0.size)])
-    return float(np.trapezoid(np.abs(vals), curve.times) + init)
-
-
 def _slot_sum(th_p: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     """sum_i coeff[:, i] * prod_{j != i} th_p[:, j], vectorized over members."""
     N, k = th_p.shape

@@ -153,27 +153,18 @@ def cmd_evolve(args) -> int:
         cfg["checkpoints"] = args.checkpoints
     e, t0 = _read_initial_ensemble(args.ensemble)
     euler_cfg = EU.EulerConfig(e.grid, dt=cfg["dt"])
-    times = None
-    trajs = []
-    for i in range(e.size):
-        ts, fields_i = EU.evolve(e.member(i), euler_cfg, cfg["horizon"],
+    times, ensembles = EU.evolve(e, euler_cfg, cfg["horizon"],
                                  checkpoints=cfg["checkpoints"])
-        times = ts
-        trajs.append(fields_i)
-    ensembles = [E.Ensemble.from_fields([trajs[i][c] for i in range(e.size)])
-                 for c in range(len(times))]
     curve = E.LawCurve(times, ensembles)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_lawcurve(out / "curve", curve)
     rows = []
     for c, ens in enumerate(ensembles):
-        energies = [EU.energy(ens.member(i)) for i in range(ens.size)]
-        enst = [EU.enstrophy(ens.member(i)) for i in range(ens.size)]
         divs = [F.divergence_norm(F.forward(ens.member(i)))
                 for i in range(ens.size)]
-        rows.append((float(times[c]), float(np.mean(energies)),
-                     float(np.mean(enst)), float(np.max(divs))))
+        rows.append((float(times[c]), float(np.mean(ens.member_norms() ** 2)),
+                     float(np.mean(EU.enstrophy(ens))), float(np.max(divs))))
     write_csv(out / "conservation.csv",
               ["t", "energy", "enstrophy", "divergence"], rows)
     e0, eT = rows[0][1], rows[-1][1]
@@ -342,6 +333,8 @@ def cmd_rollout(args) -> int:
                rep["final_ok"], cfg["slack"])
     report.add("rollout.per_step", float(rep["per_step_ok"]), 1.0,
                rep["per_step_ok"], cfg["slack"])
+    report.add("rollout.horizon_complete", float(rep["horizon_complete"]), 1.0,
+               rep["horizon_complete"], 0.0)
     report.extra = {k: rep[k] for k in ("alpha_total", "max_defect",
                                         "violations", "guard_events")}
     return _finish(report, out, started)

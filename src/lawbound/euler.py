@@ -5,6 +5,10 @@ velocities are recovered through the streamfunction, the nonlinear term is
 evaluated pseudo-spectrally with a 2/3 dealiasing mask, and time stepping
 is RK4 with a CFL guard.  Velocities built this way are divergence-free by
 construction.
+
+The solver is member-batched: a whole ensemble is one real-FFT
+(rfft2/irfft2, half-spectrum) state of shape (N, n, n//2+1), and a single
+field is the batch of one.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .ensemble import Ensemble
-from .fields import Grid, GridField, SpecField, _deriv_modes, _modes, forward, inverse, l2_norm
+from .fields import Grid, GridField, l2_norm
 from .runtime import parallel_map
 
 __all__ = [
@@ -52,53 +56,77 @@ class EulerConfig:
 
 
 @lru_cache(maxsize=None)
-def _solver_arrays(n: int, dealias_fraction: float):
-    kk = _modes(2, n)
-    kd = _deriv_modes(2, n)
-    k2 = kk[0] ** 2 + kk[1] ** 2
+def _solver_arrays(n: int, dealias_fraction: float = 2.0 / 3.0):
+    """Half-spectrum (rfft2 layout, shape (n, n//2+1)) operators: i*k for
+    odd derivatives with the Nyquist rows zeroed, 1/|k|^2 (0 at k=0) and
+    the dealiasing mask."""
+    kx, ky = np.meshgrid(np.fft.fftfreq(n, d=1.0 / n),
+                         np.fft.rfftfreq(n, d=1.0 / n), indexing="ij")
+    k2 = kx**2 + ky**2
     inv_k2 = np.where(k2 == 0, 0.0, 1.0 / np.where(k2 == 0, 1.0, k2))
     cut = dealias_fraction * (n / 2.0)
-    mask = (np.abs(kk[0]) <= cut) & (np.abs(kk[1]) <= cut)
-    return kd, inv_k2, mask
+    mask = (np.abs(kx) <= cut) & (np.abs(ky) <= cut)
+    ikd = 1j * np.stack([np.where(np.abs(kx) == n // 2, 0.0, kx),
+                         np.where(ky == n // 2, 0.0, ky)])
+    for arr in (ikd, inv_k2, mask):
+        arr.setflags(write=False)
+    return ikd, inv_k2, mask
 
 
-def _velocity_hat(w_hat: np.ndarray, n: int, dealias_fraction: float):
-    kd, inv_k2, _ = _solver_arrays(n, dealias_fraction)
+# Every solver array carries arbitrary leading (member) axes: velocities
+# (..., 2, n, n), half-spectrum vorticities (..., n, n//2+1).  numpy
+# transforms each line independently, so a member's result does not depend
+# on the batch it travels in.
+
+def _irfft2(spec: np.ndarray, n: int) -> np.ndarray:
+    return np.fft.irfft2(spec, s=(n, n), norm="forward")
+
+
+def _velocity_hat(w_hat: np.ndarray, n: int) -> np.ndarray:
+    ikd, inv_k2, _ = _solver_arrays(n)
     psi_hat = -w_hat * inv_k2
-    return np.stack([-1j * kd[1] * psi_hat, 1j * kd[0] * psi_hat])
+    return np.stack([-ikd[1] * psi_hat, ikd[0] * psi_hat], axis=-3)
+
+
+def _velocity(w_hat: np.ndarray, n: int) -> np.ndarray:
+    return _irfft2(_velocity_hat(w_hat, n), n)
+
+
+def _tendency(w_hat: np.ndarray, n: int, dealias_fraction: float):
+    """Dealiased -u.grad(w) and the physical velocity components (u, v)."""
+    ikd = _solver_arrays(n)[0]
+    spec = np.concatenate([_velocity_hat(w_hat, n),
+                           np.stack([ikd[0] * w_hat, ikd[1] * w_hat], axis=-3)],
+                          axis=-3)
+    u, v, wx, wy = np.moveaxis(_irfft2(spec, n), -3, 0)
+    adv_hat = np.fft.rfft2(u * wx + v * wy, norm="forward")
+    return -adv_hat * _solver_arrays(n, dealias_fraction)[2], (u, v)
 
 
 def _rhs(w_hat: np.ndarray, n: int, dealias_fraction: float) -> np.ndarray:
-    kd, _, mask = _solver_arrays(n, dealias_fraction)
-    u_hat = _velocity_hat(w_hat, n, dealias_fraction)
-    scale = n * n
-    u = np.fft.ifft2(u_hat * scale).real
-    wx = np.fft.ifft2(1j * kd[0] * w_hat * scale).real
-    wy = np.fft.ifft2(1j * kd[1] * w_hat * scale).real
-    adv = u[0] * wx + u[1] * wy
-    adv_hat = np.fft.fft2(adv) / scale
-    return -adv_hat * mask
+    """Vorticity tendency dw_hat/dt of a half-spectrum vorticity."""
+    return _tendency(w_hat, n, dealias_fraction)[0]
 
 
-def vorticity_hat(u: GridField) -> np.ndarray:
-    """Spectral vorticity dv/dx - du/dy of a velocity field."""
+def vorticity_hat(u) -> np.ndarray:
+    """Spectral vorticity dv/dx - du/dy of a velocity field, rfft2 layout
+    (n, n//2+1) with the 1/n^2 normalization of `fields.forward`.
+
+    For an Ensemble the result carries the leading member axis."""
     if u.m != 2 or u.grid.d != 2:
         raise ValueError("vorticity needs a 2D velocity field")
-    kd = _deriv_modes(2, u.grid.n)
-    uh = forward(u).coef
-    return 1j * kd[0] * uh[1] - 1j * kd[1] * uh[0]
+    ikd = _solver_arrays(u.grid.n)[0]
+    uh = np.fft.rfft2(u.values, norm="forward")
+    return ikd[0] * uh[..., 1, :, :] - ikd[1] * uh[..., 0, :, :]
 
 
-def velocity_from_vorticity(grid: Grid, w_hat: np.ndarray,
-                            dealias_fraction: float = 2.0 / 3.0) -> GridField:
-    u_hat = _velocity_hat(w_hat, grid.n, dealias_fraction)
-    return inverse(SpecField(grid, u_hat))
+def velocity_from_vorticity(grid: Grid, w_hat: np.ndarray) -> GridField:
+    """Velocity of a half-spectrum vorticity (the inverse of vorticity_hat)."""
+    return GridField(grid, _velocity(w_hat, grid.n))
 
 
-def _check_cfl(u_hat, cfg: EulerConfig):
-    n = cfg.grid.n
-    u = np.fft.ifft2(u_hat * (n * n)).real
-    umax = np.abs(u).max()
+def _check_cfl(u: np.ndarray, v: np.ndarray, cfg: EulerConfig):
+    umax = max(np.abs(u).max(), np.abs(v).max())
     if umax > 0 and cfg.dt > cfg.cfl * cfg.grid.spacing / umax:
         raise RuntimeError(
             f"CFL violation: dt={cfg.dt} > {cfg.cfl * cfg.grid.spacing / umax:.3e}"
@@ -106,23 +134,25 @@ def _check_cfl(u_hat, cfg: EulerConfig):
 
 
 def _rk4_step(w_hat, cfg: EulerConfig):
+    """One RK4 step of a vorticity batch; the CFL guard trips when any
+    member violates it at the step's start."""
     n, frac, dt = cfg.grid.n, cfg.dealias_fraction, cfg.dt
-    k1 = _rhs(w_hat, n, frac)
+    k1, (u, v) = _tendency(w_hat, n, frac)
+    _check_cfl(u, v, cfg)
     k2 = _rhs(w_hat + 0.5 * dt * k1, n, frac)
     k3 = _rhs(w_hat + 0.5 * dt * k2, n, frac)
     k4 = _rhs(w_hat + dt * k3, n, frac)
     out = w_hat + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
+    if not np.all(np.isfinite(out)):
         raise RuntimeError("NaN detected in Euler step")
     return out
 
 
-def step(u: GridField, cfg: EulerConfig) -> GridField:
-    """One RK4 step of 2D Euler applied to a divergence-free velocity field."""
-    w_hat = vorticity_hat(u)
-    _check_cfl(_velocity_hat(w_hat, cfg.grid.n, cfg.dealias_fraction), cfg)
-    w_hat = _rk4_step(w_hat, cfg)
-    return velocity_from_vorticity(u.grid, w_hat, cfg.dealias_fraction)
+def step(u, cfg: EulerConfig):
+    """One RK4 step of 2D Euler applied to a divergence-free velocity field
+    (a GridField, or every member of an Ensemble)."""
+    w_hat = _rk4_step(vorticity_hat(u), cfg)
+    return type(u)(u.grid, _velocity(w_hat, cfg.grid.n))
 
 
 def _steps_for(cfg: EulerConfig, t: float) -> int:
@@ -132,36 +162,37 @@ def _steps_for(cfg: EulerConfig, t: float) -> int:
     return n_steps
 
 
-def evolve(u: GridField, cfg: EulerConfig, t: float, checkpoints: int = 0):
+def evolve(u, cfg: EulerConfig, t: float, checkpoints: int = 0):
     """Evolve over [0, t].
 
-    With checkpoints == 0 returns the final field; otherwise returns
-    (times, fields) at `checkpoints`+1 equispaced times including both ends.
+    `u` is a GridField or an Ensemble; an ensemble is marched as one
+    member-batched state and a GridField is the batch of one.  With
+    checkpoints == 0 returns the final state (same type as `u`); otherwise
+    returns (times, states) at `checkpoints`+1 equispaced times including
+    both ends, states[0] being `u` itself.
     """
     n_steps = _steps_for(cfg, t)
     if checkpoints:
         if n_steps % checkpoints != 0:
             raise ValueError("checkpoints must divide the step count")
         stride = n_steps // checkpoints
+    n = cfg.grid.n
+    state = type(u)
     w_hat = vorticity_hat(u)
-    out_times, out_fields = [0.0], [u]
+    out_times, out_states = [0.0], [u]
     for s in range(n_steps):
-        _check_cfl(_velocity_hat(w_hat, cfg.grid.n, cfg.dealias_fraction), cfg)
         w_hat = _rk4_step(w_hat, cfg)
         if checkpoints and (s + 1) % stride == 0:
             out_times.append((s + 1) * cfg.dt)
-            out_fields.append(velocity_from_vorticity(u.grid, w_hat,
-                                                      cfg.dealias_fraction))
+            out_states.append(state(u.grid, _velocity(w_hat, n)))
     if checkpoints:
-        return np.array(out_times), out_fields
-    return velocity_from_vorticity(u.grid, w_hat, cfg.dealias_fraction)
+        return np.array(out_times), out_states
+    return state(u.grid, _velocity(w_hat, n))
 
 
 def evolve_ensemble(e: Ensemble, cfg: EulerConfig, t: float) -> Ensemble:
-    """Member-parallel pushforward of an empirical law through the flow."""
-    outs = parallel_map(lambda i: evolve(e.member(i), cfg, t).values,
-                        range(e.size))
-    return Ensemble(e.grid, np.stack(outs))
+    """Pushforward of an empirical law through the flow."""
+    return evolve(e, cfg, t)
 
 
 def reference_step_map(cfg: EulerConfig, dt_phys: float):
@@ -175,51 +206,54 @@ def energy(u: GridField) -> float:
     return l2_norm(u) ** 2
 
 
-def enstrophy(u: GridField) -> float:
+def enstrophy(u):
+    """int w^2 dx of a GridField (float) or of every Ensemble member (array)."""
     g = u.grid
-    w = np.fft.ifft2(vorticity_hat(u) * (g.n**2)).real
-    return float(g.cell_volume * np.sum(w**2))
+    w = _irfft2(vorticity_hat(u), g.n)
+    z = g.cell_volume * np.sum(w**2, axis=(-2, -1))
+    return float(z) if isinstance(u, GridField) else z
 
 
 @dataclass
 class StrainField:
-    """Symmetric rate-of-strain tensor of a 2D velocity field."""
+    """Symmetric rate-of-strain tensor of a 2D velocity field, or of every
+    member of an ensemble (then both arrays carry a leading member axis)."""
 
     grid: Grid
-    tensor: np.ndarray     # (2, 2, n, n)
-    op_norm: np.ndarray    # (n, n) pointwise spectral norm
+    tensor: np.ndarray     # (..., 2, 2, n, n)
+    op_norm: np.ndarray    # (..., n, n) pointwise spectral norm
 
     @property
     def max_norm(self) -> float:
         return float(self.op_norm.max())
 
 
-def strain(v: GridField) -> StrainField:
+def strain(v) -> StrainField:
     """S(v) = (grad v + grad v^T)/2 with its pointwise operator norm.
 
-    For a symmetric 2x2 matrix [[a, b], [b, c]] the eigenvalues are
-    (a+c)/2 +- sqrt(((a-c)/2)^2 + b^2), so the operator norm is
-    |(a+c)/2| + sqrt(((a-c)/2)^2 + b^2)."""
+    `v` is a GridField or an Ensemble.  For a symmetric 2x2 matrix
+    [[a, b], [b, c]] the eigenvalues are (a+c)/2 +- sqrt(((a-c)/2)^2 + b^2),
+    so the operator norm is |(a+c)/2| + sqrt(((a-c)/2)^2 + b^2)."""
     g = v.grid
     if g.d != 2 or v.m != 2:
         raise ValueError("strain needs a 2D velocity field")
-    kd = _deriv_modes(2, g.n)
-    vh = forward(v).coef
-    scale = g.n**2
-    dudx = np.fft.ifft2(1j * kd[0] * vh[0] * scale).real
-    dudy = np.fft.ifft2(1j * kd[1] * vh[0] * scale).real
-    dvdx = np.fft.ifft2(1j * kd[0] * vh[1] * scale).real
-    dvdy = np.fft.ifft2(1j * kd[1] * vh[1] * scale).real
+    ikd = _solver_arrays(g.n)[0]
+    vh = np.fft.rfft2(v.values, norm="forward")
+    uh, wh = vh[..., 0, :, :], vh[..., 1, :, :]
+    spec = np.stack([ikd[0] * uh, ikd[1] * uh, ikd[0] * wh, ikd[1] * wh],
+                    axis=-3)
+    dudx, dudy, dvdx, dvdy = np.moveaxis(_irfft2(spec, g.n), -3, 0)
     sxy = 0.5 * (dudy + dvdx)
-    tensor = np.stack([np.stack([dudx, sxy]), np.stack([sxy, dvdy])])
+    tensor = np.stack([np.stack([dudx, sxy], axis=-3),
+                       np.stack([sxy, dvdy], axis=-3)], axis=-4)
     mean = 0.5 * (dudx + dvdy)
     radius = np.sqrt((0.5 * (dudx - dvdy)) ** 2 + sxy**2)
     return StrainField(g, tensor, np.abs(mean) + radius)
 
 
 def _weighted_strain_integral(w_values: np.ndarray, s: StrainField) -> float:
-    """integral |S(v)| |w|^2 dx on the grid."""
-    wsq = (w_values**2).sum(axis=0)
+    """integral |S(v)| |w|^2 dx on the grid, summed over any member axis."""
+    wsq = (w_values**2).sum(axis=-3)
     return float(s.grid.cell_volume * np.sum(s.op_norm * wsq))
 
 
@@ -232,6 +266,18 @@ def lambda_pointwise(u: GridField, v: GridField) -> float:
     return _weighted_strain_integral(w, strain(v)) / denom
 
 
+def _coupled_strain(pairs_u: Ensemble, pairs_v: Ensemble):
+    """lambda, max_x |S(v_i)| over members, and the per-member squared
+    distances ||u_i - v_i||^2 of an aligned coupling, from one strain
+    evaluation of the whole ensemble."""
+    s = strain(pairs_v)
+    w = pairs_u.values - pairs_v.values
+    sq = pairs_u.grid.cell_volume * np.sum(w**2, axis=tuple(range(1, w.ndim)))
+    den = float(np.sum(sq))
+    lam = _weighted_strain_integral(w, s) / den if den != 0.0 else 0.0
+    return lam, s.max_norm, sq
+
+
 def lambda_coupled(pairs_u: Ensemble, pairs_v: Ensemble) -> float:
     """Distance-weighted average strain over an aligned coupling.
 
@@ -241,22 +287,14 @@ def lambda_coupled(pairs_u: Ensemble, pairs_v: Ensemble) -> float:
     """
     if pairs_u.size != pairs_v.size:
         raise ValueError("coupled ensembles must have equal size")
-    num = den = 0.0
-    for i in range(pairs_u.size):
-        w = pairs_u.values[i] - pairs_v.values[i]
-        den += float(pairs_u.grid.cell_volume * np.sum(w**2))
-        num += _weighted_strain_integral(w, strain(pairs_v.member(i)))
-    if den == 0.0:
-        return 0.0
-    return num / den
+    return _coupled_strain(pairs_u, pairs_v)[0]
 
 
 def taylor_green(grid: Grid) -> GridField:
     """Steady single-shell state: vorticity cos(x) + cos(y)."""
     xy = grid.coordinates()
     w = np.cos(xy[0]) + np.cos(xy[1])
-    w_hat = np.fft.fft2(w) / grid.n**2
-    return velocity_from_vorticity(grid, w_hat)
+    return velocity_from_vorticity(grid, np.fft.rfft2(w, norm="forward"))
 
 
 def l2_difference_identity_check(u0: GridField, v0: GridField, cfg: EulerConfig,
@@ -268,24 +306,22 @@ def l2_difference_identity_check(u0: GridField, v0: GridField, cfg: EulerConfig,
     times.  Returns the max relative residual and the curves.
     """
     n_steps = _steps_for(cfg, t)
-    wa = vorticity_hat(u0)
-    wb = vorticity_hat(v0)
+    g = cfg.grid
+    pair = vorticity_hat(Ensemble(g, np.stack([u0.values, v0.values])))
     half_sq = np.empty(n_steps + 1)
     rhs_vals = np.empty(n_steps + 1)
     for s in range(n_steps + 1):
-        ua = velocity_from_vorticity(cfg.grid, wa, cfg.dealias_fraction)
-        vb = velocity_from_vorticity(cfg.grid, wb, cfg.dealias_fraction)
-        wdiff = ua.values - vb.values
-        half_sq[s] = 0.5 * cfg.grid.cell_volume * np.sum(wdiff**2)
-        S = strain(vb)
+        ua, vb = _velocity(pair, g.n)
+        wdiff = ua - vb
+        half_sq[s] = 0.5 * g.cell_volume * np.sum(wdiff**2)
+        S = strain(GridField(g, vb))
         wsx = wdiff[0]
         wsy = wdiff[1]
         quad = (S.tensor[0, 0] * wsx * wsx + 2 * S.tensor[0, 1] * wsx * wsy
                 + S.tensor[1, 1] * wsy * wsy)
-        rhs_vals[s] = -cfg.grid.cell_volume * np.sum(quad)
+        rhs_vals[s] = -g.cell_volume * np.sum(quad)
         if s < n_steps:
-            wa = _rk4_step(wa, cfg)
-            wb = _rk4_step(wb, cfg)
+            pair = _rk4_step(pair, cfg)
     # 4th order central difference, interior nodes only
     idx = np.linspace(2, n_steps - 2, checkpoints).astype(int)
     deriv = (half_sq[idx - 2] - 8 * half_sq[idx - 1]
@@ -312,31 +348,16 @@ def w2_strain_bound_check(a: Ensemble, b: Ensemble, cfg: EulerConfig, t: float,
     from .transport import wasserstein_exact
 
     w2_0, plan = wasserstein_exact(a, b, p=2)
-    order = plan.permutation
-    b_aligned = Ensemble(b.grid, b.values[order])
-
+    b_aligned = Ensemble(b.grid, b.values[plan.permutation])
+    (times, path_a), (_, path_b) = parallel_map(
+        lambda e: evolve(e, cfg, t, checkpoints=checkpoints), [a, b_aligned])
     lam = np.empty(checkpoints + 1)
     sup_strain = np.empty(checkpoints + 1)
-    times = None
-    evo_a, evo_b = [], []
-    for i in range(a.size):
-        ta_, fa = evolve(a.member(i), cfg, t, checkpoints=checkpoints)
-        tb_, fb = evolve(b_aligned.member(i), cfg, t, checkpoints=checkpoints)
-        times = ta_
-        evo_a.append(fa)
-        evo_b.append(fb)
     m_vals = np.empty(checkpoints + 1)
-    for c in range(checkpoints + 1):
-        ua = Ensemble.from_fields([evo_a[i][c] for i in range(a.size)])
-        vb = Ensemble.from_fields([evo_b[i][c] for i in range(a.size)])
-        lam[c] = lambda_coupled(ua, vb)
-        sup_strain[c] = max(strain(vb.member(i)).max_norm for i in range(a.size))
-        m_vals[c] = np.mean([
-            a.grid.cell_volume * np.sum((ua.values[i] - vb.values[i]) ** 2)
-            for i in range(a.size)
-        ])
-        if c == checkpoints:
-            w2_t, _ = wasserstein_exact(ua, vb, p=2)
+    for c, (ua, vb) in enumerate(zip(path_a, path_b)):
+        lam[c], sup_strain[c], sq = _coupled_strain(ua, vb)
+        m_vals[c] = np.mean(sq)
+    w2_t, _ = wasserstein_exact(path_a[-1], path_b[-1], p=2)
     integral = float(np.trapezoid(lam, times))
     sup_integral = float(np.trapezoid(sup_strain, times))
     w2_bound = np.exp(integral) * w2_0

@@ -17,7 +17,6 @@ import numpy as np
 
 from .ensemble import Ensemble
 from .euler import EulerConfig, evolve, lambda_coupled
-from .fields import GridField
 from .runtime import parallel_map
 from .sampler import KernelSpec, sample_step
 from .transport import wasserstein_exact
@@ -118,59 +117,54 @@ def run_rollout_experiment(a: Ensemble, b: Ensemble, cfg: EulerConfig,
     checkpoints), eps_{n+1} as the one-step defect of the kernel on the
     model law.  Returns (RolloutLedger, report dict); a violated per-step
     or final bound is reported as a falsification with the ledger attached.
+    A CFL/NaN guard trip truncates the run and is recorded in
+    `guard_events`; `horizon_complete` is then false, and so is `satisfied`.
     """
     if a.size != b.size:
         raise ValueError("ensembles must have equal member counts")
     grid = a.grid
     mu = a
     mu_hat = b
-    deltas = [wasserstein_exact(mu, mu_hat, p=2)[0]]
+    delta_0, plan = wasserstein_exact(mu, mu_hat, p=2)
+    deltas = [delta_0]
     alphas = []
     defects = []
     guard_events = []
-    times_ref = None
 
     for n in range(n_steps):
-        w2_n, plan = wasserstein_exact(mu, mu_hat, p=2)
-        order = plan.permutation
-
-        def push(i, e=mu):
-            return evolve(e.member(i), cfg, dt_phys,
-                          checkpoints=checkpoints_per_window)
-
+        # plan: the optimal coupling of (mu, mu_hat) at the window start,
+        # solved (and certified) at the end of the previous window
         try:
-            ref_a = parallel_map(lambda i: push(i, mu), range(mu.size))
-            ref_b = parallel_map(lambda i: push(i, mu_hat), range(mu.size))
+            (times_ref, ref_a), (_, ref_b) = parallel_map(
+                lambda e: evolve(e, cfg, dt_phys,
+                                 checkpoints=checkpoints_per_window),
+                [mu, mu_hat])
         except RuntimeError as exc:
             # CFL/NaN guard tripped: the run left the admissible data class;
             # truncate here and report the event instead of failing
             guard_events.append({"window": n, "event": str(exc)})
             n_steps = n
             break
-        times_ref = ref_a[0][0]
 
         # distance-weighted average strain along the pushed optimal coupling
-        lam = np.empty(checkpoints_per_window + 1)
-        for c in range(checkpoints_per_window + 1):
-            ua = Ensemble.from_fields([ref_a[i][1][c] for i in range(mu.size)])
-            vb = Ensemble.from_fields([ref_b[order[i]][1][c]
-                                       for i in range(mu.size)])
-            lam[c] = lambda_coupled(ua, vb)
+        order = plan.permutation
+        lam = [lambda_coupled(ua, Ensemble(grid, vb.values[order]))
+               for ua, vb in zip(ref_a, ref_b)]
         alphas.append(float(np.trapezoid(lam, times_ref)))
 
-        ref_push_hat = Ensemble.from_fields([ref_b[i][1][-1]
-                                             for i in range(mu.size)])
+        ref_push_hat = ref_b[-1]
         model_out = Ensemble.from_fields([
             sample_step(mu_hat.member(i), model_spec,
-                        lambda u, i=i: GridField(grid, ref_b[i][1][-1].values),
+                        lambda u, i=i: ref_push_hat.member(i),
                         master_seed, member=i, step=n)[0]
             for i in range(mu.size)
         ])
         defects.append(wasserstein_exact(ref_push_hat, model_out, p=2)[0])
 
-        mu = Ensemble.from_fields([ref_a[i][1][-1] for i in range(mu.size)])
+        mu = ref_a[-1]
         mu_hat = model_out
-        deltas.append(wasserstein_exact(mu, mu_hat, p=2)[0])
+        delta, plan = wasserstein_exact(mu, mu_hat, p=2)
+        deltas.append(delta)
 
     alphas = np.array(alphas)
     defects = np.array(defects)
@@ -188,6 +182,9 @@ def run_rollout_experiment(a: Ensemble, b: Ensemble, cfg: EulerConfig,
                                "rhs": float(rhs)})
     final_ok = bool(deltas[-1] <= bounds[-1] * (1 + slack) or bounds[-1] == 0
                     and deltas[-1] <= 1e-12)
+    # a guard trip truncates the horizon; a shorter run proves nothing about
+    # the requested one
+    horizon_complete = not guard_events
     report = {
         "n_steps": n_steps,
         "dt_phys": dt_phys,
@@ -196,7 +193,8 @@ def run_rollout_experiment(a: Ensemble, b: Ensemble, cfg: EulerConfig,
         "bound_final": float(bounds[-1]),
         "per_step_ok": bool(per_step_ok),
         "final_ok": final_ok,
-        "satisfied": bool(per_step_ok and final_ok),
+        "horizon_complete": horizon_complete,
+        "satisfied": bool(per_step_ok and final_ok and horizon_complete),
         "violations": violations,
         "guard_events": guard_events,
         "alpha_total": float(alphas.sum()),

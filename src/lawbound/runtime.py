@@ -1,8 +1,9 @@
 """Worker-count control.
 
-LAWBOUND_THREADS caps the thread pool used for member-parallel loops.
-Each item is computed independently and results are gathered in input
-order, so outputs do not depend on the worker count.
+LAWBOUND_THREADS caps the thread pools of `parallel_map`: the sampler's
+per-member loops and the pairs of ensembles pushed side by side through
+the Euler solver.  Each item is computed independently and results are
+gathered in input order, so outputs do not depend on the worker count.
 """
 
 from __future__ import annotations

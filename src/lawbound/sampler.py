@@ -14,6 +14,7 @@ Seed policy: member i at physical step n draws from a stream derived from
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -111,14 +112,22 @@ def _unit_noise(spec: KernelSpec, grid: Grid, rng) -> np.ndarray:
     return draw.values / scale
 
 
-def _kernel_perturbation_field(spec: KernelSpec, grid: Grid, master_seed) -> np.ndarray:
-    """Fixed unit-norm solenoidal field shared by every member of a kernel."""
+@lru_cache(maxsize=16)
+def _kernel_perturbation_field(spec: KernelSpec, grid: Grid, master_seed):
+    """Fixed unit-norm solenoidal field shared by every member of a kernel;
+    None for kernels whose drift does not use it.  It has its own seed
+    stream, so drawing it once per kernel leaves every member stream
+    untouched."""
+    if spec.kind != "rectified-flow" or not spec.perturbation:
+        return None
     rng = np.random.default_rng(
         np.random.SeedSequence([int(master_seed), 982451653])
     )
     draw = random_divfree(grid, spec.noise_exponent, _noise_band(spec, grid),
                           seed=rng)
-    return draw.values / l2_norm(draw)
+    field = draw.values / l2_norm(draw)
+    field.setflags(write=False)
+    return field
 
 
 class _KernelRealization:

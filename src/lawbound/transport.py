@@ -31,6 +31,11 @@ __all__ = [
 ]
 
 
+# Largest marginal error of a dense plan: Sinkhorn iterates until it is met
+# and TransportPlan rejects any plan that misses it.
+MARGINAL_TOL = 1e-9
+
+
 @dataclass
 class TransportPlan:
     """Coupling between two equal-size ensembles.
@@ -57,10 +62,7 @@ class TransportPlan:
             if sorted(perm.tolist()) != list(range(n)):
                 raise ValueError("permutation must be a bijection")
         if self.matrix is not None:
-            P = self.matrix
-            n, m = P.shape
-            if (np.abs(P.sum(axis=1) - 1.0 / n).max() > 1e-9
-                    or np.abs(P.sum(axis=0) - 1.0 / m).max() > 1e-9):
+            if _marginal_error(self.matrix) > MARGINAL_TOL:
                 raise ValueError("dense plan marginals violate uniform weights")
 
 
@@ -196,11 +198,12 @@ def wasserstein_exact(a: Ensemble, b: Ensemble, p: int = 2):
 
 
 def sinkhorn(a: Ensemble, b: Ensemble, epsilon: float, p: int = 2,
-             max_iter: int = 5000, tol: float = 1e-6):
+             max_iter: int = 5000):
     """Entropic transport surrogate (log-domain, no debiasing).
 
     Returns (value, TransportPlan) where value is the transport cost of the
-    entropic plan.  Raises on non-convergence of the marginals.
+    entropic plan.  Iterates until the marginal error is at most MARGINAL_TOL;
+    raises on non-convergence of the marginals.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -219,11 +222,18 @@ def sinkhorn(a: Ensemble, b: Ensemble, epsilon: float, p: int = 2,
         Mg = (f[:, None] + g[None, :] - C) / epsilon
         g = g + epsilon * (log_nu - _logsumexp_rows(Mg.T))
         P = np.exp((f[:, None] + g[None, :] - C) / epsilon)
-        err = max(np.abs(P.sum(1) - 1.0 / n).max(), np.abs(P.sum(0) - 1.0 / m).max())
-        if err < tol:
+        if _marginal_error(P) <= MARGINAL_TOL:
             value = float(np.sqrt(np.sum(P * C)))
             return value, TransportPlan(order=p, cost=value, matrix=P)
     raise RuntimeError(f"sinkhorn did not converge in {max_iter} iterations")
+
+
+def _marginal_error(P: np.ndarray) -> float:
+    """Largest deviation of a dense plan's row and column sums from the
+    uniform marginals."""
+    n, m = P.shape
+    return max(np.abs(P.sum(axis=1) - 1.0 / n).max(),
+               np.abs(P.sum(axis=0) - 1.0 / m).max())
 
 
 def _logsumexp_rows(M):

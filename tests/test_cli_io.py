@@ -241,3 +241,20 @@ def test_cli_transport_between_lawcurves(tmp_path):
     doc = json.loads((tmp_path / "tr" / "report.json").read_text())
     assert doc["extra"]["d_T"] > 0
     assert doc["checks"][0]["satisfied"] is True
+
+
+def test_cli_transport_sinkhorn_exit_0(tmp_path):
+    # Sinkhorn's stopping rule and the plan's marginal check share one
+    # tolerance, so an entropic plan the solver returns is never rejected
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({"n": 16, "members": 16, "k_max": 4}))
+    for name, seed in (("a", 1), ("b", 2)):
+        assert main(["gen", "--seed", str(seed), "--out", str(tmp_path / name),
+                     "--config", str(cfg)]) == 0
+    tcfg = tmp_path / "t.json"
+    tcfg.write_text(json.dumps({"epsilon": 0.05}))
+    assert main(["transport", "--a", str(tmp_path / "a" / "ensemble.json"),
+                 "--b", str(tmp_path / "b" / "ensemble.json"),
+                 "--out", str(tmp_path / "tr"), "--config", str(tcfg)]) == 0
+    doc = json.loads((tmp_path / "tr" / "report.json").read_text())
+    assert doc["extra"]["sinkhorn"] >= doc["extra"]["w2"] - 1e-9

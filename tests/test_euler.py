@@ -21,6 +21,71 @@ def grf_pair_ensembles(n_members, amp, seed0=0, grid=GRID):
     return a, b
 
 
+# ----------------------------------------------- per-member reference solver
+# The full-complex (fft2) vorticity RK4 that marched one member at a time;
+# the batched real-FFT solver must reproduce it to rounding.
+
+def ref_arrays(n, frac=2.0 / 3.0):
+    kk = F._modes(2, n)
+    kd = F._deriv_modes(2, n)
+    k2 = kk[0] ** 2 + kk[1] ** 2
+    inv_k2 = np.where(k2 == 0, 0.0, 1.0 / np.where(k2 == 0, 1.0, k2))
+    cut = frac * (n / 2.0)
+    mask = (np.abs(kk[0]) <= cut) & (np.abs(kk[1]) <= cut)
+    return kd, inv_k2, mask
+
+
+def ref_velocity_hat(w_hat, n):
+    kd, inv_k2, _ = ref_arrays(n)
+    psi_hat = -w_hat * inv_k2
+    return np.stack([-1j * kd[1] * psi_hat, 1j * kd[0] * psi_hat])
+
+
+def ref_rhs(w_hat, n):
+    kd, _, mask = ref_arrays(n)
+    scale = n * n
+    u = np.fft.ifft2(ref_velocity_hat(w_hat, n) * scale).real
+    wx = np.fft.ifft2(1j * kd[0] * w_hat * scale).real
+    wy = np.fft.ifft2(1j * kd[1] * w_hat * scale).real
+    adv_hat = np.fft.fft2(u[0] * wx + u[1] * wy) / scale
+    return -adv_hat * mask
+
+
+def ref_evolve(u, dt, n_steps):
+    n = u.grid.n
+    kd = F._deriv_modes(2, n)
+    uh = F.forward(u).coef
+    w = 1j * kd[0] * uh[1] - 1j * kd[1] * uh[0]
+    for _ in range(n_steps):
+        k1 = ref_rhs(w, n)
+        k2 = ref_rhs(w + 0.5 * dt * k1, n)
+        k3 = ref_rhs(w + 0.5 * dt * k2, n)
+        k4 = ref_rhs(w + dt * k3, n)
+        w = w + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return F.inverse(F.SpecField(u.grid, ref_velocity_hat(w, n))).values
+
+
+def test_batched_solver_matches_member_reference():
+    a, _ = grf_pair_ensembles(4, amp=0.0, seed0=90)
+    cfg = EU.EulerConfig(GRID, dt=0.015625)
+    pushed = EU.evolve(a, cfg, 16 * cfg.dt)
+    for i in range(a.size):
+        ref = ref_evolve(a.member(i), cfg.dt, 16)
+        rel = np.abs(pushed.values[i] - ref).max() / np.abs(ref).max()
+        assert rel <= 1e-13
+
+
+def test_cfl_guard_trips_on_one_member_of_a_batch():
+    a, _ = grf_pair_ensembles(3, amp=0.0, seed0=95)
+    cfg = EU.EulerConfig(GRID, dt=0.05)
+    for i in range(a.size):
+        EU.step(a.member(i), cfg)      # each member alone is admissible
+    values = a.values.copy()
+    values[1] *= 50.0
+    with pytest.raises(RuntimeError, match="CFL"):
+        EU.evolve(E.Ensemble(GRID, values), cfg, 0.1)
+
+
 # ------------------------------------------------------------------ solver
 
 def test_zero_field_stays_zero():

@@ -138,6 +138,7 @@ def test_experiment_perturbed_model_full_bound():
     ledger, rep = R.run_rollout_experiment(a, b, CFG, spec, n_steps=3,
                                            dt_phys=DT, master_seed=7)
     assert rep["per_step_ok"] and rep["final_ok"] and rep["satisfied"]
+    assert rep["horizon_complete"]
     assert np.max(ledger.defects) > 0
     assert np.all(np.diff(ledger.bounds) >= -1e-15)
 
@@ -154,3 +155,16 @@ def test_experiment_guard_trip_reported():
     assert rep["guard_events"]
     assert rep["n_steps"] == 0
     assert len(ledger.deltas) == 1
+
+
+def test_guard_truncated_rollout_is_not_satisfied():
+    # the CFL guard trips in window 0: every recorded bound holds trivially
+    # over the empty horizon, which must still not read as a pass
+    base = unit_ensemble(3, 80)
+    a = E.Ensemble(GRID, 200.0 * base.values)
+    spec = SA.KernelSpec("deterministic", internal_steps=2)
+    _, rep = R.run_rollout_experiment(a, a, CFG, spec, n_steps=2,
+                                      dt_phys=DT, master_seed=1)
+    assert rep["per_step_ok"] and rep["final_ok"]
+    assert rep["horizon_complete"] is False
+    assert rep["satisfied"] is False
