@@ -12,26 +12,20 @@ construction converts score error into drift error exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .ensemble import Ensemble, LawCurve
+from .euler import _resolved_drift
 from .fields import (
     Grid,
     GridField,
-    SpecField,
-    _deriv_modes,
-    _mode_magnitude,
-    _modes,
     divergence_norm,
     forward,
-    inverse,
     l2_norm,
-    leray_project,
     project_gt,
-    project_leq,
     random_divfree,
+    spec_l2_norm,
 )
 
 __all__ = [
@@ -40,14 +34,7 @@ __all__ = [
     "GaussianDiffusion",
     "random_test_tuple",
     "euler_drift_resolved",
-    "drift_test_pairing_oracle",
-    "product_observable",
-    "product_observable_dt",
-    "product_observable_du",
     "drift_driven_curve",
-    "residual_direct",
-    "residual_via_defect",
-    "residual_bound_check",
     "certification_report",
     "pf_identities",
 ]
@@ -112,8 +99,10 @@ def random_test_tuple(grid: Grid, k: int, k_test: int, horizon: float,
 def euler_drift_resolved(u: GridField, K: float) -> GridField:
     """Resolved Euler tendency: P_{<=K} Leray(-div(u x u)), dealiased.
 
-    The input must be band-limited to n/3 so the quadratic product is
-    alias-free after truncation.
+    The N=1 view of the batched drift that `drift_driven_curve` and the
+    certification pass run on the Euler solver's half-spectrum core.  The
+    input must be divergence-free and band-limited to n/3 so the quadratic
+    product is alias-free after truncation.
     """
     g = u.grid
     if g.d != 2 or u.m != 2:
@@ -121,86 +110,12 @@ def euler_drift_resolved(u: GridField, K: float) -> GridField:
     if K < 1 or K > g.n / 3.0:
         raise ValueError(f"resolution K must lie in [1, n/3], got {K}")
     uh = forward(u)
-    high = np.sqrt(np.sum(np.abs(project_gt(uh, g.n / 3.0).coef) ** 2))
-    total = np.sqrt(np.sum(np.abs(uh.coef) ** 2))
-    if high > 1e-10 * total:
+    total = spec_l2_norm(uh)
+    if spec_l2_norm(project_gt(uh, g.n / 3.0)) > 1e-10 * total:
         raise ValueError("input field must be band-limited to n/3")
-    kd = _deriv_modes(g.d, g.n)
-    scale = g.n**g.d
-    w = u.values
-    prods = {
-        (0, 0): w[0] * w[0],
-        (0, 1): w[0] * w[1],
-        (1, 1): w[1] * w[1],
-    }
-    hats = {ij: np.fft.fft2(v) / scale for ij, v in prods.items()}
-    div = np.empty((2,) + g.shape, dtype=np.complex128)
-    div[0] = 1j * kd[0] * hats[(0, 0)] + 1j * kd[1] * hats[(0, 1)]
-    div[1] = 1j * kd[0] * hats[(0, 1)] + 1j * kd[1] * hats[(1, 1)]
-    out = leray_project(SpecField(g, -div))
-    dealias = min(K, g.n / 3.0)
-    return inverse(project_leq(out, dealias))
-
-
-def drift_test_pairing_oracle(u: GridField, phi: GridField) -> float:
-    """Grid quadrature of int (u x u) : grad phi dx.
-
-    For divergence-free phi this equals <Leray(-div(u x u)), phi> by parts,
-    so it cross-checks the spectral drift assembly.
-    """
-    g = u.grid
-    kd = _deriv_modes(g.d, g.n)
-    ph = forward(phi).coef
-    scale = g.n**g.d
-    total = 0.0
-    for i in range(2):
-        for j in range(2):
-            dphi = np.fft.ifft2(1j * kd[i] * ph[j] * scale).real
-            total += np.sum(u.values[i] * u.values[j] * dphi)
-    return float(g.cell_volume * total)
-
-
-# ----------------------------------------------------- product observables
-
-def _pairings(tt: TestTuple, u_values: np.ndarray, cell: float) -> np.ndarray:
-    return np.array([cell * np.sum(u_values * f.values) for f in tt.fields])
-
-
-def product_observable(tt: TestTuple, t: float, u: GridField) -> float:
-    """F(t, u) = prod_j <u, theta(t) phi_j>."""
-    p = _pairings(tt, u.values, u.grid.cell_volume)
-    return float(tt.theta(t) ** tt.k * np.prod(p))
-
-
-def product_observable_dt(tt: TestTuple, t: float, u: GridField) -> float:
-    """Time derivative: sum_i <u, theta' phi_i> prod_{j != i} <u, theta phi_j>."""
-    p = _pairings(tt, u.values, u.grid.cell_volume)
-    th, dth = tt.theta(t), tt.dtheta(t)
-    total = 0.0
-    for i in range(tt.k):
-        term = dth * p[i]
-        for j in range(tt.k):
-            if j != i:
-                term *= th * p[j]
-        total += term
-    return float(total)
-
-
-def product_observable_du(tt: TestTuple, t: float, u: GridField,
-                          w: GridField) -> float:
-    """Directional derivative: sum_i <w, theta phi_i> prod_{j != i} <u, theta phi_j>."""
-    cell = u.grid.cell_volume
-    p = _pairings(tt, u.values, cell)
-    q = _pairings(tt, w.values, cell)
-    th = tt.theta(t)
-    total = 0.0
-    for i in range(tt.k):
-        term = th * q[i]
-        for j in range(tt.k):
-            if j != i:
-                term *= th * p[j]
-        total += term
-    return float(total)
+    if divergence_norm(uh) > 1e-10 * g.n * total:
+        raise ValueError("input field must be divergence-free")
+    return GridField(g, _resolved_drift(u.values, K))
 
 
 # ------------------------------------------------------------ drift model
@@ -226,53 +141,17 @@ class DriftSpec:
         if divergence_norm(ph) > 1e-10 * max(l2_norm(self.perturbation), 1.0):
             raise ValueError("perturbation must be divergence-free")
 
-    def apply(self, t: float, u: GridField, base: GridField = None) -> GridField:
-        if base is None:
-            base = euler_drift_resolved(u, self.resolution)
-        if self.epsilon == 0.0:
-            return base
-        return GridField(u.grid,
-                         base.values + self.epsilon * self.perturbation.values)
-
-
-@lru_cache(maxsize=None)
-def _batch_arrays(n: int, K: float):
-    kk = _modes(2, n)
-    kd = _deriv_modes(2, n)
-    mag2 = kk[0] ** 2 + kk[1] ** 2
-    safe = np.where(mag2 == 0, 1.0, mag2)
-    mask = _mode_magnitude(2, n) <= min(K, n / 3.0)
-    return kk, kd, safe, mask
-
-
-def _drift_batch(vals: np.ndarray, n: int, K: float) -> np.ndarray:
-    """Resolved Euler tendency for a member batch (N, 2, n, n) -> same shape."""
-    kk, kd, safe, mask = _batch_arrays(n, K)
-    scale = n * n
-    prods = np.stack([vals[:, 0] * vals[:, 0],
-                      vals[:, 0] * vals[:, 1],
-                      vals[:, 1] * vals[:, 1]], axis=1)
-    h = np.fft.fft2(prods) / scale
-    div0 = 1j * kd[0] * h[:, 0] + 1j * kd[1] * h[:, 1]
-    div1 = 1j * kd[0] * h[:, 1] + 1j * kd[1] * h[:, 2]
-    coef = np.stack([-div0, -div1], axis=1)
-    kdotu = kk[0] * coef[:, 0] + kk[1] * coef[:, 1]
-    coef = coef - kk[None] * (kdotu / safe)[:, None]
-    coef *= mask
-    return np.fft.ifft2(coef * scale).real
-
 
 def drift_driven_curve(e0: Ensemble, drift: DriftSpec, horizon: float,
                        n_steps: int) -> LawCurve:
     """RK4 integration of du/dt = B(t, u), all members marched as a batch."""
     dt = horizon / n_steps
     times = np.linspace(0.0, horizon, n_steps + 1)
-    n = e0.grid.n
     K = drift.resolution
     pert = drift.epsilon * drift.perturbation.values
 
     def vel(x):
-        return _drift_batch(x, n, K) + pert
+        return _resolved_drift(x, K) + pert
 
     x = e0.values.copy()
     states = [x.copy()]
@@ -289,81 +168,6 @@ def drift_driven_curve(e0: Ensemble, drift: DriftSpec, horizon: float,
 
 
 # -------------------------------------------------------------- residuals
-
-def residual_direct(curve: LawCurve, tt: TestTuple, K: float) -> float:
-    """Trapezoidal quadrature of E[dF/dt + D_u F[B*_K]] plus E[F(0, .)]."""
-    vals = np.empty(len(curve.times))
-    for s, (t, e) in enumerate(zip(curve.times, curve.ensembles)):
-        acc = 0.0
-        for i in range(e.size):
-            u = e.member(i)
-            base = euler_drift_resolved(u, K)
-            acc += (product_observable_dt(tt, t, u)
-                    + product_observable_du(tt, t, u, base))
-        vals[s] = acc / e.size
-    e0 = curve.ensembles[0]
-    init = np.mean([product_observable(tt, 0.0, e0.member(i))
-                    for i in range(e0.size)])
-    return float(np.trapezoid(vals, curve.times) + init)
-
-
-def residual_via_defect(curve: LawCurve, tt: TestTuple, K: float,
-                        drift: DriftSpec) -> float:
-    """Trapezoidal quadrature of E[D_u F[B*_K - B_model]]."""
-    vals = np.empty(len(curve.times))
-    for s, (t, e) in enumerate(zip(curve.times, curve.ensembles)):
-        acc = 0.0
-        for i in range(e.size):
-            u = e.member(i)
-            base = euler_drift_resolved(u, K)
-            model = drift.apply(t, u, base=base)
-            defect = GridField(u.grid, base.values - model.values)
-            acc += product_observable_du(tt, t, u, defect)
-        vals[s] = acc / e.size
-    return float(np.trapezoid(vals, curve.times))
-
-
-def residual_bound_check(curve: LawCurve, tt: TestTuple, K: float,
-                         drift: DriftSpec, slack: float = 1e-9) -> dict:
-    """Drift-regression bound on the defect-route residual.
-
-        |R| <= sqrt(T) M_2k^((k-1)/(2k)) (test-norm factor) sqrt(L_drift)
-
-    with every piece evaluated on the same quadrature grid as the residual.
-    """
-    k = tt.k
-    n_t = len(curve.times)
-    defect_sq = np.empty(n_t)
-    duF = np.empty(n_t)
-    m2k = 0.0
-    for s, (t, e) in enumerate(zip(curve.times, curve.ensembles)):
-        acc_sq = acc_du = acc_m = 0.0
-        for i in range(e.size):
-            u = e.member(i)
-            base = euler_drift_resolved(u, K)
-            model = drift.apply(t, u, base=base)
-            defect = GridField(u.grid, base.values - model.values)
-            acc_sq += l2_norm(defect) ** 2
-            acc_du += product_observable_du(tt, t, u, defect)
-            acc_m += l2_norm(u) ** (2 * k)
-        defect_sq[s] = acc_sq / e.size
-        duF[s] = acc_du / e.size
-        m2k = max(m2k, acc_m / e.size)
-    residual = float(np.trapezoid(duF, curve.times))
-    l_drift = float(np.trapezoid(defect_sq, curve.times))
-    factor = tt.norm_factor()
-    T = curve.horizon
-    bound = float(np.sqrt(T) * m2k ** ((k - 1) / (2.0 * k)) * factor
-                  * np.sqrt(l_drift))
-    return {
-        "residual_defect": residual,
-        "l_drift": l_drift,
-        "m_2k": float(m2k),
-        "norm_factor": factor,
-        "bound": bound,
-        "satisfied": bool(abs(residual) <= bound * (1 + slack)),
-    }
-
 
 def _slot_sum(th_p: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     """sum_i coeff[:, i] * prod_{j != i} th_p[:, j], vectorized over members."""
@@ -398,7 +202,7 @@ def _fused_certification_pass(curve: LawCurve, tt: TestTuple, K: float,
     m2k = 0.0
     for s, (t, e) in enumerate(zip(curve.times, curve.ensembles)):
         vals = e.values
-        base = _drift_batch(vals, grid.n, K)
+        base = _resolved_drift(vals, K)
         model = base + pert if drift.epsilon else base
         defect = base - model
         p = cell * np.einsum("ncxy,kcxy->nk", vals, phis)

@@ -151,6 +151,9 @@ def cmd_evolve(args) -> int:
     }, "evolve")
     if args.checkpoints is not None:
         cfg["checkpoints"] = args.checkpoints
+    if cfg["checkpoints"] < 1:
+        raise ValueError(f"evolve: checkpoints must be a positive integer, "
+                         f"got {cfg['checkpoints']}")
     e, t0 = _read_initial_ensemble(args.ensemble)
     euler_cfg = EU.EulerConfig(e.grid, dt=cfg["dt"])
     times, ensembles = EU.evolve(e, euler_cfg, cfg["horizon"],
@@ -161,8 +164,7 @@ def cmd_evolve(args) -> int:
     write_lawcurve(out / "curve", curve)
     rows = []
     for c, ens in enumerate(ensembles):
-        divs = [F.divergence_norm(F.forward(ens.member(i)))
-                for i in range(ens.size)]
+        divs = F._divergence_norms(ens.spectra(), ens.grid)
         rows.append((float(times[c]), float(np.mean(ens.member_norms() ** 2)),
                      float(np.mean(EU.enstrophy(ens))), float(np.max(divs))))
     write_csv(out / "conservation.csv",

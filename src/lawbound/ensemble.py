@@ -17,6 +17,7 @@ from .fields import (
     GridField,
     _mode_magnitude,
     _modes,
+    _spectrum,
     lattice_offsets_in_ball,
 )
 
@@ -84,8 +85,7 @@ class Ensemble:
 
     def spectra(self) -> np.ndarray:
         """Fourier coefficients of all members, shape (N, m, *shape)."""
-        axes = tuple(range(2, 2 + self.grid.d))
-        return np.fft.fftn(self.values, axes=axes) / (self.grid.n**self.grid.d)
+        return _spectrum(self.values, self.grid)
 
 
 @dataclass

@@ -71,10 +71,6 @@ class Grid:
     def volume(self) -> float:
         return (2.0 * np.pi) ** self.d
 
-    def axes(self, m_offset: int = 1) -> tuple:
-        """FFT axes for arrays carrying a leading component axis."""
-        return tuple(range(m_offset, m_offset + self.d))
-
     def coordinates(self):
         """Arrays of physical coordinates, shape (d, *shape)."""
         x1 = np.arange(self.n) * self.spacing
@@ -166,16 +162,31 @@ class SpecField:
         return SpecField(self.grid, self.coef.copy())
 
 
+# The array-level transforms act on the trailing d (spatial) axes, so any
+# leading component or member axes ride along in one call.
+
+def _spectrum(values: np.ndarray, grid: Grid) -> np.ndarray:
+    axes = tuple(range(-grid.d, 0))
+    return np.fft.fftn(values, axes=axes, norm="forward")
+
+
+def _synthesize(coef: np.ndarray, grid: Grid) -> np.ndarray:
+    axes = tuple(range(-grid.d, 0))
+    return np.fft.ifftn(coef, axes=axes, norm="forward").real
+
+
+def _leq_coef(coef: np.ndarray, grid: Grid, K: float) -> np.ndarray:
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
+    return np.where(_mode_magnitude(grid.d, grid.n) <= K, coef, 0.0)
+
+
 def forward(f: GridField) -> SpecField:
-    g = f.grid
-    coef = np.fft.fftn(f.values, axes=g.axes()) / (g.n**g.d)
-    return SpecField(g, coef)
+    return SpecField(f.grid, _spectrum(f.values, f.grid))
 
 
 def inverse(F: SpecField) -> GridField:
-    g = F.grid
-    values = np.fft.ifftn(F.coef * (g.n**g.d), axes=g.axes()).real
-    return GridField(g, values)
+    return GridField(F.grid, _synthesize(F.coef, F.grid))
 
 
 def l2_norm(f: GridField) -> float:
@@ -194,10 +205,7 @@ def spec_l2_norm(F: SpecField) -> float:
 
 def project_leq(F: SpecField, K: float) -> SpecField:
     """Sharp Fourier projector onto Euclidean modes |k| <= K."""
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
-    mag = _mode_magnitude(F.grid.d, F.grid.n)
-    return SpecField(F.grid, np.where(mag <= K, F.coef, 0.0))
+    return SpecField(F.grid, _leq_coef(F.coef, F.grid, K))
 
 
 def project_gt(F: SpecField, K: float) -> SpecField:
@@ -324,7 +332,7 @@ def _spectral_jacobian(F: SpecField) -> np.ndarray:
     kk = _deriv_modes(g.d, g.n)
     parts = []
     for a in range(g.d):
-        da = np.fft.ifftn(1j * kk[a] * F.coef * (g.n**g.d), axes=g.axes()).real
+        da = _synthesize(1j * kk[a] * F.coef, g)
         parts.append(da)
     return np.stack(parts, axis=1)
 
@@ -363,14 +371,20 @@ def leray_project(F: SpecField) -> SpecField:
     return SpecField(g, coef)
 
 
+def _divergence_norms(coef: np.ndarray, grid: Grid) -> np.ndarray:
+    """L2 norms of the spectral divergence of velocity coefficients
+    (..., d, *shape), one per leading index."""
+    kk = _modes(grid.d, grid.n)
+    div = 1j * np.sum(kk * coef, axis=-grid.d - 1)
+    space = tuple(range(-grid.d, 0))
+    return np.sqrt(grid.volume * np.sum(np.abs(div) ** 2, axis=space))
+
+
 def divergence_norm(F: SpecField) -> float:
     """L2 norm of the spectral divergence of a velocity field."""
-    g = F.grid
-    if F.m != g.d:
+    if F.m != F.grid.d:
         raise ValueError("divergence needs m == d")
-    kk = _modes(g.d, g.n)
-    div = sum(1j * kk[a] * F.coef[a] for a in range(g.d))
-    return float(np.sqrt(g.volume * np.sum(np.abs(div) ** 2)))
+    return float(_divergence_norms(F.coef, F.grid))
 
 
 def spectrum_exponent_for_structure(s: float) -> float:

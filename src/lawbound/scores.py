@@ -15,7 +15,7 @@ import numpy as np
 
 from .ensemble import Ensemble, LawCurve
 from .fields import Grid, GridField, inner, l2_norm
-from .transport import solve_assignment, time_integrated_w1, wasserstein_exact
+from .transport import solve_assignment, wasserstein_exact
 
 __all__ = [
     "crps",
@@ -178,6 +178,7 @@ def crps_dT_check(a: LawCurve, b: LawCurve, obs: ResolvedObservable,
     lip = obs.lipschitz
     rows = []
     crps_t = np.empty(len(a.times))
+    w1_t = np.empty(len(a.times))
     per_time_ok = True
     for s, (ea, eb) in enumerate(zip(a.ensembles, b.ensembles)):
         pa = obs.apply_ensemble(ea)
@@ -189,10 +190,11 @@ def crps_dT_check(a: LawCurve, b: LawCurve, obs: ResolvedObservable,
               and w_push <= lip * w_field + slack)
         per_time_ok = per_time_ok and ok
         crps_t[s] = c
+        w1_t[s] = w_field
         rows.append({"t": float(a.times[s]), "crps": c,
                      "w1_pushforward": w_push, "w1_field": w_field,
                      "bound": 2.0 * lip * w_field, "ok": bool(ok)})
-    d_t, _ = time_integrated_w1(a, b)
+    d_t = float(np.trapezoid(w1_t, a.times))  # time_integrated_w1 without re-solving
     integral = float(np.trapezoid(crps_t, a.times))
     return {
         "rows": rows,

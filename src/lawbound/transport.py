@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .ensemble import Ensemble, LawCurve, tail
-from .fields import forward, inverse, project_leq
+from .fields import _leq_coef, _synthesize
 
 __all__ = [
     "TransportPlan",
@@ -253,9 +253,11 @@ def time_integrated_w1(a: LawCurve, b: LawCurve):
 
 
 def project_ensemble(e: Ensemble, K: float) -> Ensemble:
-    """Pushforward of the empirical law under the sharp projector P_{<=K}."""
-    out = [inverse(project_leq(forward(e.member(i)), K)) for i in range(e.size)]
-    return Ensemble.from_fields(out)
+    """Pushforward of the empirical law under the sharp projector P_{<=K},
+    one spectral projection of the whole member batch."""
+    coef = _leq_coef(e.spectra(), e.grid, K)
+    # a real copy, so the result does not pin the complex transform buffer
+    return Ensemble(e.grid, np.ascontiguousarray(_synthesize(coef, e.grid)))
 
 
 def capacity_coverage(a: Ensemble, b: Ensemble, K: float,

@@ -14,6 +14,176 @@ def bandlimited_unit(seed, k_max=8, grid=GRID, exponent=3.5):
     return F.GridField(grid, u.values / F.l2_norm(u))
 
 
+# ------------------------------------------------------------------ oracles
+# Independent per-member references for the batched code in certify: the
+# velocity-form resolved drift on full-complex FFTs, and the residual routes
+# evaluated one member at a time.
+
+def drift_velocity_form(vals, K):
+    """P_{<=K} Leray(-div(u x u)) of a batch (N, 2, n, n), assembled from
+    the spectral divergence of the products u_i u_j."""
+    n = vals.shape[-1]
+    kk = F._modes(2, n)
+    kd = F._deriv_modes(2, n)
+    mag2 = kk[0] ** 2 + kk[1] ** 2
+    safe = np.where(mag2 == 0, 1.0, mag2)
+    mask = F._mode_magnitude(2, n) <= min(K, n / 3.0)
+    scale = n * n
+    prods = np.stack([vals[:, 0] * vals[:, 0],
+                      vals[:, 0] * vals[:, 1],
+                      vals[:, 1] * vals[:, 1]], axis=1)
+    h = np.fft.fft2(prods) / scale
+    div0 = 1j * kd[0] * h[:, 0] + 1j * kd[1] * h[:, 1]
+    div1 = 1j * kd[0] * h[:, 1] + 1j * kd[1] * h[:, 2]
+    coef = np.stack([-div0, -div1], axis=1)
+    kdotu = kk[0] * coef[:, 0] + kk[1] * coef[:, 1]
+    coef = coef - kk[None] * (kdotu / safe)[:, None]
+    coef *= mask
+    return np.fft.ifft2(coef * scale).real
+
+
+def oracle_drift(u, K):
+    return F.GridField(u.grid, drift_velocity_form(u.values[None], K)[0])
+
+
+def drift_test_pairing_oracle(u, phi):
+    """Grid quadrature of int (u x u) : grad phi dx.
+
+    For divergence-free phi this equals <Leray(-div(u x u)), phi> by parts,
+    so it cross-checks the spectral drift assembly.
+    """
+    g = u.grid
+    kd = F._deriv_modes(g.d, g.n)
+    ph = F.forward(phi).coef
+    scale = g.n**g.d
+    total = 0.0
+    for i in range(2):
+        for j in range(2):
+            dphi = np.fft.ifft2(1j * kd[i] * ph[j] * scale).real
+            total += np.sum(u.values[i] * u.values[j] * dphi)
+    return float(g.cell_volume * total)
+
+
+def _pairings(tt, u_values, cell):
+    return np.array([cell * np.sum(u_values * f.values) for f in tt.fields])
+
+
+def product_observable(tt, t, u):
+    """F(t, u) = prod_j <u, theta(t) phi_j>."""
+    p = _pairings(tt, u.values, u.grid.cell_volume)
+    return float(tt.theta(t) ** tt.k * np.prod(p))
+
+
+def product_observable_dt(tt, t, u):
+    """Time derivative: sum_i <u, theta' phi_i> prod_{j != i} <u, theta phi_j>."""
+    p = _pairings(tt, u.values, u.grid.cell_volume)
+    th, dth = tt.theta(t), tt.dtheta(t)
+    total = 0.0
+    for i in range(tt.k):
+        term = dth * p[i]
+        for j in range(tt.k):
+            if j != i:
+                term *= th * p[j]
+        total += term
+    return float(total)
+
+
+def product_observable_du(tt, t, u, w):
+    """Directional derivative: sum_i <w, theta phi_i> prod_{j != i} <u, theta phi_j>."""
+    cell = u.grid.cell_volume
+    p = _pairings(tt, u.values, cell)
+    q = _pairings(tt, w.values, cell)
+    th = tt.theta(t)
+    total = 0.0
+    for i in range(tt.k):
+        term = th * q[i]
+        for j in range(tt.k):
+            if j != i:
+                term *= th * p[j]
+        total += term
+    return float(total)
+
+
+def model_drift(drift, u, base):
+    """B(t, u) = B*_K(u) + epsilon * g of a DriftSpec, given B*_K(u)."""
+    if drift.epsilon == 0.0:
+        return base
+    return F.GridField(u.grid,
+                       base.values + drift.epsilon * drift.perturbation.values)
+
+
+def residual_direct(curve, tt, K):
+    """Trapezoidal quadrature of E[dF/dt + D_u F[B*_K]] plus E[F(0, .)]."""
+    vals = np.empty(len(curve.times))
+    for s, (t, e) in enumerate(zip(curve.times, curve.ensembles)):
+        acc = 0.0
+        for i in range(e.size):
+            u = e.member(i)
+            base = oracle_drift(u, K)
+            acc += (product_observable_dt(tt, t, u)
+                    + product_observable_du(tt, t, u, base))
+        vals[s] = acc / e.size
+    e0 = curve.ensembles[0]
+    init = np.mean([product_observable(tt, 0.0, e0.member(i))
+                    for i in range(e0.size)])
+    return float(np.trapezoid(vals, curve.times) + init)
+
+
+def residual_via_defect(curve, tt, K, drift):
+    """Trapezoidal quadrature of E[D_u F[B*_K - B_model]]."""
+    vals = np.empty(len(curve.times))
+    for s, (t, e) in enumerate(zip(curve.times, curve.ensembles)):
+        acc = 0.0
+        for i in range(e.size):
+            u = e.member(i)
+            base = oracle_drift(u, K)
+            model = model_drift(drift, u, base)
+            defect = F.GridField(u.grid, base.values - model.values)
+            acc += product_observable_du(tt, t, u, defect)
+        vals[s] = acc / e.size
+    return float(np.trapezoid(vals, curve.times))
+
+
+def residual_bound_check(curve, tt, K, drift, slack=1e-9):
+    """Drift-regression bound on the defect-route residual.
+
+        |R| <= sqrt(T) M_2k^((k-1)/(2k)) (test-norm factor) sqrt(L_drift)
+
+    with every piece evaluated on the same quadrature grid as the residual.
+    """
+    k = tt.k
+    n_t = len(curve.times)
+    defect_sq = np.empty(n_t)
+    duF = np.empty(n_t)
+    m2k = 0.0
+    for s, (t, e) in enumerate(zip(curve.times, curve.ensembles)):
+        acc_sq = acc_du = acc_m = 0.0
+        for i in range(e.size):
+            u = e.member(i)
+            base = oracle_drift(u, K)
+            model = model_drift(drift, u, base)
+            defect = F.GridField(u.grid, base.values - model.values)
+            acc_sq += F.l2_norm(defect) ** 2
+            acc_du += product_observable_du(tt, t, u, defect)
+            acc_m += F.l2_norm(u) ** (2 * k)
+        defect_sq[s] = acc_sq / e.size
+        duF[s] = acc_du / e.size
+        m2k = max(m2k, acc_m / e.size)
+    residual = float(np.trapezoid(duF, curve.times))
+    l_drift = float(np.trapezoid(defect_sq, curve.times))
+    factor = tt.norm_factor()
+    bound = float(np.sqrt(curve.horizon) * m2k ** ((k - 1) / (2.0 * k))
+                  * factor * np.sqrt(l_drift))
+    return {
+        "residual_defect": residual,
+        "l_drift": l_drift,
+        "m_2k": float(m2k),
+        "norm_factor": factor,
+        "bound": bound,
+        "satisfied": bool(abs(residual) <= bound * (1 + slack)),
+    }
+
+
 # ------------------------------------------------------------ Euler drift
 
 def test_drift_zero_field():
@@ -29,7 +199,7 @@ def test_drift_duality_against_quadrature_oracle():
     for s in range(5):
         phi = bandlimited_unit(100 + s, k_max=K)
         pairing = F.inner(drift, phi)
-        oracle = C.drift_test_pairing_oracle(u, phi)
+        oracle = drift_test_pairing_oracle(u, phi)
         assert abs(pairing - oracle) <= 1e-8 * max(abs(oracle), 1e-12)
 
 
@@ -39,7 +209,7 @@ def test_taylor_green_drift_is_pure_gradient():
     assert F.l2_norm(drift) < 1e-12
     for s in range(5):
         phi = bandlimited_unit(200 + s, k_max=10)
-        assert abs(C.drift_test_pairing_oracle(tg, phi)) < 1e-12
+        assert abs(drift_test_pairing_oracle(tg, phi)) < 1e-12
 
 
 def test_drift_matches_vorticity_solver_tendency():
@@ -59,10 +229,31 @@ def test_drift_matches_vorticity_solver_tendency():
 def test_drift_batch_matches_single():
     members = [bandlimited_unit(3 + i) for i in range(3)]
     vals = np.stack([m.values for m in members])
-    batch = C._drift_batch(vals, GRID.n, 8)
+    batch = EU._resolved_drift(vals, 8)
     for i, m in enumerate(members):
         single = C.euler_drift_resolved(m, 8)
         assert np.max(np.abs(batch[i] - single.values)) < 1e-14
+
+
+@pytest.mark.parametrize("N, mean_flow", [(1, False), (3, False), (3, True)])
+def test_shared_drift_matches_velocity_form_oracle(N, mean_flow):
+    # the drift built on the solver's half-spectrum advection equals the
+    # velocity-form P_{<=K} Leray(-div(u x u)); a constant mean flow is
+    # divergence-free and band-limited
+    vals = np.stack([0.1 * bandlimited_unit(40 + i).values for i in range(N)])
+    if mean_flow:
+        vals = vals + np.array([0.3, -0.2])[None, :, None, None]
+    for K in (4, 8, GRID.n / 3.0):
+        oracle = drift_velocity_form(vals, K)
+        shared = EU._resolved_drift(vals, K)
+        scale = np.max(np.abs(oracle))
+        assert scale > 0
+        assert np.max(np.abs(shared - oracle)) <= 1e-13 * scale
+    if mean_flow:
+        # the case is not vacuous: the mean flow changes the drift
+        base = drift_velocity_form(vals, 8)
+        rest = drift_velocity_form(vals - vals.mean(axis=(2, 3), keepdims=True), 8)
+        assert np.max(np.abs(base - rest)) > 1e-3 * np.max(np.abs(base))
 
 
 def test_drift_rejects_unbanded_input():
@@ -70,6 +261,15 @@ def test_drift_rejects_unbanded_input():
     raw = F.GridField(GRID, rng.standard_normal((2,) + GRID.shape))
     with pytest.raises(ValueError):
         C.euler_drift_resolved(raw, 8)
+
+
+def test_drift_rejects_divergent_input():
+    # band-limited but compressible: the vorticity form would not see the
+    # u div(u) part of div(u x u)
+    x = GRID.coordinates()
+    grad = F.GridField(GRID, np.stack([np.cos(x[0]), np.zeros(GRID.shape)]))
+    with pytest.raises(ValueError, match="divergence-free"):
+        C.euler_drift_resolved(grad, 8)
 
 
 # ------------------------------------------------- product observables
@@ -83,9 +283,9 @@ def test_observable_k1_linear():
     u = bandlimited_unit(8)
     w = bandlimited_unit(9)
     t = 0.2
-    assert abs(C.product_observable(tt, t, u)
+    assert abs(product_observable(tt, t, u)
                - tt.theta(t) * F.inner(u, tt.fields[0])) < 1e-14
-    assert abs(C.product_observable_du(tt, t, u, w)
+    assert abs(product_observable_du(tt, t, u, w)
                - tt.theta(t) * F.inner(w, tt.fields[0])) < 1e-14
 
 
@@ -94,7 +294,7 @@ def test_observable_orthogonal_input_zero():
     # a field orthogonal to both tests: a pure high mode
     x = GRID.coordinates()
     hi = F.GridField(GRID, np.stack([np.cos(12 * x[0]), np.zeros(GRID.shape)]))
-    assert abs(C.product_observable(tt, 0.1, hi)) < 1e-12
+    assert abs(product_observable(tt, 0.1, hi)) < 1e-12
 
 
 def test_observable_fd_oracle():
@@ -105,12 +305,12 @@ def test_observable_fd_oracle():
     h = 1e-5
     up = F.GridField(GRID, u.values + h * w.values)
     um = F.GridField(GRID, u.values - h * w.values)
-    fd = (C.product_observable(tt, t, up) - C.product_observable(tt, t, um)) / (2 * h)
-    exact = C.product_observable_du(tt, t, u, w)
+    fd = (product_observable(tt, t, up) - product_observable(tt, t, um)) / (2 * h)
+    exact = product_observable_du(tt, t, u, w)
     assert abs(fd - exact) <= 1e-7 * max(abs(exact), 1.0)
     # time derivative against finite differences as well
-    fd_t = (C.product_observable(tt, t + h, u) - C.product_observable(tt, t - h, u)) / (2 * h)
-    assert abs(fd_t - C.product_observable_dt(tt, t, u)) <= 1e-7
+    fd_t = (product_observable(tt, t + h, u) - product_observable(tt, t - h, u)) / (2 * h)
+    assert abs(fd_t - product_observable_dt(tt, t, u)) <= 1e-7
 
 
 def test_theta_profile_endpoints():
@@ -137,8 +337,8 @@ def small_setup(k=1, eps=1e-2, n_steps=64, T=0.25, seed=21):
 
 def test_zero_defect_residual_small():
     _, tt, drift, curve = small_setup(eps=0.0, n_steps=128)
-    direct = C.residual_direct(curve, tt, 8)
-    assert abs(C.residual_via_defect(curve, tt, 8, drift)) == 0.0
+    direct = residual_direct(curve, tt, 8)
+    assert abs(residual_via_defect(curve, tt, 8, drift)) == 0.0
     assert abs(direct) < 1e-5  # pure quadrature noise, O(dt^2)
 
 
@@ -146,8 +346,8 @@ def test_zero_test_fields_zero_residual():
     _, tt, drift, curve = small_setup(eps=1e-2)
     zero_tt = C.TestTuple([F.GridField(GRID, np.zeros((2,) + GRID.shape))],
                           tt.horizon)
-    assert C.residual_direct(curve, zero_tt, 8) == 0.0
-    assert C.residual_via_defect(curve, zero_tt, 8, drift) == 0.0
+    assert residual_direct(curve, zero_tt, 8) == 0.0
+    assert residual_via_defect(curve, zero_tt, 8, drift) == 0.0
 
 
 def test_cross_route_agreement_report_level():
@@ -164,11 +364,12 @@ def test_cross_route_agreement_report_level():
 
 
 def test_fused_pass_matches_public_routes():
+    # the batched pass against the per-member oracle routes above
     _, tt, drift, curve = small_setup(k=2, eps=1e-2, n_steps=32)
     sweep = C._fused_certification_pass(curve, tt, 8, drift)
-    assert abs(sweep["direct"] - C.residual_direct(curve, tt, 8)) < 1e-12
-    assert abs(sweep["defect"] - C.residual_via_defect(curve, tt, 8, drift)) < 1e-12
-    bound_rep = C.residual_bound_check(curve, tt, 8, drift)
+    assert abs(sweep["direct"] - residual_direct(curve, tt, 8)) < 1e-12
+    assert abs(sweep["defect"] - residual_via_defect(curve, tt, 8, drift)) < 1e-12
+    bound_rep = residual_bound_check(curve, tt, 8, drift)
     assert abs(sweep["l_drift"] - bound_rep["l_drift"]) < 1e-12
     assert abs(sweep["m_2k"] - bound_rep["m_2k"]) <= 1e-12 * bound_rep["m_2k"]
 
@@ -186,8 +387,8 @@ def test_single_mode_closed_form():
     analytic = -eps * F.inner(g, g) * T / 4.0  # integral of theta is T/4
     theta_quad = np.trapezoid([tt.theta(t) for t in curve.times], curve.times)
     discrete = -eps * F.inner(g, g) * theta_quad
-    defect = C.residual_via_defect(curve, tt, 8, drift)
-    direct = C.residual_direct(curve, tt, 8)
+    defect = residual_via_defect(curve, tt, 8, drift)
+    direct = residual_direct(curve, tt, 8)
     assert abs(defect - discrete) <= 1e-12 * abs(discrete)
     assert abs(defect - analytic) <= 1e-4 * abs(analytic)
     assert abs(direct - analytic) <= 1e-3 * abs(analytic)
@@ -197,8 +398,8 @@ def test_residual_linear_in_test_scale():
     _, tt, drift, curve = small_setup(k=1, eps=1e-2, n_steps=32)
     scaled = C.TestTuple(
         [F.GridField(GRID, 2.5 * tt.fields[0].values)], tt.horizon)
-    r1 = C.residual_via_defect(curve, tt, 8, drift)
-    r2 = C.residual_via_defect(curve, scaled, 8, drift)
+    r1 = residual_via_defect(curve, tt, 8, drift)
+    r2 = residual_via_defect(curve, scaled, 8, drift)
     assert abs(r2 - 2.5 * r1) <= 1e-12 * max(abs(r2), 1e-12)
 
 
@@ -211,13 +412,13 @@ def test_gradient_drifts_invisible():
     kd = F._deriv_modes(2, GRID.n)
     grad = F.inverse(F.SpecField(GRID, np.stack([
         1j * kd[0] * Shat.coef[0], 1j * kd[1] * Shat.coef[0]])))
-    val = C.product_observable_du(tt, 0.2, u, grad)
+    val = product_observable_du(tt, 0.2, u, grad)
     assert abs(val) <= 1e-9 * max(F.l2_norm(grad), 1.0)
 
 
 def test_residual_bound_never_violated_and_k1_form():
     _, tt, drift, curve = small_setup(k=1, eps=1e-2, n_steps=64)
-    rep = C.residual_bound_check(curve, tt, 8, drift)
+    rep = residual_bound_check(curve, tt, 8, drift)
     assert rep["satisfied"]
     expected = np.sqrt(curve.horizon) * F.l2_norm(tt.fields[0]) * np.sqrt(rep["l_drift"])
     assert abs(rep["bound"] - expected) <= 1e-12 * expected
@@ -228,7 +429,7 @@ def test_epsilon_sweep_linearity():
     epss = (1e-3, 2e-3, 4e-3, 8e-3)
     for eps in epss:
         _, tt, drift, curve = small_setup(k=1, eps=eps, n_steps=64, seed=21)
-        rs.append(C.residual_via_defect(curve, tt, 8, drift))
+        rs.append(residual_via_defect(curve, tt, 8, drift))
     A = np.stack([np.ones(4), np.array(epss)], axis=1)
     coef, res, _, _ = np.linalg.lstsq(A, np.array(rs), rcond=None)
     ss_tot = np.sum((np.array(rs) - np.mean(rs)) ** 2)

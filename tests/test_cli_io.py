@@ -243,6 +243,50 @@ def test_cli_transport_between_lawcurves(tmp_path):
     assert doc["checks"][0]["satisfied"] is True
 
 
+@pytest.mark.parametrize("via_flag, value", [(True, 0), (False, 0), (True, -2)])
+def test_cli_evolve_nonpositive_checkpoints_exit_1(tmp_path, capsys, via_flag,
+                                                   value):
+    gen_cfg = tmp_path / "gen.json"
+    gen_cfg.write_text(json.dumps({"n": 16, "members": 2, "k_max": 4}))
+    assert main(["gen", "--seed", "1", "--out", str(tmp_path / "a"),
+                 "--config", str(gen_cfg)]) == 0
+    evo_cfg = tmp_path / "e.json"
+    evo = {"horizon": 0.025, "dt": 0.0125}
+    if not via_flag:
+        evo["checkpoints"] = value
+    evo_cfg.write_text(json.dumps(evo))
+    capsys.readouterr()
+    argv = ["evolve", "--ensemble", str(tmp_path / "a" / "ensemble.json"),
+            "--out", str(tmp_path / "evo"), "--config", str(evo_cfg)]
+    if via_flag:
+        argv += ["--checkpoints", str(value)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "checkpoints" in err
+
+
+def test_cli_evolve_divergence_column_matches_member_loop(tmp_path):
+    gen_cfg = tmp_path / "gen.json"
+    gen_cfg.write_text(json.dumps({"n": 16, "members": 4, "k_max": 4}))
+    assert main(["gen", "--seed", "3", "--out", str(tmp_path / "a"),
+                 "--config", str(gen_cfg)]) == 0
+    evo_cfg = tmp_path / "e.json"
+    evo_cfg.write_text(json.dumps({"horizon": 0.05, "dt": 0.0125,
+                                   "checkpoints": 2}))
+    assert main(["evolve", "--ensemble", str(tmp_path / "a" / "ensemble.json"),
+                 "--out", str(tmp_path / "evo"),
+                 "--config", str(evo_cfg)]) == 0
+    curve = RP.read_lawcurve(tmp_path / "evo" / "curve" / "lawcurve.json")
+    lines = (tmp_path / "evo" / "conservation.csv").read_text().splitlines()
+    assert lines[0] == "t,energy,enstrophy,divergence"
+    column = [float(line.split(",")[3]) for line in lines[1:]]
+    assert len(column) == len(curve.ensembles) == 3
+    for value, ens in zip(column, curve.ensembles):
+        loop = max(F.divergence_norm(F.forward(ens.member(i)))
+                   for i in range(ens.size))
+        assert abs(value - loop) <= 1e-15
+
+
 def test_cli_transport_sinkhorn_exit_0(tmp_path):
     # Sinkhorn's stopping rule and the plan's marginal check share one
     # tolerance, so an entropic plan the solver returns is never rejected

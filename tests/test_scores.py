@@ -154,6 +154,29 @@ def test_crps_dT_random_curves():
         assert rep["integral_ok"] and rep["per_time_ok"]
 
 
+def test_crps_dT_check_solves_each_time_once(monkeypatch):
+    from lawbound import transport as T
+    rng = np.random.default_rng(10)
+    times = [0.0, 0.3, 0.7, 1.0]
+    ca = E.LawCurve(times, [rand_ensemble(8, rng) for _ in times])
+    cb = E.LawCurve(times, [rand_ensemble(8, rng) for _ in times])
+    obs = S.inner_product_observable(F.random_divfree(GRID, 3.0, 4, seed=4))
+    solves = []
+    exact = T.wasserstein_exact
+
+    def counted(a, b, p=2):
+        solves.append(p)
+        return exact(a, b, p=p)
+
+    # count solves through every binding the check could reach
+    monkeypatch.setattr(S, "wasserstein_exact", counted)
+    monkeypatch.setattr(T, "wasserstein_exact", counted)
+    rep = S.crps_dT_check(ca, cb, obs)
+    monkeypatch.undo()
+    assert solves == [1] * len(times)
+    assert rep["d_T"] == T.time_integrated_w1(ca, cb)[0]
+
+
 # ------------------------------------------------------------------- XNLL
 
 def truth_map(u):

@@ -218,6 +218,19 @@ def test_capacity_projected_pair_equality_case():
     assert rep.satisfied
 
 
+def test_project_ensemble_matches_member_loop():
+    rng = np.random.default_rng(18)
+    for grid, m in ((GRID, 2), (F.Grid(1, 32), 1)):
+        a = rand_ensemble(grid, 5, m, rng)
+        for K in (1, 3, 5.5):
+            batch = T.project_ensemble(a, K).values
+            loop = np.stack([F.inverse(F.project_leq(F.forward(a.member(i)), K)).values
+                             for i in range(a.size)])
+            assert np.max(np.abs(batch - loop)) <= 1e-15 * np.max(np.abs(loop))
+    with pytest.raises(ValueError):
+        T.project_ensemble(a, 0.5)
+
+
 def test_capacity_random_pairs_never_violated():
     rng = np.random.default_rng(17)
     for _ in range(25):
