@@ -102,6 +102,9 @@ def cmd_gen(args) -> int:
         "time": (float, 0.0),
         "structure_csv": (bool, False),
     }, "gen")
+    if cfg["members"] < 1:
+        raise ValueError(f"gen: field members must be a positive integer, "
+                         f"got {cfg['members']}")
     grid = F.Grid(2, cfg["n"])
     k_max = cfg["k_max"] or grid.n // 4
     p = F.spectrum_exponent_for_structure(cfg["structure_exponent"])
@@ -230,6 +233,13 @@ def cmd_metrics(args) -> int:
     cfg = validate_config(_load_config(args.config), {
         "K_list": (list, [4, 8, 16]),
     }, "metrics")
+    if not cfg["K_list"]:
+        raise ValueError("metrics: field K_list must not be empty")
+    for K in cfg["K_list"]:
+        if (isinstance(K, bool) or not isinstance(K, (int, float))
+                or not 1 <= K <= sys.float_info.max):
+            raise ValueError(f"metrics: field K_list holds {K!r}; "
+                             f"each K must be a finite number >= 1")
     a, _ = read_ensemble(args.a)
     b, _ = read_ensemble(args.b)
     if a.grid != b.grid:
@@ -238,8 +248,8 @@ def cmd_metrics(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     report = Report("metrics", cfg)
-    for K in cfg["K_list"]:
-        rep = T.capacity_coverage(a, b, float(K))
+    sweep = T.capacity_sweep(a, b, [float(K) for K in cfg["K_list"]])
+    for K, rep in zip(cfg["K_list"], sweep):
         rows.append((float(K), rep.tail_a, rep.train_k, rep.bound, rep.w2))
         report.add(f"capacity.K{K}", rep.w2, rep.bound, rep.satisfied, 1e-9)
         report.extra[f"K{K}"] = rep.as_dict()
@@ -267,13 +277,11 @@ def cmd_transport(args) -> int:
     else:
         a, _ = read_ensemble(args.a)
         b, _ = read_ensemble(args.b)
-        w1, _ = T.wasserstein_exact(a, b, p=1)
-        w2, _ = T.wasserstein_exact(a, b, p=2)
+        w1, w2, entropic = T.pair_costs(a, b, epsilon=cfg["epsilon"],
+                                        max_iter=cfg["max_iter"])
         report.extra = {"w1": w1, "w2": w2}
-        if cfg["epsilon"] > 0:
-            val, _ = T.sinkhorn(a, b, epsilon=cfg["epsilon"],
-                                max_iter=cfg["max_iter"])
-            report.extra["sinkhorn"] = val
+        if entropic is not None:
+            report.extra["sinkhorn"] = entropic
         report.add("transport.w1_le_w2", w1, w2, w1 <= w2 + 1e-9, 1e-9)
     return _finish(report, Path(args.out), started)
 
@@ -455,6 +463,17 @@ def cmd_verify_all(args) -> int:
 
 # ------------------------------------------------------------------ parser
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="lawbound", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
@@ -465,7 +484,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--config", default=None)
         sp.add_argument("--out", required=True)
         if seed:
-            sp.add_argument("--seed", required=True, type=int)
+            sp.add_argument("--seed", required=True, type=_seed)
         if ensemble:
             sp.add_argument("--ensemble", required=True)
         if pair or curve_pair:
@@ -487,7 +506,7 @@ def _build_parser() -> _Parser:
     add("scores", cmd_scores, curve_pair=True)
     va = sub.add_parser("verify-all")
     va.add_argument("--quick", action="store_true")
-    va.add_argument("--seed", required=True, type=int)
+    va.add_argument("--seed", required=True, type=_seed)
     va.add_argument("--out", required=True)
     va.set_defaults(fn=cmd_verify_all)
     return p

@@ -302,3 +302,38 @@ def test_cli_transport_sinkhorn_exit_0(tmp_path):
                  "--out", str(tmp_path / "tr"), "--config", str(tcfg)]) == 0
     doc = json.loads((tmp_path / "tr" / "report.json").read_text())
     assert doc["extra"]["sinkhorn"] >= doc["extra"]["w2"] - 1e-9
+
+
+@pytest.mark.parametrize("K_list", [[], [True], ["x"], [0]])
+def test_cli_metrics_rejects_bad_K_list(tmp_path, capsys, K_list):
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({"n": 16, "members": 2, "k_max": 4}))
+    for name, seed in (("a", 1), ("b", 2)):
+        assert main(["gen", "--seed", str(seed), "--out", str(tmp_path / name),
+                     "--config", str(cfg)]) == 0
+    mcfg = tmp_path / "m.json"
+    mcfg.write_text(json.dumps({"K_list": K_list}))
+    capsys.readouterr()
+    assert main(["metrics", "--a", str(tmp_path / "a" / "ensemble.json"),
+                 "--b", str(tmp_path / "b" / "ensemble.json"),
+                 "--out", str(tmp_path / "met"), "--config", str(mcfg)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "K_list" in err
+
+
+@pytest.mark.parametrize("members", [0, -3])
+def test_cli_gen_nonpositive_members_exit_1(tmp_path, capsys, members):
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({"n": 16, "members": members}))
+    assert main(["gen", "--seed", "1", "--out", str(tmp_path / "a"),
+                 "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "members" in err
+
+
+@pytest.mark.parametrize("command", ["gen", "verify-all"])
+def test_cli_negative_seed_rejected_by_parser(tmp_path, capsys, command):
+    assert main([command, "--seed", "-1", "--out", str(tmp_path / "x")]) == 1
+    first = capsys.readouterr().err.splitlines()[0]
+    assert first.startswith("error: argument --seed:")
+    assert not (tmp_path / "x").exists()

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ from scipy.optimize import linear_sum_assignment
 
 from lawbound import ensemble as E
 from lawbound import fields as F
+from lawbound import reporting as RP
 from lawbound import transport as T
+from lawbound.cli import main
 
 
 def rand_ensemble(grid, N, m, rng, scale=1.0):
@@ -14,6 +17,49 @@ def rand_ensemble(grid, N, m, rng, scale=1.0):
 
 
 GRID = F.Grid(2, 16)
+
+
+def pairwise_loop(a, b):
+    """The row-by-row explicit-difference kernel, kept as the oracle."""
+    X, Y = a.values.reshape(a.size, -1), b.values.reshape(b.size, -1)
+    sq = np.empty((X.shape[0], Y.shape[0]))
+    for i in range(X.shape[0]):
+        sq[i] = ((Y - X[i]) ** 2).sum(axis=1)
+    return np.sqrt(a.grid.cell_volume * sq)
+
+
+def tile_rows(grid, m):
+    """Members of b per tile of the distance kernel."""
+    return max(1, T._TILE_BYTES // (8 * m * grid.n**grid.d))
+
+
+# ------------------------------------------------------- pairwise distances
+
+def test_pairwise_tiles_match_loop_bitwise():
+    rng = np.random.default_rng(21)
+    wide = F.Grid(2, 256)             # one member is larger than a tile
+    for grid, m in ((GRID, 2), (F.Grid(1, 32), 1), (wide, 2)):
+        rows = tile_rows(grid, m)
+        sizes = {(1, 1), (3, 1), (1, 5), (4, rows - 1), (4, rows),
+                 (4, rows + 1), (3, 2 * rows + 1)}
+        for n_a, n_b in sorted(s for s in sizes if min(s) >= 1):
+            a = rand_ensemble(grid, n_a, m, rng)
+            # nearly identical members, where cancellation would show
+            near = a.values[rng.integers(0, n_a, n_b)]
+            b = E.Ensemble(grid, near + 1e-9 * rng.standard_normal(near.shape))
+            for x, y in ((a, b), (b, a)):
+                assert np.array_equal(T.pairwise_distances(x, y),
+                                      pairwise_loop(x, y)), (grid, n_a, n_b)
+    assert tile_rows(GRID, 2) == 64 and tile_rows(wide, 2) == 1
+
+
+def test_pairwise_rejects_mismatched_grids():
+    rng = np.random.default_rng(22)
+    a = rand_ensemble(GRID, 2, 2, rng)
+    with pytest.raises(ValueError):
+        T.pairwise_distances(a, rand_ensemble(F.Grid(2, 8), 2, 2, rng))
+    with pytest.raises(ValueError):
+        T.pairwise_distances(a, rand_ensemble(GRID, 2, 1, rng))
 
 
 # --------------------------------------------------------------- assignment
@@ -149,6 +195,38 @@ def test_sinkhorn_close_to_exact():
     assert abs(approx - exact) <= 0.05 * exact
 
 
+def test_sinkhorn_cost_not_below_exact_w2():
+    # For certified duals (u, v) of the exact problem and any plan P whose
+    # row and column sums miss 1/N by at most delta,
+    #   <P, C> >= sum_ij P_ij (u_i + v_j) >= W2^2 - delta (|u|_1 + |v|_1),
+    # so the entropic cost can undercut W2 only by the marginal tolerance.
+    rng = np.random.default_rng(23)
+    for N, scale in ((8, 1.0), (32, 0.3)):
+        a = rand_ensemble(GRID, N, 1, rng)
+        b = E.Ensemble(GRID, a.values + scale * rng.standard_normal(a.values.shape))
+        dist = T.pairwise_distances(a, b)
+        w2, plan = T._exact_from_distances(dist, 2)
+        slack = T.MARGINAL_TOL * (np.abs(plan.dual_row).sum()
+                                  + np.abs(plan.dual_col).sum())
+        for eps in (1e-3 * w2**2, 3e-2 * w2**2):
+            value, entropic = T._sinkhorn_from_cost(dist**2, eps, 20000)
+            assert T._marginal_error(entropic.matrix) <= T.MARGINAL_TOL
+            assert value**2 >= w2**2 - slack
+
+
+def test_pair_costs_match_separate_solves():
+    rng = np.random.default_rng(24)
+    a = rand_ensemble(GRID, 12, 2, rng, scale=0.1)
+    b = rand_ensemble(GRID, 12, 2, rng, scale=0.1)
+    w1, w2, entropic = T.pair_costs(a, b, epsilon=0.05)
+    assert w1 == T.wasserstein_exact(a, b, p=1)[0]
+    assert w2 == T.wasserstein_exact(a, b, p=2)[0]
+    assert entropic == T.sinkhorn(a, b, epsilon=0.05)[0]
+    assert T.pair_costs(a, b)[2] is None
+    with pytest.raises(ValueError):
+        T.pair_costs(a, rand_ensemble(GRID, 11, 2, rng))
+
+
 def test_sinkhorn_rejects_bad_epsilon():
     rng = np.random.default_rng(11)
     a = rand_ensemble(GRID, 2, 1, rng)
@@ -216,6 +294,25 @@ def test_capacity_projected_pair_equality_case():
     assert rep.w2 <= ta + 1e-9
     assert rep.band_limited_b
     assert rep.satisfied
+
+
+def test_capacity_sweep_matches_separate_solves():
+    rng = np.random.default_rng(25)
+    a = rand_ensemble(GRID, 8, 2, rng)
+    b = rand_ensemble(GRID, 8, 2, rng)
+    Ks = [1, 2.5, 4]
+    sweep = T.capacity_sweep(a, b, Ks)
+    w2 = T.wasserstein_exact(a, b, p=2)[0]
+    w1 = T.wasserstein_exact(a, b, p=1)[0]
+    for K, rep in zip(Ks, sweep):
+        train = T.wasserstein_exact(T.project_ensemble(a, K),
+                                    T.project_ensemble(b, K), p=2)[0]
+        ta, tb = E.tail(a, K), E.tail(b, K)
+        assert (rep.K, rep.w2, rep.w1, rep.tail_a, rep.tail_b, rep.train_k,
+                rep.bound) == (K, w2, w1, ta, tb, train, ta + train + tb)
+        assert rep.as_dict() == T.capacity_coverage(a, b, K).as_dict()
+    with pytest.raises(ValueError, match="K must be >= 1"):
+        T.capacity_sweep(a, b, [2, 0.5])
 
 
 def test_project_ensemble_matches_member_loop():
@@ -286,3 +383,53 @@ def test_assignment_tie_break_lowest_index():
     tie = np.array([[1.0, 1.0], [1.0, 1.0]])
     perm2, _, _ = T.solve_assignment(tie)
     assert np.array_equal(perm2, np.arange(2))
+
+
+# ------------------------------------------------- one matrix per CLI pair
+
+def _count_calls(monkeypatch):
+    calls = {"pairwise": 0, "certified": 0}
+    pairwise, certify = T.pairwise_distances, T._certify_duals
+
+    def counted_pairwise(a, b):
+        calls["pairwise"] += 1
+        return pairwise(a, b)
+
+    def counted_certify(*args, **kwargs):
+        calls["certified"] += 1
+        return certify(*args, **kwargs)
+
+    monkeypatch.setattr(T, "pairwise_distances", counted_pairwise)
+    monkeypatch.setattr(T, "_certify_duals", counted_certify)
+    return calls
+
+
+def _write_pair(tmp_path, N=6):
+    rng = np.random.default_rng(26)
+    paths = []
+    for name in ("a", "b"):
+        RP.write_ensemble(tmp_path / name,
+                          rand_ensemble(GRID, N, 2, rng, scale=0.1))
+        paths.append(str(tmp_path / name / "ensemble.json"))
+    return paths
+
+
+def test_cli_metrics_solves_the_pair_once(tmp_path, monkeypatch, capsys):
+    a, b = _write_pair(tmp_path)
+    cfg = tmp_path / "m.json"
+    cfg.write_text(json.dumps({"K_list": [2, 3, 4]}))
+    calls = _count_calls(monkeypatch)
+    assert main(["metrics", "--a", a, "--b", b, "--out", str(tmp_path / "m"),
+                 "--config", str(cfg)]) == 0
+    # W2 and W1 of (a, b) from one matrix, then one projected pair per K
+    assert calls == {"pairwise": 1 + 3, "certified": 2 + 3}
+
+
+def test_cli_transport_sinkhorn_uses_one_matrix(tmp_path, monkeypatch, capsys):
+    a, b = _write_pair(tmp_path)
+    cfg = tmp_path / "t.json"
+    cfg.write_text(json.dumps({"epsilon": 0.05}))
+    calls = _count_calls(monkeypatch)
+    assert main(["transport", "--a", a, "--b", b, "--out", str(tmp_path / "t"),
+                 "--config", str(cfg)]) == 0
+    assert calls == {"pairwise": 1, "certified": 2}
