@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import Ensemble, LawCurve
-from .euler import _resolved_drift
+from .euler import _resolved_drift, _rk4_increment, _stage, _Workspace
 from .fields import (
     Grid,
     GridField,
@@ -115,7 +115,7 @@ def euler_drift_resolved(u: GridField, K: float) -> GridField:
         raise ValueError("input field must be band-limited to n/3")
     if divergence_norm(uh) > 1e-10 * g.n * total:
         raise ValueError("input field must be divergence-free")
-    return GridField(g, _resolved_drift(u.values, K))
+    return GridField(g, _resolved_drift(u.values[None], K)[0])
 
 
 # ------------------------------------------------------------ drift model
@@ -144,24 +144,27 @@ class DriftSpec:
 
 def drift_driven_curve(e0: Ensemble, drift: DriftSpec, horizon: float,
                        n_steps: int) -> LawCurve:
-    """RK4 integration of du/dt = B(t, u), all members marched as a batch."""
+    """RK4 integration of du/dt = B(t, u), all members marched as a batch
+    through one solver workspace."""
     dt = horizon / n_steps
     times = np.linspace(0.0, horizon, n_steps + 1)
     K = drift.resolution
     pert = drift.epsilon * drift.perturbation.values
-
-    def vel(x):
-        return _resolved_drift(x, K) + pert
-
     x = e0.values.copy()
-    states = [x.copy()]
+    ws = _Workspace(e0.size, e0.grid.n)
+    k1, k2, k3, k4, stage = (np.empty_like(x) for _ in range(5))
+
+    def vel(y, out):
+        return np.add(_resolved_drift(y, K, ws), pert, out=out)
+
+    states = [x]
     for _ in range(n_steps):
-        k1 = vel(x)
-        k2 = vel(x + 0.5 * dt * k1)
-        k3 = vel(x + 0.5 * dt * k2)
-        k4 = vel(x + dt * k3)
-        x = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        states.append(x.copy())
+        vel(x, k1)
+        vel(_stage(x, 0.5 * dt, k1, stage), k2)
+        vel(_stage(x, 0.5 * dt, k2, stage), k3)
+        vel(_stage(x, dt, k3, stage), k4)
+        x = x + _rk4_increment(k1, k2, k3, k4, dt)
+        states.append(x)
     if not np.all(np.isfinite(x)):
         raise RuntimeError("NaN in drift-driven curve")
     return LawCurve(times, [Ensemble(e0.grid, s) for s in states])
@@ -200,9 +203,10 @@ def _fused_certification_pass(curve: LawCurve, tt: TestTuple, K: float,
     dsq = np.empty(n_t)
     model_route = np.empty(n_t)
     m2k = 0.0
+    ws = _Workspace(curve.ensembles[0].size, grid.n)
     for s, (t, e) in enumerate(zip(curve.times, curve.ensembles)):
         vals = e.values
-        base = _resolved_drift(vals, K)
+        base = _resolved_drift(vals, K, ws)
         model = base + pert if drift.epsilon else base
         defect = base - model
         p = cell * np.einsum("ncxy,kcxy->nk", vals, phis)

@@ -240,6 +240,9 @@ def cmd_metrics(args) -> int:
                 or not 1 <= K <= sys.float_info.max):
             raise ValueError(f"metrics: field K_list holds {K!r}; "
                              f"each K must be a finite number >= 1")
+    if len({float(K) for K in cfg["K_list"]}) != len(cfg["K_list"]):
+        raise ValueError(f"metrics: field K_list repeats a value in "
+                         f"{cfg['K_list']!r}; each K must appear once")
     a, _ = read_ensemble(args.a)
     b, _ = read_ensemble(args.b)
     if a.grid != b.grid:

@@ -51,22 +51,32 @@ def write_lbf(path, f: GridField) -> None:
         fh.write(f.values.astype("<f8").tobytes(order="C"))
 
 
+def _read_exact(fh, size: int, path) -> bytes:
+    chunk = fh.read(size)
+    if len(chunk) != size:
+        raise ValueError(f"{path}: truncated LBF file")
+    return chunk
+
+
 def read_lbf(path) -> GridField:
+    """Read one LBF1 field; the file must end exactly at its payload."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")
-        version, d, m, reserved = struct.unpack("<IBBH", fh.read(8))
+        version, d, m, reserved = struct.unpack("<IBBH", _read_exact(fh, 8, path))
         if version != 1:
             raise ValueError(f"{path}: unsupported version {version}")
         if reserved != 0:
             raise ValueError(f"{path}: nonzero reserved field")
-        ns = struct.unpack(f"<{d}I", fh.read(4 * d))
+        ns = struct.unpack(f"<{d}I", _read_exact(fh, 4 * d, path))
         if len(set(ns)) != 1:
             raise ValueError(f"{path}: anisotropic grids unsupported, n={ns}")
         grid = Grid(d, ns[0])
         count = m * grid.n**d
-        data = np.frombuffer(fh.read(count * 8), dtype="<f8", count=count)
+        data = np.frombuffer(_read_exact(fh, count * 8, path), dtype="<f8")
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the payload")
         values = data.reshape((m,) + grid.shape).astype(np.float64)
         return GridField(grid, values)
 

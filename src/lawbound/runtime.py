@@ -1,8 +1,9 @@
 """Worker-count control.
 
 LAWBOUND_THREADS caps the thread pools of `parallel_map`: the sampler's
-per-member loops and the pairs of ensembles pushed side by side through
-the Euler solver.  Each item is computed independently and results are
+per-member loops, the pairs of ensembles pushed side by side through the
+Euler solver, the member blocks of one Euler march, and the row blocks of
+a distance matrix.  Each item is computed independently and results are
 gathered in input order, so outputs do not depend on the worker count.
 """
 

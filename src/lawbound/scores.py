@@ -8,6 +8,8 @@ mean-square-error certificate, and clipped-value/tail-bound reports.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -154,8 +156,19 @@ def mollified_point_observable(grid: Grid, location, component: int,
     """
     if width <= 0:
         raise ValueError("mollifier width must be positive")
+    items = (list(location) if isinstance(location, (list, tuple, np.ndarray))
+             else None)
+    if items is None or len(items) != grid.d or not all(
+            isinstance(c, numbers.Real) and not isinstance(c, bool)
+            and math.isfinite(c) for c in items):
+        raise ValueError(f"observable: field location must hold {grid.d} "
+                         f"finite numbers, got {location!r}")
+    if (isinstance(component, bool) or not isinstance(component, numbers.Integral)
+            or not 0 <= component < m):
+        raise ValueError(f"observable: field component must be an integer "
+                         f"in [0, {m}), got {component!r}")
     x = grid.coordinates()
-    loc = np.atleast_1d(np.asarray(location, dtype=np.float64))
+    loc = np.array(items, dtype=np.float64)
     dist_sq = np.zeros(grid.shape)
     for a in range(grid.d):
         d = np.abs(x[a] - loc[a])

@@ -16,6 +16,7 @@ import numpy as np
 
 from .ensemble import Ensemble, LawCurve, tail_profile
 from .fields import _leq_coef, _synthesize
+from .runtime import parallel_map, worker_count
 
 __all__ = [
     "TransportPlan",
@@ -113,21 +114,33 @@ def pairwise_distances(a: Ensemble, b: Ensemble) -> np.ndarray:
     taken in tiles of _TILE_BYTES that stay in cache while every member of a
     is differenced against them; each row sum is the same contiguous
     reduction as over the whole of b, so the result does not depend on the
-    tile size.
+    tile size.  The rows of a are split into one block per `parallel_map`
+    worker, each with its own tile buffer; one block runs inline.
     """
     if a.grid != b.grid or a.m != b.m:
         raise ValueError("ensembles must share grid and component count")
     X, Y = _flatten(a), _flatten(b)
     rows = max(1, _TILE_BYTES // Y[0].nbytes)
     sq = np.empty((X.shape[0], Y.shape[0]))
-    work = np.empty((min(rows, Y.shape[0]), Y.shape[1]))
-    for j in range(0, Y.shape[0], rows):
-        tile = Y[j:j + rows]
-        d = work[:len(tile)]
-        for i, x in enumerate(X):
-            np.subtract(tile, x, out=d)
-            np.multiply(d, d, out=d)
-            d.sum(axis=1, out=sq[i, j:j + len(tile)])
+
+    def run(item):
+        block, work = item
+        for j in range(0, Y.shape[0], rows):
+            tile = Y[j:j + rows]
+            d = work[:len(tile)]
+            for i in range(block.start, block.stop):
+                np.subtract(tile, X[i], out=d)
+                np.multiply(d, d, out=d)
+                d.sum(axis=1, out=sq[i, j:j + len(tile)])
+
+    workers = min(worker_count(), X.shape[0])
+    items = [(slice(X.shape[0] * k // workers, X.shape[0] * (k + 1) // workers),
+              np.empty((min(rows, Y.shape[0]), Y.shape[1])))
+             for k in range(workers)]
+    if len(items) == 1:
+        run(items[0])
+    else:
+        parallel_map(run, items)
     return np.sqrt(a.grid.cell_volume * sq)
 
 

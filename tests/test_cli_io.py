@@ -304,7 +304,7 @@ def test_cli_transport_sinkhorn_exit_0(tmp_path):
     assert doc["extra"]["sinkhorn"] >= doc["extra"]["w2"] - 1e-9
 
 
-@pytest.mark.parametrize("K_list", [[], [True], ["x"], [0]])
+@pytest.mark.parametrize("K_list", [[], [True], ["x"], [0], [4, 4], [4, 4.0]])
 def test_cli_metrics_rejects_bad_K_list(tmp_path, capsys, K_list):
     cfg = tmp_path / "gen.json"
     cfg.write_text(json.dumps({"n": 16, "members": 2, "k_max": 4}))
@@ -337,3 +337,88 @@ def test_cli_negative_seed_rejected_by_parser(tmp_path, capsys, command):
     first = capsys.readouterr().err.splitlines()[0]
     assert first.startswith("error: argument --seed:")
     assert not (tmp_path / "x").exists()
+
+
+def _gen_pair(tmp_path, members=2, n=16):
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({"n": n, "members": members, "k_max": 4}))
+    for name, seed in (("a", 1), ("b", 2)):
+        assert main(["gen", "--seed", str(seed), "--out", str(tmp_path / name),
+                     "--config", str(cfg)]) == 0
+
+
+@pytest.mark.parametrize("damage", ["trailing", "truncated"])
+def test_cli_transport_rejects_bad_lbf_length(tmp_path, capsys, damage):
+    _gen_pair(tmp_path)
+    member = tmp_path / "a" / "member_0001.lbf"
+    data = member.read_bytes()
+    member.write_bytes(data + b"\0" * 8 if damage == "trailing" else data[:-8])
+    capsys.readouterr()
+    assert main(["transport", "--a", str(tmp_path / "a" / "ensemble.json"),
+                 "--b", str(tmp_path / "b" / "ensemble.json"),
+                 "--out", str(tmp_path / "tr")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and str(member) in err
+
+
+def _curve_pair(tmp_path):
+    _gen_pair(tmp_path)
+    evo_cfg = tmp_path / "e.json"
+    evo_cfg.write_text(json.dumps({"horizon": 0.025, "dt": 0.0125,
+                                   "checkpoints": 2}))
+    for name in ("a", "b"):
+        assert main(["evolve", "--ensemble",
+                     str(tmp_path / name / "ensemble.json"),
+                     "--out", str(tmp_path / f"evo_{name}"),
+                     "--config", str(evo_cfg)]) == 0
+    return [str(tmp_path / f"evo_{name}" / "curve" / "lawcurve.json")
+            for name in ("a", "b")]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("location", [1]), ("location", [1, 2, 3]), ("location", [True, 1]),
+    ("location", ["x", 1]), ("location", 1.0), ("component", 2),
+    ("component", -1), ("component", True)])
+def test_cli_scores_rejects_bad_observable(tmp_path, capsys, field, value):
+    ca, cb = _curve_pair(tmp_path)
+    cfg = tmp_path / "s.json"
+    cfg.write_text(json.dumps({"observable": {field: value}}))
+    capsys.readouterr()
+    assert main(["scores", "--a", ca, "--b", cb, "--out", str(tmp_path / "sc"),
+                 "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and field in err
+
+
+def test_cli_scores_accepts_valid_observable(tmp_path):
+    ca, cb = _curve_pair(tmp_path)
+    cfg = tmp_path / "s.json"
+    cfg.write_text(json.dumps({"observable": {"location": [1, 2.5],
+                                              "component": 1}}))
+    assert main(["scores", "--a", ca, "--b", cb, "--out", str(tmp_path / "sc"),
+                 "--config", str(cfg)]) == 0
+
+
+def test_cli_evolve_identical_across_worker_counts(tmp_path, threads):
+    # 17 members at n=64 march as two blocks of the chunked solver
+    _gen_pair(tmp_path, members=17, n=64)
+    evo_cfg = tmp_path / "e.json"
+    evo_cfg.write_text(json.dumps({"horizon": 0.025, "checkpoints": 2}))
+    outs = []
+    for count in (1, 4):
+        threads(count)
+        out = tmp_path / f"evo{count}"
+        assert main(["evolve", "--ensemble", str(tmp_path / "a" / "ensemble.json"),
+                     "--out", str(out), "--config", str(evo_cfg)]) == 0
+        outs.append(out)
+    files = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*")
+                   if p.is_file())
+    assert sum(p.suffix == ".lbf" for p in files) == 3 * 17
+    assert files == sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*")
+                           if p.is_file())
+    for rel in files:
+        one, four = (o / rel for o in outs)
+        if rel.name == "report.json":
+            assert RP.strip_timing(one.read_text()) == RP.strip_timing(four.read_text())
+        else:
+            assert one.read_bytes() == four.read_bytes(), rel

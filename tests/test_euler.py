@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,174 @@ def ref_evolve(u, dt, n_steps):
     return F.inverse(F.SpecField(u.grid, ref_velocity_hat(w, n))).values
 
 
+# ------------------------------------ allocating half-spectrum oracle
+# The half-spectrum route before the solver workspace: every stage
+# allocates its arrays and transforms through rfft2/irfft2.  The workspace
+# march and drift must reproduce it bit for bit.
+
+def _irfft2(spec, n):
+    return np.fft.irfft2(spec, s=(n, n), norm="forward")
+
+
+def _velocity_hat(w_hat, n):
+    ikd, inv_k2, _ = EU._solver_arrays(n)
+    psi_hat = -w_hat * inv_k2
+    return np.stack([-ikd[1] * psi_hat, ikd[0] * psi_hat], axis=-3)
+
+
+def _velocity(w_hat, n):
+    return _irfft2(_velocity_hat(w_hat, n), n)
+
+
+def _gradient_hat(w_hat, n):
+    ikd = EU._solver_arrays(n)[0]
+    return np.stack([ikd[0] * w_hat, ikd[1] * w_hat], axis=-3)
+
+
+def _advection(w_hat, n, mask, vel=None):
+    if vel is None:
+        spec = np.concatenate([_velocity_hat(w_hat, n), _gradient_hat(w_hat, n)],
+                              axis=-3)
+        u, v, wx, wy = np.moveaxis(_irfft2(spec, n), -3, 0)
+    else:
+        u, v = np.moveaxis(vel, -3, 0)
+        wx, wy = np.moveaxis(_irfft2(_gradient_hat(w_hat, n), n), -3, 0)
+    adv_hat = np.fft.rfft2(u * wx + v * wy, norm="forward")
+    return -adv_hat * mask, (u, v)
+
+
+def _vorticity_of(values, n):
+    ikd = EU._solver_arrays(n)[0]
+    uh = np.fft.rfft2(values, norm="forward")
+    return ikd[0] * uh[..., 1, :, :] - ikd[1] * uh[..., 0, :, :]
+
+
+def _tendency(w_hat, n, dealias_fraction):
+    return _advection(w_hat, n, EU._solver_arrays(n, dealias_fraction)[2])
+
+
+def _rhs(w_hat, n, dealias_fraction):
+    return _tendency(w_hat, n, dealias_fraction)[0]
+
+
+def _check_cfl(u, v, cfg):
+    umax = max(np.abs(u).max(), np.abs(v).max())
+    if umax > 0 and cfg.dt > cfg.cfl * cfg.grid.spacing / umax:
+        raise RuntimeError(
+            f"CFL violation: dt={cfg.dt} > {cfg.cfl * cfg.grid.spacing / umax:.3e}"
+        )
+
+
+def _rk4_step(w_hat, cfg):
+    n, frac, dt = cfg.grid.n, cfg.dealias_fraction, cfg.dt
+    k1, (u, v) = _tendency(w_hat, n, frac)
+    _check_cfl(u, v, cfg)
+    k2 = _rhs(w_hat + 0.5 * dt * k1, n, frac)
+    k3 = _rhs(w_hat + 0.5 * dt * k2, n, frac)
+    k4 = _rhs(w_hat + dt * k3, n, frac)
+    out = w_hat + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    if not np.all(np.isfinite(out)):
+        raise RuntimeError("NaN detected in Euler step")
+    return out
+
+
+def _resolved_drift(vel, K):
+    n = vel.shape[-1]
+    adv_hat, _ = _advection(_vorticity_of(vel, n), n, EU._disk_mask(n, K),
+                            vel=vel)
+    return _velocity(adv_hat, n)
+
+
+def block_rows(n):
+    """Members per block of the chunked march."""
+    return EU._CHUNK_BYTES // (4 * n * n * 8)
+
+
+def unit_batch(grid, N, seed0=0):
+    vals = np.stack([F.random_divfree(grid, 4.0, grid.n // 4, seed=seed0 + i).values
+                     for i in range(N)])
+    return vals / np.sqrt(grid.cell_volume
+                          * (vals**2).sum(axis=(1, 2, 3), keepdims=True))
+
+
+@pytest.mark.parametrize("count", [1, 4])
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_workspace_march_matches_allocating_oracle(threads, n, count):
+    threads(count)
+    grid = F.Grid(2, n)
+    cfg = EU.EulerConfig(grid, dt=0.01)
+    rows = block_rows(n)
+    for N in (1, rows - 1, rows, rows + 1, 2 * rows + 1):
+        vals = unit_batch(grid, N, seed0=N)
+        times, states = EU.evolve(E.Ensemble(grid, vals), cfg, 3 * cfg.dt,
+                                  checkpoints=3)
+        w = _vorticity_of(vals, n)
+        for s in range(1, 4):
+            w = _rk4_step(w, cfg)
+            assert states[s].values.tobytes() == _velocity(w, n).tobytes(), (N, s)
+        assert times[-1] == 3 * cfg.dt
+
+
+@pytest.mark.parametrize("count", [1, 4])
+def test_guard_trip_in_last_block_raises_oracle_message(threads, count):
+    threads(count)
+    base = unit_batch(GRID, 2 * block_rows(GRID.n) + 1, seed0=3)
+    cfg = EU.EulerConfig(GRID, dt=0.02)
+    # the last block alone trips; then the first block trips at the same
+    # step but slower, so the message must take the batch-wide maximum
+    for first in (1.0, 30.0):
+        vals = base.copy()
+        vals[0] *= first
+        vals[-1] *= 60.0
+        with pytest.raises(RuntimeError, match="CFL") as oracle:
+            _rk4_step(_vorticity_of(vals, GRID.n), cfg)
+        with pytest.raises(RuntimeError) as got:
+            EU.evolve(E.Ensemble(GRID, vals), cfg, 4 * cfg.dt)
+        assert str(got.value) == str(oracle.value)
+    with pytest.raises(RuntimeError, match="CFL"):
+        EU.step(E.Ensemble(GRID, vals[:1]), cfg)
+
+
+def test_many_blocks_on_more_workers_than_cores(threads, monkeypatch):
+    # one member per block on 8 workers, switching threads often: blocks
+    # share the state, speed and trip arrays and must not disturb each other
+    grid = F.Grid(2, 16)
+    monkeypatch.setattr(EU, "_CHUNK_BYTES", 4 * grid.n**2 * 8)
+    threads(8)
+    cfg = EU.EulerConfig(grid, dt=0.02)
+    vals = unit_batch(grid, 9, seed0=50)
+    fast = vals.copy()
+    fast[4] *= 40.0
+    w = _vorticity_of(vals, grid.n)
+    for _ in range(3):
+        w = _rk4_step(w, cfg)
+    with pytest.raises(RuntimeError, match="CFL") as oracle:
+        _rk4_step(_vorticity_of(fast, grid.n), cfg)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            out = EU.evolve(E.Ensemble(grid, vals), cfg, 3 * cfg.dt)
+            assert out.values.tobytes() == _velocity(w, grid.n).tobytes()
+            with pytest.raises(RuntimeError) as got:
+                EU.evolve(E.Ensemble(grid, fast), cfg, 3 * cfg.dt)
+            assert str(got.value) == str(oracle.value)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_workspace_drift_matches_allocating_drift():
+    grid = F.Grid(2, 32)
+    ws = EU._Workspace(3, grid.n)
+    for N, K, seed0 in ((3, 8, 10), (2, grid.n / 3.0, 20), (3, 4, 30)):
+        vals = 0.1 * unit_batch(grid, N, seed0=seed0)
+        vals = np.stack([F.inverse(F.project_leq(F.forward(F.GridField(grid, v)),
+                                                 grid.n / 3.0)).values
+                         for v in vals])
+        shared = EU._resolved_drift(vals, K, ws.view(N))
+        assert shared.tobytes() == _resolved_drift(vals, K).tobytes()
+
+
 def test_batched_solver_matches_member_reference():
     a, _ = grf_pair_ensembles(4, amp=0.0, seed0=90)
     cfg = EU.EulerConfig(GRID, dt=0.015625)
@@ -100,7 +270,7 @@ def test_taylor_green_is_steady():
     # of the vorticity equation at t=0, then integrated for t <= 1
     tg = EU.taylor_green(GRID)
     w_hat = EU.vorticity_hat(tg)
-    rhs = EU._rhs(w_hat, GRID.n, 2.0 / 3.0)
+    rhs = _rhs(w_hat, GRID.n, 2.0 / 3.0)
     assert np.max(np.abs(rhs)) < 1e-14
     cfg = EU.EulerConfig(GRID, dt=0.01)
     out = EU.evolve(tg, cfg, 1.0)

@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 
@@ -124,20 +122,13 @@ def test_rollout_requires_delta_init():
         SA.rollout_paths(ENS, spec, REF, DT, 2, master_seed=1)
 
 
-def test_rollout_deterministic_across_workers():
+def test_rollout_deterministic_across_workers(threads):
     spec = SA.KernelSpec("perturbed-reference", internal_steps=8,
                          noise_scale=0.05)
-    old = os.environ.get("LAWBOUND_THREADS")
-    try:
-        os.environ["LAWBOUND_THREADS"] = "1"
-        b1, _ = SA.rollout_paths(ENS, spec, REF, DT, 2, master_seed=21)
-        os.environ["LAWBOUND_THREADS"] = "4"
-        b4, _ = SA.rollout_paths(ENS, spec, REF, DT, 2, master_seed=21)
-    finally:
-        if old is None:
-            os.environ.pop("LAWBOUND_THREADS", None)
-        else:
-            os.environ["LAWBOUND_THREADS"] = old
+    threads(1)
+    b1, _ = SA.rollout_paths(ENS, spec, REF, DT, 2, master_seed=21)
+    threads(4)
+    b4, _ = SA.rollout_paths(ENS, spec, REF, DT, 2, master_seed=21)
     assert np.array_equal(b1.states, b4.states)
 
 

@@ -53,6 +53,18 @@ def test_pairwise_tiles_match_loop_bitwise():
     assert tile_rows(GRID, 2) == 64 and tile_rows(wide, 2) == 1
 
 
+@pytest.mark.parametrize("n_a", [1, 3, 7, 65])
+def test_pairwise_row_blocks_identical_across_worker_counts(threads, n_a):
+    rng = np.random.default_rng(23)
+    a = rand_ensemble(GRID, n_a, 2, rng)
+    b = rand_ensemble(GRID, 2 * tile_rows(GRID, 2) + 1, 2, rng)
+    got = []
+    for count in (1, 4):
+        threads(count)
+        got.append(T.pairwise_distances(a, b).tobytes())
+    assert got[0] == got[1] == pairwise_loop(a, b).tobytes()
+
+
 def test_pairwise_rejects_mismatched_grids():
     rng = np.random.default_rng(22)
     a = rand_ensemble(GRID, 2, 2, rng)
