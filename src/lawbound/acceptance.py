@@ -105,10 +105,10 @@ def crit03_powerlaw_tails(quick: bool, seed: int):
         p = F.spectrum_exponent_for_structure(s)
         acc = np.zeros(len(Ks))
         for i in range(members):
-            u = F.random_divfree(g, p, g.n // 2 - 1,
-                                 seed=seed + 1000 * t_idx + i)
-            single = E.Ensemble(g, u.values[None])
-            acc += E.tail_profile(single, Ks) ** 2
+            # the tails of random_divfree's field, read off its coefficients
+            coef = F._divfree_coef(g, p, g.n // 2 - 1,
+                                   seed=seed + 1000 * t_idx + i)
+            acc += E._tails(coef[None], g, Ks) ** 2
         tails = np.sqrt(acc / members)
         slope = float(np.polyfit(np.log(Ks), np.log(tails), 1)[0])
         err = abs(slope + s)

@@ -27,6 +27,7 @@ from . import transport as T
 from .acceptance import run_battery
 from .reporting import (
     Report,
+    manifest_kind,
     read_ensemble,
     read_lawcurve,
     validate_config,
@@ -138,8 +139,7 @@ def cmd_gen(args) -> int:
 
 def _read_initial_ensemble(path):
     """Accept an ensemble manifest or a law-curve manifest (final slice)."""
-    doc = json.loads(Path(path).read_text())
-    if doc.get("kind") == "lawcurve":
+    if manifest_kind(path) == "lawcurve":
         curve = read_lawcurve(path)
         return curve.ensembles[-1], float(curve.times[-1])
     return read_ensemble(path)
@@ -167,9 +167,12 @@ def cmd_evolve(args) -> int:
     write_lawcurve(out / "curve", curve)
     rows = []
     for c, ens in enumerate(ensembles):
-        divs = F._divergence_norms(ens.spectra(), ens.grid)
+        # one half spectrum per checkpoint serves both spectral columns
+        spec = F._half_spectrum(ens.values, ens.grid)
         rows.append((float(times[c]), float(np.mean(ens.member_norms() ** 2)),
-                     float(np.mean(EU.enstrophy(ens))), float(np.max(divs))))
+                     float(np.mean(F._parseval_sq(EU._curl_hat(spec),
+                                                  ens.grid))),
+                     float(np.max(F._divergence_norms(spec, ens.grid)))))
     write_csv(out / "conservation.csv",
               ["t", "energy", "enstrophy", "divergence"], rows)
     e0, eT = rows[0][1], rows[-1][1]
@@ -266,9 +269,8 @@ def cmd_transport(args) -> int:
         "epsilon": (float, 0.0),
         "max_iter": (int, 5000),
     }, "transport")
-    doc_a = json.loads(Path(args.a).read_text())
     report = Report("transport", cfg)
-    if doc_a.get("kind") == "lawcurve":
+    if manifest_kind(args.a) == "lawcurve":
         ca = read_lawcurve(args.a)
         cb = read_lawcurve(args.b)
         d_t, w1s = T.time_integrated_w1(ca, cb)

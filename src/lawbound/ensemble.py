@@ -15,9 +15,11 @@ import numpy as np
 from .fields import (
     Grid,
     GridField,
+    _half,
+    _half_spectrum,
     _mode_magnitude,
     _modes,
-    _spectrum,
+    _power,
     lattice_offsets_in_ball,
 )
 
@@ -83,10 +85,6 @@ class Ensemble:
         sq = (self.values**2).sum(axis=tuple(range(1, self.values.ndim)))
         return np.sqrt(self.grid.cell_volume * sq)
 
-    def spectra(self) -> np.ndarray:
-        """Fourier coefficients of all members, shape (N, m, *shape)."""
-        return _spectrum(self.values, self.grid)
-
 
 @dataclass
 class LawCurve:
@@ -147,58 +145,50 @@ def moment(e: Ensemble, p: int) -> float:
     return float(np.mean(e.member_norms() ** p))
 
 
-def _tail_energies(e: Ensemble, Ks) -> np.ndarray:
-    """Mean unresolved energy (1/N) sum ||P_{>K} u_i||^2 for each K."""
-    spec = e.spectra()
-    power = (np.abs(spec) ** 2).sum(axis=1)  # (N, *shape)
-    mag = _mode_magnitude(e.grid.d, e.grid.n)
-    out = np.empty(len(Ks))
-    for a, K in enumerate(Ks):
-        mask = mag > K
-        out[a] = e.grid.volume * power[:, mask].sum() / e.size
-    return out
+def _tails(spec: np.ndarray, grid: Grid, Ks) -> np.ndarray:
+    """RMS unresolved energy sqrt((1/N) sum ||P_{>K} u_i||^2) for each K,
+    from the half spectra (N, m, *half) of the members."""
+    if np.any(np.asarray(Ks) < 1):
+        raise ValueError("K must be >= 1")
+    power = _power(spec, grid).sum(axis=(0, 1)) / spec.shape[0]
+    mag = _half(_mode_magnitude(grid.d, grid.n), grid)
+    return np.sqrt([grid.volume * power[mag > K].sum() for K in Ks])
 
 
 def tail(e: Ensemble, K: float) -> float:
     """RMS energy above Fourier resolution K: sqrt((1/N) sum ||P_{>K} u_i||^2)."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    return float(np.sqrt(_tail_energies(e, [K])[0]))
+    return float(tail_profile(e, [K])[0])
 
 
 def tail_profile(e: Ensemble, Ks) -> np.ndarray:
-    """tail(e, K) for several K from a single pass over the spectra."""
-    if np.any(np.asarray(Ks) < 1):
-        raise ValueError("K must be >= 1")
-    return np.sqrt(_tail_energies(e, list(Ks)))
-
-
-def _mean_increment_energy(e: Ensemble, offsets: np.ndarray) -> float:
-    """Ball-averaged mean-square increment via the spectral shift identity."""
-    g = e.grid
-    spec = e.spectra()
-    power = (np.abs(spec) ** 2).sum(axis=(0, 1)) / e.size  # (*shape,)
-    kk = _modes(g.d, g.n)
-    total = 0.0
-    for h in offsets:
-        hphys = h * g.spacing
-        phase = kk[0] * hphys[0]
-        for a in range(1, g.d):
-            phase = phase + kk[a] * hphys[a]
-        total += float(np.sum((2.0 - 2.0 * np.cos(phase)) * power))
-    return g.volume * total / len(offsets)
+    """tail(e, K) for several K from one half spectrum of the members."""
+    return _tails(_half_spectrum(e.values, e.grid), e.grid, Ks)
 
 
 def pointwise_modulus(e: Ensemble, radii) -> StructureCurve:
     """omega(r): RMS of spatial increments, ball-averaged over lattice offsets
-    0 < |h| <= r, averaged over members (single-time structure modulus)."""
+    0 < |h| <= r, averaged over members (single-time structure modulus).
+
+    Each ball average of ||u(. + h) - u||^2 comes from the spectral shift
+    identity, (2pi)^d sum_k (2 - 2 cos(k.h)) |uhat(k)|^2, over one mean
+    power spectrum of the members."""
     radii = np.asarray(radii, dtype=np.float64)
     if np.any(radii > np.pi):
         raise ValueError("radii must not exceed pi")
+    g = e.grid
+    power = _power(_half_spectrum(e.values, g), g).sum(axis=(0, 1)) / e.size
+    kk = _half(_modes(g.d, g.n), g)
     vals = np.empty(len(radii))
     for i, r in enumerate(radii):
-        offs = lattice_offsets_in_ball(e.grid, r)
-        vals[i] = np.sqrt(_mean_increment_energy(e, offs))
+        offsets = lattice_offsets_in_ball(g, r)
+        total = 0.0
+        for h in offsets:
+            hphys = h * g.spacing
+            phase = kk[0] * hphys[0]
+            for a in range(1, g.d):
+                phase = phase + kk[a] * hphys[a]
+            total += float(np.sum((2.0 - 2.0 * np.cos(phase)) * power))
+        vals[i] = np.sqrt(g.volume * total / len(offsets))
     return StructureCurve(radii, vals, time_averaged=False)
 
 

@@ -22,7 +22,18 @@ from functools import lru_cache
 import numpy as np
 
 from .ensemble import Ensemble
-from .fields import Grid, GridField, l2_norm
+from .fields import (
+    Grid,
+    GridField,
+    _deriv_modes,
+    _half,
+    _half_spectrum,
+    _half_synthesize,
+    _mode_magnitude,
+    _modes,
+    _parseval_sq,
+    l2_norm,
+)
 from .runtime import parallel_map, worker_count
 
 __all__ = [
@@ -58,24 +69,18 @@ class EulerConfig:
             raise ValueError("dt must be positive")
 
 
-def _half_modes(n: int):
-    """Wavevector components on the half-spectrum (rfft2) layout."""
-    return np.meshgrid(np.fft.fftfreq(n, d=1.0 / n),
-                       np.fft.rfftfreq(n, d=1.0 / n), indexing="ij")
-
-
 @lru_cache(maxsize=None)
 def _solver_arrays(n: int, dealias_fraction: float = 2.0 / 3.0):
     """Half-spectrum (rfft2 layout, shape (n, n//2+1)) operators: i*k for
     odd derivatives with the Nyquist rows zeroed, 1/|k|^2 (0 at k=0) and
     the dealiasing mask."""
-    kx, ky = _half_modes(n)
+    g = Grid(2, n)
+    kx, ky = _half(_modes(2, n), g)
     k2 = kx**2 + ky**2
     inv_k2 = np.where(k2 == 0, 0.0, 1.0 / np.where(k2 == 0, 1.0, k2))
     cut = dealias_fraction * (n / 2.0)
     mask = (np.abs(kx) <= cut) & (np.abs(ky) <= cut)
-    ikd = 1j * np.stack([np.where(np.abs(kx) == n // 2, 0.0, kx),
-                         np.where(ky == n // 2, 0.0, ky)])
+    ikd = 1j * _half(_deriv_modes(2, n), g)
     for arr in (ikd, inv_k2, mask):
         arr.setflags(write=False)
     return ikd, inv_k2, mask
@@ -92,10 +97,6 @@ def _solver_arrays(n: int, dealias_fraction: float = 2.0 / 3.0):
 # 0.31-0.33 s in blocks of 4, 8 or 32 and 0.65 s as one block; on one
 # worker, 0.45 s against 0.48-0.51 s and 0.60 s.
 _CHUNK_BYTES = 2 * 1024 * 1024
-
-
-def _irfft2(spec: np.ndarray, n: int) -> np.ndarray:
-    return np.fft.irfft2(spec, s=(n, n), norm="forward")
 
 
 @lru_cache(maxsize=None)
@@ -204,11 +205,11 @@ def _advection(w, ws, mask, out, vel=None):
     return u, v
 
 
-def _vorticity_of(values: np.ndarray, n: int) -> np.ndarray:
-    batch = values.reshape((-1, 2, n, n))
-    w = np.empty((len(batch), n, n // 2 + 1), complex)
-    _vorticity_into(batch, _Workspace(len(batch), n), w)
-    return w.reshape(values.shape[:-3] + w.shape[1:])
+def _curl_hat(uh: np.ndarray) -> np.ndarray:
+    """Vorticity i*kx*vhat - i*ky*uhat of half-layout velocity spectra
+    (..., 2, n, n//2+1)."""
+    ikd = _solver_arrays(uh.shape[-2])[0]
+    return ikd[0] * uh[..., 1, :, :] - ikd[1] * uh[..., 0, :, :]
 
 
 def vorticity_hat(u) -> np.ndarray:
@@ -218,13 +219,12 @@ def vorticity_hat(u) -> np.ndarray:
     For an Ensemble the result carries the leading member axis."""
     if u.m != 2 or u.grid.d != 2:
         raise ValueError("vorticity needs a 2D velocity field")
-    return _vorticity_of(u.values, u.grid.n)
+    return _curl_hat(_half_spectrum(u.values, u.grid))
 
 
 @lru_cache(maxsize=None)
 def _disk_mask(n: int, K: float) -> np.ndarray:
-    kx, ky = _half_modes(n)
-    mask = np.sqrt(kx**2 + ky**2) <= min(K, n / 3.0)
+    mask = _half(_mode_magnitude(2, n), Grid(2, n)) <= min(K, n / 3.0)
     mask.setflags(write=False)
     return mask
 
@@ -427,10 +427,9 @@ def energy(u: GridField) -> float:
 
 
 def enstrophy(u):
-    """int w^2 dx of a GridField (float) or of every Ensemble member (array)."""
-    g = u.grid
-    w = _irfft2(vorticity_hat(u), g.n)
-    z = g.cell_volume * np.sum(w**2, axis=(-2, -1))
+    """int w^2 dx of a GridField (float) or of every Ensemble member (array),
+    by Parseval."""
+    z = _parseval_sq(vorticity_hat(u), u.grid)
     return float(z) if isinstance(u, GridField) else z
 
 
@@ -458,11 +457,11 @@ def strain(v) -> StrainField:
     if g.d != 2 or v.m != 2:
         raise ValueError("strain needs a 2D velocity field")
     ikd = _solver_arrays(g.n)[0]
-    vh = np.fft.rfft2(v.values, norm="forward")
+    vh = _half_spectrum(v.values, g)
     uh, wh = vh[..., 0, :, :], vh[..., 1, :, :]
     spec = np.stack([ikd[0] * uh, ikd[1] * uh, ikd[0] * wh, ikd[1] * wh],
                     axis=-3)
-    dudx, dudy, dvdx, dvdy = np.moveaxis(_irfft2(spec, g.n), -3, 0)
+    dudx, dudy, dvdx, dvdy = np.moveaxis(_half_synthesize(spec, g), -3, 0)
     sxy = 0.5 * (dudy + dvdx)
     tensor = np.stack([np.stack([dudx, sxy], axis=-3),
                        np.stack([sxy, dvdy], axis=-3)], axis=-4)
@@ -514,7 +513,7 @@ def taylor_green(grid: Grid) -> GridField:
     """Steady single-shell state: vorticity cos(x) + cos(y)."""
     xy = grid.coordinates()
     w = np.cos(xy[0]) + np.cos(xy[1])
-    return velocity_from_vorticity(grid, np.fft.rfft2(w, norm="forward"))
+    return velocity_from_vorticity(grid, _half_spectrum(w, grid))
 
 
 def l2_difference_identity_check(u0: GridField, v0: GridField, cfg: EulerConfig,

@@ -7,6 +7,11 @@ lattice with n points per dimension.  Transforms use the convention
 
 so Parseval reads ||u||_2^2 = (2pi)^d * sum_k |uhat(k)|^2 and the grid
 quadrature L2 norm is ||u||_2^2 = (2pi/n)^d * sum_x |u(x)|^2.
+
+Single fields (`SpecField`, `forward`, `inverse`) carry the full
+Hermitian-symmetric layout.  Ensemble-level spectra carry the half layout
+of `numpy.fft.rfftn` (last axis n//2+1), where every Parseval sum weights
+each coefficient by `_half_weight`.
 """
 
 from __future__ import annotations
@@ -175,10 +180,53 @@ def _synthesize(coef: np.ndarray, grid: Grid) -> np.ndarray:
     return np.fft.ifftn(coef, axes=axes, norm="forward").real
 
 
+def _half_spectrum(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Half-layout coefficients of real fields, trailing d axes."""
+    axes = tuple(range(-grid.d, 0))
+    return np.fft.rfftn(values, axes=axes, norm="forward")
+
+
+def _half_synthesize(coef: np.ndarray, grid: Grid) -> np.ndarray:
+    axes = tuple(range(-grid.d, 0))
+    return np.fft.irfftn(coef, s=grid.shape, axes=axes, norm="forward")
+
+
+def _half(arr: np.ndarray, grid: Grid) -> np.ndarray:
+    """Half-layout view of a full-layout mode array (last axis n//2+1).
+
+    Column n/2 holds the wavenumber -n/2 of the full layout; magnitudes,
+    cosines and the Nyquist-zeroed derivative modes do not see the sign."""
+    return arr[..., : grid.n // 2 + 1]
+
+
+@lru_cache(maxsize=None)
+def _half_weight(n: int) -> np.ndarray:
+    """Parseval weight of the half layout along its last axis: 1 on the
+    self-conjugate columns 0 and n/2, 2 on the others."""
+    w = np.full(n // 2 + 1, 2.0)
+    w[0] = w[-1] = 1.0
+    w.setflags(write=False)
+    return w
+
+
+def _power(coef: np.ndarray, grid: Grid) -> np.ndarray:
+    """Parseval-weighted |coef|^2 in either layout (weight 1 on the full)."""
+    weight = 1.0 if coef.shape[-1] == grid.n else _half_weight(grid.n)
+    return weight * (coef.real**2 + coef.imag**2)
+
+
+def _parseval_sq(coef: np.ndarray, grid: Grid) -> np.ndarray:
+    """Squared L2 norms (2pi)^d sum_k |coef|^2 over the trailing d axes."""
+    space = tuple(range(-grid.d, 0))
+    return grid.volume * _power(coef, grid).sum(axis=space)
+
+
 def _leq_coef(coef: np.ndarray, grid: Grid, K: float) -> np.ndarray:
+    """P_{<=K} of coefficients in either layout."""
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    return np.where(_mode_magnitude(grid.d, grid.n) <= K, coef, 0.0)
+    mag = _mode_magnitude(grid.d, grid.n)[..., : coef.shape[-1]]
+    return np.where(mag <= K, coef, 0.0)
 
 
 def forward(f: GridField) -> SpecField:
@@ -210,10 +258,7 @@ def project_leq(F: SpecField, K: float) -> SpecField:
 
 def project_gt(F: SpecField, K: float) -> SpecField:
     """Complement of project_leq: modes with |k| > K."""
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
-    mag = _mode_magnitude(F.grid.d, F.grid.n)
-    return SpecField(F.grid, np.where(mag > K, F.coef, 0.0))
+    return SpecField(F.grid, F.coef - _leq_coef(F.coef, F.grid, K))
 
 
 def _smoothstep5(t):
@@ -320,10 +365,11 @@ def increment(f: GridField, h) -> GridField:
 
 def sobolev_norm(f: GridField, s: float) -> float:
     """((2pi)^d sum (1+|k|^2)^s |uhat(k)|^2)^(1/2); s=-1 gives the H^-1 norm."""
-    F = forward(f)
-    mag2 = _mode_magnitude(f.grid.d, f.grid.n) ** 2
-    weighted = (1.0 + mag2) ** s * np.abs(F.coef) ** 2
-    return float(np.sqrt(f.grid.volume * weighted.sum()))
+    g = f.grid
+    coef = _half_spectrum(f.values, g)
+    mag2 = _half(_mode_magnitude(g.d, g.n), g) ** 2
+    return float(np.sqrt(g.volume * np.sum((1.0 + mag2) ** s
+                                           * _power(coef, g))))
 
 
 def _spectral_jacobian(F: SpecField) -> np.ndarray:
@@ -373,11 +419,11 @@ def leray_project(F: SpecField) -> SpecField:
 
 def _divergence_norms(coef: np.ndarray, grid: Grid) -> np.ndarray:
     """L2 norms of the spectral divergence of velocity coefficients
-    (..., d, *shape), one per leading index."""
-    kk = _modes(grid.d, grid.n)
+    (..., d, *layout), one per leading index.  The layouts agree on fields
+    without Nyquist content; there the full layout's i*k is not odd."""
+    kk = _modes(grid.d, grid.n)[..., : coef.shape[-1]]
     div = 1j * np.sum(kk * coef, axis=-grid.d - 1)
-    space = tuple(range(-grid.d, 0))
-    return np.sqrt(grid.volume * np.sum(np.abs(div) ** 2, axis=space))
+    return np.sqrt(_parseval_sq(div, grid))
 
 
 def divergence_norm(F: SpecField) -> float:
@@ -392,26 +438,31 @@ def spectrum_exponent_for_structure(s: float) -> float:
     return 2.0 * s + 2.0
 
 
-def random_divfree(grid: Grid, spectrum_exponent: float, k_max: int, seed) -> GridField:
-    """Divergence-free Gaussian field with E|uhat(k)|^2 ~ |k|^(-p), 1<=|k|<=k_max.
-
-    Built as the perpendicular gradient of a Gaussian stream function with
-    E|psihat(k)|^2 ~ |k|^(-p-2).  Deterministic for a fixed seed.
-    """
+def _divfree_coef(grid: Grid, spectrum_exponent: float, k_max: int,
+                  seed) -> np.ndarray:
+    """Half-layout velocity coefficients (2, n, n//2+1) of `random_divfree`."""
     if grid.d != 2:
         raise ValueError("divergence-free synthesis requires d=2 "
                          "(1D divergence-free fields are constants)")
     if not 1 <= k_max <= grid.n // 2 - 1:
         raise ValueError(f"k_max must be in [1, n/2-1], got {k_max}")
     rng = np.random.default_rng(seed)
-    white = rng.standard_normal(grid.shape)
-    psi_hat = np.fft.fftn(white) / (grid.n**grid.d)
-    mag = _mode_magnitude(grid.d, grid.n)
+    psi_hat = _half_spectrum(rng.standard_normal(grid.shape), grid)
+    mag = _half(_mode_magnitude(grid.d, grid.n), grid)
     amp = np.zeros_like(mag)
     band = (mag >= 1.0) & (mag <= k_max)
     amp[band] = mag[band] ** (-(spectrum_exponent + 2.0) / 2.0)
-    psi_hat = psi_hat * amp
-    kk = _deriv_modes(grid.d, grid.n)
+    psi_hat *= amp
+    kx, ky = _half(_deriv_modes(grid.d, grid.n), grid)
     # u = (-d_y psi, d_x psi)
-    u_hat = np.stack([-1j * kk[1] * psi_hat, 1j * kk[0] * psi_hat])
-    return inverse(SpecField(grid, u_hat))
+    return np.stack([-1j * ky * psi_hat, 1j * kx * psi_hat])
+
+
+def random_divfree(grid: Grid, spectrum_exponent: float, k_max: int, seed) -> GridField:
+    """Divergence-free Gaussian field with E|uhat(k)|^2 ~ |k|^(-p), 1<=|k|<=k_max.
+
+    Built as the perpendicular gradient of a Gaussian stream function with
+    E|psihat(k)|^2 ~ |k|^(-p-2).  Deterministic for a fixed seed.
+    """
+    coef = _divfree_coef(grid, spectrum_exponent, k_max, seed)
+    return GridField(grid, _half_synthesize(coef, grid))

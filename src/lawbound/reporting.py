@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,6 +27,7 @@ __all__ = [
     "read_lbf",
     "write_ensemble",
     "read_ensemble",
+    "manifest_kind",
     "write_lawcurve",
     "read_lawcurve",
     "Check",
@@ -58,27 +61,51 @@ def _read_exact(fh, size: int, path) -> bytes:
     return chunk
 
 
+def _read_header(fh, path) -> tuple:
+    """Check an LBF1 header and the file's exact length; returns (grid, m)."""
+    magic = fh.read(4)
+    if magic != _MAGIC:
+        raise ValueError(f"{path}: bad magic {magic!r}")
+    version, d, m, reserved = struct.unpack("<IBBH", _read_exact(fh, 8, path))
+    if version != 1:
+        raise ValueError(f"{path}: unsupported version {version}")
+    if reserved != 0:
+        raise ValueError(f"{path}: nonzero reserved field")
+    ns = struct.unpack(f"<{d}I", _read_exact(fh, 4 * d, path))
+    if len(set(ns)) != 1:
+        raise ValueError(f"{path}: anisotropic grids unsupported, n={ns}")
+    try:
+        grid = Grid(d, ns[0])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    # the size check comes before any payload buffer is allocated
+    size = fh.tell() + 8 * m * grid.n**d
+    actual = os.fstat(fh.fileno()).st_size
+    if actual < size:
+        raise ValueError(f"{path}: truncated LBF file")
+    if actual > size:
+        raise ValueError(f"{path}: trailing bytes after the payload")
+    return grid, m
+
+
+def _read_payload(fh, path, out: np.ndarray) -> None:
+    """Read the payload into the little-endian float64 array `out`."""
+    view = memoryview(out).cast("B")
+    if fh.readinto(view) != view.nbytes:
+        raise ValueError(f"{path}: truncated LBF file")
+    if fh.read(1):
+        raise ValueError(f"{path}: trailing bytes after the payload")
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{path}: non-finite field values")
+
+
 def read_lbf(path) -> GridField:
     """Read one LBF1 field; the file must end exactly at its payload."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        version, d, m, reserved = struct.unpack("<IBBH", _read_exact(fh, 8, path))
-        if version != 1:
-            raise ValueError(f"{path}: unsupported version {version}")
-        if reserved != 0:
-            raise ValueError(f"{path}: nonzero reserved field")
-        ns = struct.unpack(f"<{d}I", _read_exact(fh, 4 * d, path))
-        if len(set(ns)) != 1:
-            raise ValueError(f"{path}: anisotropic grids unsupported, n={ns}")
-        grid = Grid(d, ns[0])
-        count = m * grid.n**d
-        data = np.frombuffer(_read_exact(fh, count * 8, path), dtype="<f8")
-        if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes after the payload")
-        values = data.reshape((m,) + grid.shape).astype(np.float64)
-        return GridField(grid, values)
+        grid, m = _read_header(fh, path)
+        values = np.empty((m,) + grid.shape, dtype="<f8")
+        _read_payload(fh, path, values)
+    return GridField(grid, values)
 
 
 # -------------------------------------------------------------- manifests
@@ -106,19 +133,102 @@ def write_ensemble(directory, e: Ensemble, time: float = 0.0,
     return path
 
 
-def read_ensemble(manifest_path) -> tuple:
-    """Returns (Ensemble, time)."""
-    manifest_path = Path(manifest_path)
-    doc = json.loads(manifest_path.read_text())
+def _parse_manifest(path: Path) -> dict:
+    try:
+        text = path.read_text()
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{path}: cannot read manifest: {exc}") from None
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed manifest JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: manifest must be a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported manifest schema {doc.get('schema_version')}")
-    if doc.get("kind") != "ensemble":
-        raise ValueError("manifest is not an ensemble manifest")
-    members = [read_lbf(manifest_path.parent / name) for name in doc["members"]]
-    e = Ensemble.from_fields(members)
-    if (e.grid.d, e.grid.n, e.m) != (doc["grid"]["d"], doc["grid"]["n"], doc["m"]):
-        raise ValueError("manifest grid descriptor disagrees with member files")
-    return e, float(doc["time"])
+        raise ValueError(f"{path}: unsupported manifest schema "
+                         f"{doc.get('schema_version')!r}")
+    return doc
+
+
+def manifest_kind(path) -> str:
+    """The kind of a manifest, "ensemble" or "lawcurve"."""
+    path = Path(path)
+    return _field(_parse_manifest(path), "kind",
+                  lambda v: v in ("ensemble", "lawcurve"),
+                  "'ensemble' or 'lawcurve'", path)
+
+
+def _load_manifest(path: Path, kind: str) -> dict:
+    doc = _parse_manifest(path)
+    _field(doc, "kind", lambda v: v == kind, repr(kind), path)
+    return doc
+
+
+def _field(doc: dict, key: str, valid, expected: str, path):
+    """doc[key], or a ValueError naming the manifest and the field."""
+    value = doc.get(key)
+    if not valid(value):
+        raise ValueError(f"{path}: field {key} must be {expected}, "
+                         f"got {value!r}")
+    return value
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_time(v) -> bool:
+    if not (_is_int(v) or isinstance(v, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _is_list_of(item):
+    return lambda v: (isinstance(v, list) and len(v) > 0
+                      and all(item(x) for x in v))
+
+
+def _is_name(v) -> bool:
+    return isinstance(v, str) and v != ""
+
+
+def read_ensemble(manifest_path) -> tuple:
+    """Returns (Ensemble, time).
+
+    Every member file must carry the manifest's grid and component count;
+    the members are read straight into one (N, m, *shape) array."""
+    path = Path(manifest_path)
+    doc = _load_manifest(path, "ensemble")
+    spec = _field(doc, "grid", lambda v: isinstance(v, dict)
+                  and _is_int(v.get("d")) and _is_int(v.get("n")),
+                  "an object with integer d and n", path)
+    m = _field(doc, "m", lambda v: _is_int(v) and v >= 1,
+               "a positive integer", path)
+    time = float(_field(doc, "time", _is_time, "a finite number", path))
+    names = _field(doc, "members", _is_list_of(_is_name),
+                   "a non-empty list of file names", path)
+    values = None
+    for i, name in enumerate(names):
+        member = path.parent / name
+        try:
+            fh = open(member, "rb")
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"{path}: field members: cannot open "
+                             f"{name!r}: {exc}") from None
+        with fh:
+            grid, m_file = _read_header(fh, member)
+            if (grid.d, grid.n, m_file) != (spec["d"], spec["n"], m):
+                raise ValueError(
+                    f"{path}: fields grid and m (d={spec['d']}, "
+                    f"n={spec['n']}, m={m}) disagree with member {member} "
+                    f"(d={grid.d}, n={grid.n}, m={m_file})")
+            if values is None:
+                values = np.empty((len(names), m) + grid.shape, dtype="<f8")
+            _read_payload(fh, member, values[i])
+    return Ensemble(grid, values), time
 
 
 def write_lawcurve(directory, curve: LawCurve) -> Path:
@@ -140,20 +250,24 @@ def write_lawcurve(directory, curve: LawCurve) -> Path:
 
 
 def read_lawcurve(manifest_path) -> LawCurve:
-    manifest_path = Path(manifest_path)
-    doc = json.loads(manifest_path.read_text())
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported manifest schema {doc.get('schema_version')}")
-    if doc.get("kind") != "lawcurve":
-        raise ValueError("manifest is not a law-curve manifest")
+    path = Path(manifest_path)
+    doc = _load_manifest(path, "lawcurve")
+    entries = _field(doc, "entries", _is_list_of(
+        lambda v: isinstance(v, dict) and _is_time(v.get("time"))
+        and _is_name(v.get("ensemble"))),
+        "a non-empty list of {time, ensemble} objects", path)
     times, ensembles = [], []
-    for entry in doc["entries"]:
-        e, t_stored = read_ensemble(manifest_path.parent / entry["ensemble"])
+    for entry in entries:
+        e, t_stored = read_ensemble(path.parent / entry["ensemble"])
         if abs(t_stored - entry["time"]) > 1e-12:
-            raise ValueError("curve entry time disagrees with ensemble manifest")
+            raise ValueError(f"{path}: entry time {entry['time']!r} disagrees "
+                             f"with ensemble manifest {entry['ensemble']}")
         times.append(entry["time"])
         ensembles.append(e)
-    return LawCurve(np.array(times), ensembles)
+    try:
+        return LawCurve(np.array(times, dtype=np.float64), ensembles)
+    except ValueError as exc:
+        raise ValueError(f"{path}: field entries: {exc}") from None
 
 
 # ---------------------------------------------------------------- reports

@@ -22,6 +22,9 @@ from .ensemble import Ensemble, LawCurve
 from .fields import (
     Grid,
     GridField,
+    _half,
+    _half_spectrum,
+    _half_weight,
     _mode_magnitude,
     inner,
     l2_norm,
@@ -233,11 +236,12 @@ class PathBundle:
         return self.states.shape[0]
 
     def hminus1_pair_norms(self):
-        """Fourier coefficients of all states for H^-1 increment queries."""
-        axes = tuple(range(3, 3 + self.grid.d))
-        coef = np.fft.fftn(self.states, axes=axes) / (self.grid.n**self.grid.d)
-        weight = 1.0 / (1.0 + _mode_magnitude(self.grid.d, self.grid.n) ** 2)
-        return coef, weight
+        """Half spectra of all states and the Parseval weight of the H^-1
+        norm, for H^-1 increment queries."""
+        g = self.grid
+        coef = _half_spectrum(self.states, g)
+        mag = _half(_mode_magnitude(g.d, g.n), g)
+        return coef, _half_weight(g.n) / (1.0 + mag**2)
 
 
 def rollout_paths(e: Ensemble, spec: KernelSpec, reference_map, dt_phys: float,

@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .ensemble import Ensemble, LawCurve, tail_profile
-from .fields import _leq_coef, _synthesize
+from .ensemble import Ensemble, LawCurve, _tails
+from .fields import _half_spectrum, _leq_coef
 from .runtime import parallel_map, worker_count
 
 __all__ = [
@@ -314,31 +314,50 @@ def time_integrated_w1(a: LawCurve, b: LawCurve):
     return float(np.trapezoid(w1s, a.times)), w1s
 
 
+def _projections(spec: np.ndarray, grid, Ks) -> list:
+    """P_{<=K} of an ensemble for every K in Ks from the half spectra of its
+    members, synthesized by one inverse transform of the stacked
+    projections (numpy transforms each line alone, so a projection does
+    not depend on the stack it travels in).
+
+    The transform is irfftn's own passes, its complex ones in place, so the
+    stack is the only complex buffer."""
+    coef = np.empty((len(Ks),) + spec.shape, complex)
+    for k, K in enumerate(Ks):
+        coef[k] = _leq_coef(spec, grid, K)
+    for axis in range(-grid.d, -1):
+        np.fft.ifft(coef, axis=axis, norm="forward", out=coef)
+    values = np.fft.irfft(coef, grid.n, axis=-1, norm="forward")
+    return [Ensemble(grid, v) for v in values]
+
+
 def project_ensemble(e: Ensemble, K: float) -> Ensemble:
     """Pushforward of the empirical law under the sharp projector P_{<=K},
     one spectral projection of the whole member batch."""
-    coef = _leq_coef(e.spectra(), e.grid, K)
-    # a real copy, so the result does not pin the complex transform buffer
-    return Ensemble(e.grid, np.ascontiguousarray(_synthesize(coef, e.grid)))
+    return _projections(_half_spectrum(e.values, e.grid), e.grid, [K])[0]
 
 
 def capacity_sweep(a: Ensemble, b: Ensemble, Ks,
                    slack: float = 1e-9) -> list:
     """capacity_coverage at every K in Ks, solving the unprojected pair once.
 
-    W2(a,b) and W1(a,b) come from one distance matrix; each K adds the two
-    coverage tails and the projected mismatch Train_K.
+    W2(a,b) and W1(a,b) come from one distance matrix.  Each ensemble is
+    transformed once; its tails and its projections at every K come from
+    that spectrum, and each K adds the projected mismatch Train_K.
     """
     Ks = list(Ks)
-    tails_a, tails_b = tail_profile(a, Ks), tail_profile(b, Ks)
+    spec_a = _half_spectrum(a.values, a.grid)
+    spec_b = _half_spectrum(b.values, b.grid)
+    tails_a, tails_b = _tails(spec_a, a.grid, Ks), _tails(spec_b, b.grid, Ks)
     _check_exact(2, a.size, b.size)
     dist = pairwise_distances(a, b)
     w2, _ = _exact_from_distances(dist, 2)
     w1, _ = _exact_from_distances(dist, 1)
     reports = []
-    for K, ta, tb in zip(Ks, tails_a.tolist(), tails_b.tolist()):
-        train, _ = wasserstein_exact(project_ensemble(a, K),
-                                     project_ensemble(b, K), p=2)
+    for K, ta, tb, pa, pb in zip(Ks, tails_a.tolist(), tails_b.tolist(),
+                                 _projections(spec_a, a.grid, Ks),
+                                 _projections(spec_b, b.grid, Ks)):
+        train, _ = wasserstein_exact(pa, pb, p=2)
         bound = ta + train + tb
         reports.append(MetricReport(
             w2=w2, w1=w1, tail_a=ta, tail_b=tb, train_k=train, bound=bound,

@@ -422,3 +422,236 @@ def test_cli_evolve_identical_across_worker_counts(tmp_path, threads):
             assert RP.strip_timing(one.read_text()) == RP.strip_timing(four.read_text())
         else:
             assert one.read_bytes() == four.read_bytes(), rel
+
+
+def test_cli_evolve_enstrophy_column_matches_physical_route(tmp_path):
+    from lawbound import euler as EU
+
+    _gen_pair(tmp_path, members=4, n=32)
+    evo_cfg = tmp_path / "e.json"
+    evo_cfg.write_text(json.dumps({"horizon": 0.025, "dt": 0.0125,
+                                   "checkpoints": 2}))
+    assert main(["evolve", "--ensemble", str(tmp_path / "a" / "ensemble.json"),
+                 "--out", str(tmp_path / "evo"),
+                 "--config", str(evo_cfg)]) == 0
+    curve = RP.read_lawcurve(tmp_path / "evo" / "curve" / "lawcurve.json")
+    lines = (tmp_path / "evo" / "conservation.csv").read_text().splitlines()
+    column = [float(line.split(",")[2]) for line in lines[1:]]
+    for value, ens in zip(column, curve.ensembles):
+        # the physical-space route the Parseval sum replaced
+        w = np.fft.irfft2(EU.vorticity_hat(ens), s=ens.grid.shape,
+                          norm="forward")
+        oracle = np.mean(ens.grid.cell_volume * (w**2).sum(axis=(-2, -1)))
+        assert abs(value - oracle) <= 1e-13 * oracle
+        assert np.allclose(EU.enstrophy(ens), ens.grid.cell_volume
+                           * (w**2).sum(axis=(-2, -1)), rtol=1e-13, atol=0)
+
+
+# ------------------------------------------------------ malformed manifests
+
+@pytest.mark.parametrize("field, value", [
+    ("members", 5), ("members", None), ("members", []), ("members", [3]),
+    ("grid", [2, 64]), ("grid", {"d": 2}), ("grid", None), ("m", "2"),
+    ("m", True), ("time", "0"), ("time", None), ("kind", "lawcurve")])
+def test_cli_metrics_rejects_malformed_ensemble_manifest(tmp_path, capsys,
+                                                         field, value):
+    _gen_pair(tmp_path)
+    manifest = tmp_path / "a" / "ensemble.json"
+    doc = json.loads(manifest.read_text())
+    if value is None:
+        del doc[field]
+    else:
+        doc[field] = value
+    manifest.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["metrics", "--a", str(manifest),
+                 "--b", str(tmp_path / "b" / "ensemble.json"),
+                 "--out", str(tmp_path / "m")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert str(manifest) in err and f"field {field}" in err
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "{", "null"])
+def test_cli_transport_rejects_non_object_manifest(tmp_path, capsys, text):
+    _gen_pair(tmp_path)
+    manifest = tmp_path / "a" / "ensemble.json"
+    manifest.write_text(text)
+    capsys.readouterr()
+    assert main(["transport", "--a", str(manifest),
+                 "--b", str(tmp_path / "b" / "ensemble.json"),
+                 "--out", str(tmp_path / "t")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and str(manifest) in err
+
+
+def test_read_ensemble_names_the_member_that_disagrees(tmp_path):
+    _gen_pair(tmp_path)
+    member = tmp_path / "a" / "member_0001.lbf"
+    RP.write_lbf(member, rand_field(5, m=1))
+    with pytest.raises(ValueError, match="disagree") as info:
+        RP.read_ensemble(tmp_path / "a" / "ensemble.json")
+    assert str(member) in str(info.value)
+
+
+@pytest.mark.parametrize("entries", [
+    None, [], 7, [{"time": 0.0}], [{"time": "0", "ensemble": "x"}],
+    [{"time": 0.0, "ensemble": 3}]])
+def test_cli_scores_rejects_malformed_lawcurve_manifest(tmp_path, capsys,
+                                                        entries):
+    ca, cb = _curve_pair(tmp_path)
+    doc = json.loads(open(ca).read())
+    if entries is None:
+        del doc["entries"]
+    else:
+        doc["entries"] = entries
+    with open(ca, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    assert main(["scores", "--a", ca, "--b", cb,
+                 "--out", str(tmp_path / "sc")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert ca in err and "field entries" in err
+
+
+def test_lawcurve_manifest_rejects_bad_time_order(tmp_path):
+    ca, _ = _curve_pair(tmp_path)
+    doc = json.loads(open(ca).read())
+    doc["entries"] = doc["entries"][::-1]
+    with open(ca, "w") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(ValueError, match="field entries"):
+        RP.read_lawcurve(ca)
+
+
+# ------------------------------------------------------------ reader fuzz
+
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+FUZZ = settings(max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def lbf_bytes(draw):
+    """A valid LBF1 file, then maybe cut, extended or with bytes replaced."""
+    d = draw(st.sampled_from([1, 2]))
+    m = draw(st.integers(1, 2))
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=m * 8**d, max_size=m * 8**d))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.lbf"
+        grid = F.Grid(d, 8)
+        RP.write_lbf(path, F.GridField(
+            grid, np.array(values).reshape((m,) + grid.shape)))
+        data = bytearray(path.read_bytes())
+    edit = draw(st.sampled_from(["none", "cut", "extend", "replace"]))
+    if edit == "cut":
+        del data[draw(st.integers(0, len(data) - 1)):]
+    elif edit == "extend":
+        data += draw(st.binary(min_size=1, max_size=16))
+    elif edit == "replace":
+        at = draw(st.integers(0, len(data) - 1))
+        patch = draw(st.binary(min_size=1, max_size=8))
+        data[at:at + len(patch)] = patch
+    return bytes(data)
+
+
+@FUZZ
+@given(lbf_bytes())
+def test_fuzz_lbf_reader_round_trips_or_names_the_file(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.lbf"
+        path.write_bytes(data)
+        try:
+            f = RP.read_lbf(path)
+        except ValueError as exc:
+            assert str(path) in str(exc)
+            return
+        again = Path(tmp) / "g.lbf"
+        RP.write_lbf(again, f)
+        assert again.read_bytes() == data
+
+
+_FUZZ_DIR = tempfile.TemporaryDirectory()
+
+
+def _fuzz_curve():
+    """A written two-entry law curve, made once for the manifest fuzz."""
+    root = Path(_FUZZ_DIR.name)
+    manifest = root / "curve" / "lawcurve.json"
+    if not manifest.exists():
+        rng = np.random.default_rng(40)
+        RP.write_lawcurve(root / "curve", E.LawCurve(
+            [0.0, 0.5], [E.Ensemble(F.Grid(2, 8), rng.standard_normal(
+                (2, 2, 8, 8))) for _ in range(2)]))
+    return manifest
+
+
+def _mutate(draw, doc, keys):
+    key = draw(st.sampled_from(keys + ["extra"]))
+    if draw(st.booleans()):
+        doc.pop(key, None)
+    else:
+        doc[key] = draw(json_values)
+    return doc
+
+
+@FUZZ
+@given(st.data())
+def test_fuzz_ensemble_manifest_reads_or_names_the_field(data):
+    base = _fuzz_curve().parent / "t_0000" / "ensemble.json"
+    doc = _mutate(data.draw, json.loads(base.read_text()),
+                  ["schema_version", "kind", "grid", "m", "time", "members"])
+    if data.draw(st.booleans()):
+        doc["members"] = data.draw(st.lists(st.sampled_from(
+            ["member_0000.lbf", "member_0001.lbf", "missing.lbf", "", "."]),
+            max_size=3))
+    path = base.parent / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    try:
+        e, t = RP.read_ensemble(path)
+    except ValueError as exc:
+        assert str(exc).startswith(str(path) + ":")
+        return
+    assert t == doc["time"]
+    assert np.array_equal(e.values, np.stack(
+        [RP.read_lbf(base.parent / name).values for name in doc["members"]]))
+
+
+@FUZZ
+@given(st.data())
+def test_fuzz_lawcurve_manifest_reads_or_names_the_field(data):
+    base = _fuzz_curve()
+    doc = json.loads(base.read_text())
+    if data.draw(st.booleans()):
+        doc = _mutate(data.draw, doc, ["schema_version", "kind", "entries"])
+    else:
+        entry = data.draw(st.sampled_from(doc["entries"]))
+        _mutate(data.draw, entry, ["time", "ensemble"])
+    path = base.parent / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    try:
+        curve = RP.read_lawcurve(path)
+    except ValueError as exc:
+        # the curve manifest, or the ensemble manifest an entry points at
+        entries = doc.get("entries")
+        named = [str(path)] + [str(path.parent / entry["ensemble"])
+                               for entry in (entries if isinstance(
+                                   entries, list) else [])
+                               if isinstance(entry, dict)
+                               and isinstance(entry.get("ensemble"), str)]
+        assert any(str(exc).startswith(name + ":") for name in named)
+        return
+    assert curve.times.tolist() == [entry["time"] for entry in doc["entries"]]

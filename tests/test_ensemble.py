@@ -236,3 +236,80 @@ def test_tail_bounded_by_structure_modulus_scaling():
     c_emp = tails / (np.sqrt(C0) * Ks ** (-s_fit))
     assert np.all(np.isfinite(c_emp)) and np.all(c_emp > 0)
     assert c_emp.max() / c_emp.min() < 1.5
+
+
+# ------------------------------------------------- half-spectrum layout
+# The full-complex routes that the half-spectrum (rfftn) layout replaced
+# stay here as oracles.
+
+def full_spectra(e):
+    return F._spectrum(e.values, e.grid)
+
+
+def full_tail_energies(e, Ks):
+    power = (np.abs(full_spectra(e)) ** 2).sum(axis=1)  # (N, *shape)
+    mag = F._mode_magnitude(e.grid.d, e.grid.n)
+    return np.array([e.grid.volume * power[:, mag > K].sum() / e.size
+                     for K in Ks])
+
+
+def full_mean_increment_energy(e, offsets):
+    g = e.grid
+    power = (np.abs(full_spectra(e)) ** 2).sum(axis=(0, 1)) / e.size
+    kk = F._modes(g.d, g.n)
+    total = 0.0
+    for h in offsets:
+        hphys = h * g.spacing
+        phase = kk[0] * hphys[0]
+        for a in range(1, g.d):
+            phase = phase + kk[a] * hphys[a]
+        total += float(np.sum((2.0 - 2.0 * np.cos(phase)) * power))
+    return g.volume * total / len(offsets)
+
+
+def ensemble_norm(e):
+    return np.sqrt(e.grid.cell_volume * (e.values**2).sum())
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_tails_match_full_complex_oracle(d):
+    g = F.Grid(d, 32)
+    rng = np.random.default_rng(30 + d)
+    e = E.Ensemble(g, rng.standard_normal((5, 2) + g.shape))
+    Ks = [1, 2.5, 4, 8, 15]
+    oracle = np.sqrt(full_tail_energies(e, Ks))
+    assert np.all(np.abs(E.tail_profile(e, Ks) - oracle) <= 1e-13 * oracle)
+
+
+def test_band_limited_tails_match_oracle_at_roundoff():
+    g = F.Grid(2, 64)
+    e = grf_ensemble(g, 4, s=0.5, k_max=8, seed0=60)
+    Ks = [8, 12, 16]
+    oracle = np.sqrt(full_tail_energies(e, Ks))
+    tails = E.tail_profile(e, Ks)
+    assert np.all(np.abs(tails - oracle) <= 1e-15 * ensemble_norm(e))
+
+
+def test_increment_energy_matches_full_complex_oracle():
+    g = F.Grid(2, 32)
+    rng = np.random.default_rng(33)
+    e = E.Ensemble(g, rng.standard_normal((3, 2) + g.shape))
+    radii = g.spacing * np.array([1.0, 3.0, 7.5])
+    sc = E.pointwise_modulus(e, radii)
+    for r, value in zip(radii, sc.values):
+        oracle = np.sqrt(full_mean_increment_energy(
+            e, F.lattice_offsets_in_ball(g, r)))
+        assert abs(value - oracle) <= 1e-13 * oracle
+
+
+def test_coefficient_tails_match_synthesized_field():
+    # crit03 reads its tails off random_divfree's coefficients
+    g = F.Grid(2, 128)
+    Ks = [4.0, 8.0, 16.0, 32.0]
+    p = F.spectrum_exponent_for_structure(0.5)
+    for seed in (0, 1, 2):
+        coef = F._divfree_coef(g, p, g.n // 2 - 1, seed=seed)
+        direct = E._tails(coef[None], g, Ks)
+        u = F.random_divfree(g, p, g.n // 2 - 1, seed=seed)
+        via_field = E.tail_profile(E.Ensemble(g, u.values[None]), Ks)
+        assert np.all(np.abs(direct - via_field) <= 1e-13 * via_field)

@@ -346,3 +346,96 @@ def test_random_divfree_shells_and_divergence():
 def test_random_divfree_rejects_1d():
     with pytest.raises(ValueError):
         F.random_divfree(F.Grid(1, 16), 3.0, 4, seed=0)
+
+
+# ------------------------------------------------- half-spectrum layout
+# The full-complex routes that the half-spectrum (rfftn) layout replaced
+# stay here as oracles.
+
+def full_random_divfree(grid, spectrum_exponent, k_max, seed):
+    """The full-complex synthesis: fftn of the white noise, ifftn back."""
+    rng = np.random.default_rng(seed)
+    white = rng.standard_normal(grid.shape)
+    psi_hat = np.fft.fftn(white) / (grid.n**grid.d)
+    mag = F._mode_magnitude(grid.d, grid.n)
+    amp = np.zeros_like(mag)
+    band = (mag >= 1.0) & (mag <= k_max)
+    amp[band] = mag[band] ** (-(spectrum_exponent + 2.0) / 2.0)
+    psi_hat = psi_hat * amp
+    kk = F._deriv_modes(grid.d, grid.n)
+    u_hat = np.stack([-1j * kk[1] * psi_hat, 1j * kk[0] * psi_hat])
+    return u_hat, F.inverse(F.SpecField(grid, u_hat))
+
+
+def rel_max(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+@pytest.mark.parametrize("n, p, k_max", [(16, 3.0, 7), (64, 3.0, 20),
+                                         (256, 3.0, 127)])
+def test_random_divfree_matches_full_complex_oracle(n, p, k_max):
+    g = F.Grid(2, n)
+    full_coef, full = full_random_divfree(g, p, k_max, seed=n)
+    u = F.random_divfree(g, p, k_max, seed=n)
+    assert rel_max(u.values, full.values) <= 1e-13
+    coef = F._divfree_coef(g, p, k_max, seed=n)
+    assert coef.shape == (2, n, n // 2 + 1)
+    assert rel_max(coef, F._half(full_coef, g)) <= 1e-13
+
+
+def test_half_layout_helpers():
+    g = F.Grid(2, 16)
+    assert F._half(F._modes(2, 16), g).shape == (2, 16, 9)
+    # views of the cached full-layout arrays, no copies
+    assert F._half(F._mode_magnitude(2, 16), g).base is not None
+    w = F._half_weight(16)
+    assert w.shape == (9,) and w[0] == w[-1] == 1.0 and np.all(w[1:-1] == 2.0)
+    ones = np.ones((3, 16, 16), complex)
+    assert np.all(F._power(ones, g) == 1.0)
+    assert np.all(F._power(ones[..., :9], g) == w)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_parseval_sums_agree_across_layouts(d):
+    g = F.Grid(d, 32)
+    rng = np.random.default_rng(20 + d)
+    values = rng.standard_normal((3, 2) + g.shape)
+    full = F._parseval_sq(F._spectrum(values, g), g)
+    half = F._parseval_sq(F._half_spectrum(values, g), g)
+    grid_sq = g.cell_volume * (values**2).sum(axis=tuple(range(2, 2 + d)))
+    assert np.all(np.abs(half - full) <= 1e-13 * full)
+    assert np.all(np.abs(half - grid_sq) <= 1e-13 * grid_sq)
+    back = F._half_synthesize(F._half_spectrum(values, g), g)
+    assert rel_max(back, values) <= 1e-14
+
+
+def test_divergence_norms_half_matches_full():
+    g = F.Grid(2, 32)
+    rng = np.random.default_rng(23)
+    # On the Nyquist rows the full layout's multiplier -n/2 is not odd, so
+    # the layouts agree on fields without Nyquist content: every field the
+    # package differentiates (synthesis and the dealiased solver).
+    values = F._synthesize(F._leq_coef(
+        F._spectrum(rng.standard_normal((4, 2) + g.shape), g), g,
+        g.n // 2 - 1), g)
+    full = F._divergence_norms(F._spectrum(values, g), g)
+    half = F._divergence_norms(F._half_spectrum(values, g), g)
+    assert np.all(np.abs(half - full) <= 1e-13 * full)
+    # a divergence-free ensemble reads roundoff in both layouts
+    u = np.stack([F.random_divfree(g, 3.0, 10, seed=s).values
+                  for s in range(4)])
+    norm = np.sqrt(g.cell_volume * (u**2).sum())
+    full = F._divergence_norms(F._spectrum(u, g), g)
+    half = F._divergence_norms(F._half_spectrum(u, g), g)
+    assert np.all(np.abs(half - full) <= 1e-15 * norm)
+
+
+def test_sobolev_norm_matches_full_complex_oracle():
+    g = F.Grid(2, 32)
+    rng = np.random.default_rng(24)
+    f = random_field(g, 2, rng)
+    mag2 = F._mode_magnitude(g.d, g.n) ** 2
+    for s in (-1.0, 0.5, 2.0):
+        oracle = np.sqrt(g.volume * np.sum((1.0 + mag2) ** s
+                                           * np.abs(F.forward(f).coef) ** 2))
+        assert abs(F.sobolev_norm(f, s) - oracle) <= 1e-13 * oracle

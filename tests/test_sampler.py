@@ -252,3 +252,27 @@ def test_pipeline_mse_controls_w1_every_step():
         ]))
         assert w1 <= w2 + 1e-12
         assert w2 <= rms + 1e-12
+
+
+def full_hminus1_pair_norms(bundle):
+    """The full-complex route that the half-spectrum H^-1 norms replaced."""
+    g = bundle.grid
+    axes = tuple(range(3, 3 + g.d))
+    coef = np.fft.fftn(bundle.states, axes=axes) / (g.n**g.d)
+    return coef, 1.0 / (1.0 + F._mode_magnitude(g.d, g.n) ** 2)
+
+
+def test_hminus1_pair_norms_match_full_complex_oracle():
+    spec = SA.KernelSpec("rectified-flow", internal_steps=4, perturbation=0.3)
+    bundle = make_bundle(spec, n_steps=1)
+    g = bundle.grid
+    coef, weight = bundle.hminus1_pair_norms()
+    assert coef.shape[-1] == g.n // 2 + 1
+    full_coef, full_weight = full_hminus1_pair_norms(bundle)
+    C = bundle.states.shape[1]
+    for c1, c2 in ((0, C - 1), (1, 2), (0, 1)):
+        half = (weight * (np.abs(coef[:, c2] - coef[:, c1]) ** 2).sum(axis=1)
+                ).sum(axis=(1, 2))
+        full = (full_weight * (np.abs(full_coef[:, c2] - full_coef[:, c1]) ** 2
+                               ).sum(axis=1)).sum(axis=(1, 2))
+        assert np.all(np.abs(half - full) <= 1e-13 * full)

@@ -445,3 +445,48 @@ def test_cli_transport_sinkhorn_uses_one_matrix(tmp_path, monkeypatch, capsys):
     assert main(["transport", "--a", a, "--b", b, "--out", str(tmp_path / "t"),
                  "--config", str(cfg)]) == 0
     assert calls == {"pairwise": 1, "certified": 2}
+
+
+def test_cli_metrics_fft_calls_do_not_grow_with_K_list(tmp_path, monkeypatch,
+                                                       capsys):
+    a, b = _write_pair(tmp_path)
+    counts = {}
+    for K_list in ([4], [4, 8, 16]):
+        calls = []
+        for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft",
+                     "rfftn", "irfftn", "fft2", "ifft2", "rfft2", "irfft2"):
+            def counted(*args, _f=getattr(np.fft, name), _name=name, **kw):
+                calls.append(_name)
+                return _f(*args, **kw)
+            monkeypatch.setattr(np.fft, name, counted)
+        cfg = tmp_path / "m.json"
+        cfg.write_text(json.dumps({"K_list": K_list}))
+        assert main(["metrics", "--a", a, "--b", b, "--config", str(cfg),
+                     "--out", str(tmp_path / f"m{len(K_list)}")]) == 0
+        monkeypatch.undo()
+        counts[len(K_list)] = sorted(calls)
+    # one forward transform per ensemble and one inverse of the stacked
+    # projections per ensemble (its two passes), whatever the number of K
+    assert counts[1] == counts[3] == ["ifft", "ifft", "irfft", "irfft",
+                                      "rfftn", "rfftn"]
+
+
+# ------------------------------------------------- half-spectrum layout
+
+def full_project_ensemble(e, K):
+    """The full-complex projection that the half-spectrum route replaced."""
+    coef = F._leq_coef(F._spectrum(e.values, e.grid), e.grid, K)
+    return E.Ensemble(e.grid, F._synthesize(coef, e.grid))
+
+
+@pytest.mark.parametrize("K", [1, 2.5, 4, 7])
+def test_project_ensemble_matches_full_complex_oracle(K):
+    rng = np.random.default_rng(27)
+    e = rand_ensemble(GRID, 5, 2, rng)
+    oracle = full_project_ensemble(e, K).values
+    proj = T.project_ensemble(e, K).values
+    assert np.abs(proj - oracle).max() <= 1e-13 * np.abs(oracle).max()
+    # the sweep's stacked projections are bitwise the single ones
+    stacked = T._projections(F._half_spectrum(e.values, GRID), GRID,
+                             [1, K, 8])
+    assert np.array_equal(stacked[1].values, proj)
