@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 all checks satisfied, 1 usage or I/O error, 2 at least one
-check failed (falsification).  Outputs are deterministic for a fixed
-config and seed; `--seed` is mandatory on stochastic commands.
+check failed (falsification), 3 internal failure (a failed certificate, a
+solver that did not converge, a NaN or a CFL guard trip).  Outputs are
+deterministic for a fixed config and seed; `--seed` is mandatory on
+stochastic commands.
 """
 
 from __future__ import annotations
@@ -157,6 +159,9 @@ def cmd_evolve(args) -> int:
     if cfg["checkpoints"] < 1:
         raise ValueError(f"evolve: checkpoints must be a positive integer, "
                          f"got {cfg['checkpoints']}")
+    if cfg["horizon"] <= 0:
+        raise ValueError(f"evolve: field horizon must be positive, "
+                         f"got {cfg['horizon']}")
     e, t0 = _read_initial_ensemble(args.ensemble)
     euler_cfg = EU.EulerConfig(e.grid, dt=cfg["dt"])
     times, ensembles = EU.evolve(e, euler_cfg, cfg["horizon"],
@@ -526,9 +531,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

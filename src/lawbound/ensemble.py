@@ -192,6 +192,17 @@ def pointwise_modulus(e: Ensemble, radii) -> StructureCurve:
     return StructureCurve(radii, vals, time_averaged=False)
 
 
+def _moduli(curve: LawCurve, radii) -> np.ndarray:
+    """omega_t(r) for every time of the curve, shape (times, radii)."""
+    return np.stack([pointwise_modulus(e, radii).values
+                     for e in curve.ensembles])
+
+
+def _time_average(curve: LawCurve, radii, moduli) -> StructureCurve:
+    integ = np.trapezoid(moduli ** 2, curve.times, axis=0)
+    return StructureCurve(radii, np.sqrt(integ), time_averaged=True)
+
+
 def structure_function(curve: LawCurve, radii) -> StructureCurve:
     """Time-averaged second-order structure function
 
@@ -199,19 +210,17 @@ def structure_function(curve: LawCurve, radii) -> StructureCurve:
 
     with trapezoidal time quadrature on the curve's grid."""
     radii = np.asarray(radii, dtype=np.float64)
-    per_time = np.stack([pointwise_modulus(e, radii).values ** 2
-                         for e in curve.ensembles])
-    integ = np.trapezoid(per_time, curve.times, axis=0)
-    return StructureCurve(radii, np.sqrt(integ), time_averaged=True)
+    return _time_average(curve, radii, _moduli(curve, radii))
 
 
 def pointwise_to_time_avg_gap(curve: LawCurve, radii) -> float:
-    """Max over r of S(r) - sqrt(T) * max_t omega_t(r); <= 0 up to round-off."""
+    """Max over r of S(r) - sqrt(T) * max_t omega_t(r); <= 0 up to round-off.
+
+    One set of per-time moduli feeds both S and the cap."""
     radii = np.asarray(radii, dtype=np.float64)
-    sf = structure_function(curve, radii).values
-    per_time = np.stack([pointwise_modulus(e, radii).values
-                         for e in curve.ensembles])
-    cap = np.sqrt(curve.horizon) * per_time.max(axis=0)
+    moduli = _moduli(curve, radii)
+    sf = _time_average(curve, radii, moduli).values
+    cap = np.sqrt(curve.horizon) * moduli.max(axis=0)
     return float(np.max(sf - cap))
 
 

@@ -382,8 +382,13 @@ def step(u, cfg: EulerConfig):
 
 
 def _steps_for(cfg: EulerConfig, t: float) -> int:
-    n_steps = int(round(t / cfg.dt))
-    if abs(n_steps * cfg.dt - t) > 1e-9 * max(t, cfg.dt):
+    steps = t / cfg.dt
+    if not 0.0 <= steps < np.inf:
+        raise ValueError(f"horizon {t} over dt={cfg.dt} is not a "
+                         f"non-negative, finite step count")
+    n_steps = int(round(steps))
+    if (abs(n_steps * cfg.dt - t) > 1e-9 * max(t, cfg.dt)
+            or (t > 0 and n_steps == 0)):
         raise ValueError(f"horizon {t} is not a multiple of dt={cfg.dt}")
     return n_steps
 

@@ -1,4 +1,4 @@
-"""Persistence: LBF1 field files, JSON manifests, reports, CSV curves.
+"""Persistence: LBF files, JSON manifests, reports, CSV curves.
 
 All JSON is written canonically (sorted keys, fixed separators) so that
 identical configurations and results serialize to identical bytes; wall
@@ -14,6 +14,7 @@ import json
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,15 +44,25 @@ SCHEMA_VERSION = 1
 _MAGIC = b"LBF1"
 
 
-# ------------------------------------------------------------------- LBF1
+# -------------------------------------------------------------------- LBF
 
-def write_lbf(path, f: GridField) -> None:
-    g = f.grid
+def _write_lbf(path, grid: Grid, values: np.ndarray, size=None) -> None:
+    """Write `values` (m, *shape) as version 1, or (size, m, *shape) as
+    version 2, whose header adds the u32 member count after the grid."""
+    payload = np.ascontiguousarray(values, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<IBBH", 1, g.d, f.m, 0))
-        fh.write(struct.pack(f"<{g.d}I", *([g.n] * g.d)))
-        fh.write(f.values.astype("<f8").tobytes(order="C"))
+        fh.write(struct.pack("<IBBH", 1 if size is None else 2, grid.d,
+                             payload.shape[-grid.d - 1], 0))
+        fh.write(struct.pack(f"<{grid.d}I", *([grid.n] * grid.d)))
+        if size is not None:
+            fh.write(struct.pack("<I", size))
+        fh.write(memoryview(payload).cast("B"))
+
+
+def write_lbf(path, f: GridField) -> None:
+    """Write one field as a version-1 LBF file."""
+    _write_lbf(path, f.grid, f.values)
 
 
 def _read_exact(fh, size: int, path) -> bytes:
@@ -62,12 +73,13 @@ def _read_exact(fh, size: int, path) -> bytes:
 
 
 def _read_header(fh, path) -> tuple:
-    """Check an LBF1 header and the file's exact length; returns (grid, m)."""
+    """Check an LBF header and the file's exact length; returns
+    (grid, m, N), N being the member count (1 for version 1)."""
     magic = fh.read(4)
     if magic != _MAGIC:
         raise ValueError(f"{path}: bad magic {magic!r}")
     version, d, m, reserved = struct.unpack("<IBBH", _read_exact(fh, 8, path))
-    if version != 1:
+    if version not in (1, 2):
         raise ValueError(f"{path}: unsupported version {version}")
     if reserved != 0:
         raise ValueError(f"{path}: nonzero reserved field")
@@ -78,14 +90,16 @@ def _read_header(fh, path) -> tuple:
         grid = Grid(d, ns[0])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    # the size check comes before any payload buffer is allocated
-    size = fh.tell() + 8 * m * grid.n**d
+    size = 1 if version == 1 else struct.unpack(
+        "<I", _read_exact(fh, 4, path))[0]
+    # the length check comes before any payload buffer is allocated
+    length = fh.tell() + 8 * size * m * grid.n**d
     actual = os.fstat(fh.fileno()).st_size
-    if actual < size:
+    if actual < length:
         raise ValueError(f"{path}: truncated LBF file")
-    if actual > size:
+    if actual > length:
         raise ValueError(f"{path}: trailing bytes after the payload")
-    return grid, m
+    return grid, m, size
 
 
 def _read_payload(fh, path, out: np.ndarray) -> None:
@@ -100,9 +114,11 @@ def _read_payload(fh, path, out: np.ndarray) -> None:
 
 
 def read_lbf(path) -> GridField:
-    """Read one LBF1 field; the file must end exactly at its payload."""
+    """Read one field; the file must end exactly at its payload."""
     with open(path, "rb") as fh:
-        grid, m = _read_header(fh, path)
+        grid, m, size = _read_header(fh, path)
+        if size != 1:
+            raise ValueError(f"{path}: holds {size} members, not one field")
         values = np.empty((m,) + grid.shape, dtype="<f8")
         _read_payload(fh, path, values)
     return GridField(grid, values)
@@ -110,23 +126,20 @@ def read_lbf(path) -> GridField:
 
 # -------------------------------------------------------------- manifests
 
-def write_ensemble(directory, e: Ensemble, time: float = 0.0,
-                   prefix: str = "member") -> Path:
-    """Write members as LBF1 files plus a JSON manifest; returns its path."""
+def write_ensemble(directory, e: Ensemble, time: float = 0.0) -> Path:
+    """Write the members as one version-2 LBF file, `ensemble.lbf`, plus
+    the JSON manifest `ensemble.json` naming it; returns the manifest path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    names = []
-    for i in range(e.size):
-        name = f"{prefix}_{i:04d}.lbf"
-        write_lbf(directory / name, e.member(i))
-        names.append(name)
+    _write_lbf(directory / "ensemble.lbf", e.grid, e.values, size=e.size)
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "kind": "ensemble",
         "grid": {"d": e.grid.d, "n": e.grid.n},
         "m": e.m,
         "time": time,
-        "members": names,
+        "members": "ensemble.lbf",
+        "size": e.size,
     }
     path = directory / "ensemble.json"
     path.write_text(canonical_json(manifest) + "\n")
@@ -198,8 +211,10 @@ def _is_name(v) -> bool:
 def read_ensemble(manifest_path) -> tuple:
     """Returns (Ensemble, time).
 
-    Every member file must carry the manifest's grid and component count;
-    the members are read straight into one (N, m, *shape) array."""
+    `members` names one version-2 file holding `size` members, or lists
+    one version-1 file per member.  Every file must carry the manifest's
+    grid, component count and member count; the members are read straight
+    into one (N, m, *shape) array."""
     path = Path(manifest_path)
     doc = _load_manifest(path, "ensemble")
     spec = _field(doc, "grid", lambda v: isinstance(v, dict)
@@ -208,10 +223,17 @@ def read_ensemble(manifest_path) -> tuple:
     m = _field(doc, "m", lambda v: _is_int(v) and v >= 1,
                "a positive integer", path)
     time = float(_field(doc, "time", _is_time, "a finite number", path))
-    names = _field(doc, "members", _is_list_of(_is_name),
-                   "a non-empty list of file names", path)
-    values = None
-    for i, name in enumerate(names):
+    names = _field(doc, "members", lambda v: _is_name(v)
+                   or _is_list_of(_is_name)(v),
+                   "a file name or a non-empty list of file names", path)
+    if isinstance(names, str):
+        sizes = [_field(doc, "size", lambda v: _is_int(v) and v >= 1,
+                        "a positive integer", path)]
+        names = [names]
+    else:
+        sizes = [1] * len(names)
+    values, start = None, 0
+    for name, size in zip(names, sizes):
         member = path.parent / name
         try:
             fh = open(member, "rb")
@@ -219,15 +241,18 @@ def read_ensemble(manifest_path) -> tuple:
             raise ValueError(f"{path}: field members: cannot open "
                              f"{name!r}: {exc}") from None
         with fh:
-            grid, m_file = _read_header(fh, member)
-            if (grid.d, grid.n, m_file) != (spec["d"], spec["n"], m):
+            grid, m_file, size_file = _read_header(fh, member)
+            if (grid.d, grid.n, m_file, size_file) != (spec["d"], spec["n"],
+                                                       m, size):
                 raise ValueError(
-                    f"{path}: fields grid and m (d={spec['d']}, "
-                    f"n={spec['n']}, m={m}) disagree with member {member} "
-                    f"(d={grid.d}, n={grid.n}, m={m_file})")
+                    f"{path}: fields grid, m and size (d={spec['d']}, "
+                    f"n={spec['n']}, m={m}, size={size}) disagree with "
+                    f"{member} (d={grid.d}, n={grid.n}, m={m_file}, "
+                    f"size={size_file})")
             if values is None:
-                values = np.empty((len(names), m) + grid.shape, dtype="<f8")
-            _read_payload(fh, member, values[i])
+                values = np.empty((sum(sizes), m) + grid.shape, dtype="<f8")
+            _read_payload(fh, member, values[start:start + size])
+            start += size
     return Ensemble(grid, values), time
 
 
@@ -345,8 +370,9 @@ def strip_timing(report_text: str) -> str:
 def validate_config(config: dict, allowed: dict, command: str) -> dict:
     """Reject unknown keys, check the schema version, fill defaults.
 
-    `allowed` maps key -> (type or tuple of types, default); a default of
-    None and absence of the key is an error.
+    `allowed` maps key -> (type, default); a default of None and absence
+    of the key is an error.  Numbers must be finite, and a bool is not a
+    number.
     """
     if not isinstance(config, dict):
         raise ValueError(f"{command}: config must be a JSON object")
@@ -360,10 +386,15 @@ def validate_config(config: dict, allowed: dict, command: str) -> dict:
     for key, (types, default) in allowed.items():
         if key in config:
             val = config[key]
-            if types is float and isinstance(val, int):
-                val = float(val)
-            if not isinstance(val, types):
+            if types is float and _is_int(val):
+                big = abs(val) > sys.float_info.max
+                val = math.inf if big else float(val)
+            if not isinstance(val, types) or (isinstance(val, bool)
+                                              and types is not bool):
                 raise ValueError(f"{command}: field {key} has wrong type")
+            if isinstance(val, float) and not math.isfinite(val):
+                raise ValueError(f"{command}: field {key} must be a finite "
+                                 f"number, got {val}")
             out[key] = val
         elif default is None:
             raise ValueError(f"{command}: missing required field {key}")

@@ -18,7 +18,29 @@ def rand_field(seed, m=2, grid=GRID):
     return F.GridField(grid, rng.standard_normal((m,) + grid.shape))
 
 
-# -------------------------------------------------------------------- LBF1
+def write_ensemble_v1(directory, e, time=0.0, prefix="member"):
+    """The version-1 layout: one LBF1 file per member plus a manifest
+    listing them (the writer `write_ensemble` used before version 2)."""
+    directory.mkdir(parents=True, exist_ok=True)
+    names = []
+    for i in range(e.size):
+        name = f"{prefix}_{i:04d}.lbf"
+        RP.write_lbf(directory / name, e.member(i))
+        names.append(name)
+    manifest = {
+        "schema_version": RP.SCHEMA_VERSION,
+        "kind": "ensemble",
+        "grid": {"d": e.grid.d, "n": e.grid.n},
+        "m": e.m,
+        "time": time,
+        "members": names,
+    }
+    path = directory / "ensemble.json"
+    path.write_text(RP.canonical_json(manifest) + "\n")
+    return path
+
+
+# --------------------------------------------------------------------- LBF
 
 def test_lbf_round_trip(tmp_path):
     f = rand_field(0)
@@ -60,6 +82,25 @@ def test_lbf_header_layout(tmp_path):
     assert len(raw) == 20 + 16 * 16 * 8
 
 
+def test_lbf_v2_ensemble_file_layout(tmp_path):
+    e = E.Ensemble(GRID, np.random.default_rng(5).standard_normal(
+        (3, 2) + GRID.shape))
+    RP.write_ensemble(tmp_path, e)
+    raw = (tmp_path / "ensemble.lbf").read_bytes()
+    assert raw[:4] == b"LBF1"
+    assert int.from_bytes(raw[4:8], "little") == 2
+    assert raw[8] == 2 and raw[9] == 2            # d, m
+    assert int.from_bytes(raw[10:12], "little") == 0
+    assert int.from_bytes(raw[12:16], "little") == 16
+    assert int.from_bytes(raw[16:20], "little") == 16
+    assert int.from_bytes(raw[20:24], "little") == 3   # member count
+    assert raw[24:] == e.values.astype("<f8").tobytes()
+    doc = json.loads((tmp_path / "ensemble.json").read_text())
+    assert doc["members"] == "ensemble.lbf" and doc["size"] == 3
+    with pytest.raises(ValueError, match="not one field"):
+        RP.read_lbf(tmp_path / "ensemble.lbf")
+
+
 # --------------------------------------------------------------- manifests
 
 def test_ensemble_manifest_round_trip(tmp_path):
@@ -68,6 +109,34 @@ def test_ensemble_manifest_round_trip(tmp_path):
     back, t = RP.read_ensemble(manifest)
     assert t == 0.25
     assert np.array_equal(back.values, e.values)
+
+
+def test_v1_member_directory_reads_equal_to_its_v2_rewrite(tmp_path):
+    e = E.Ensemble(GRID, np.random.default_rng(6).standard_normal(
+        (5, 2) + GRID.shape))
+    old, t_old = RP.read_ensemble(write_ensemble_v1(tmp_path / "v1", e, 0.5))
+    new, t_new = RP.read_ensemble(RP.write_ensemble(tmp_path / "v2", old,
+                                                    t_old))
+    assert t_old == t_new == 0.5
+    assert old.values.tobytes() == new.values.tobytes() == e.values.tobytes()
+    assert sorted(p.name for p in (tmp_path / "v2").iterdir()) == [
+        "ensemble.json", "ensemble.lbf"]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("size", 4), ("size", 2), ("m", 1), ("grid", {"d": 2, "n": 8}),
+    ("grid", {"d": 1, "n": 16})])
+def test_read_ensemble_rejects_v2_file_that_disagrees(tmp_path, field, value):
+    e = E.Ensemble(GRID, np.random.default_rng(7).standard_normal(
+        (3, 2) + GRID.shape))
+    manifest = RP.write_ensemble(tmp_path, e)
+    doc = json.loads(manifest.read_text())
+    doc[field] = value
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="disagree") as info:
+        RP.read_ensemble(manifest)
+    assert str(info.value).startswith(str(manifest) + ":")
+    assert str(tmp_path / "ensemble.lbf") in str(info.value)
 
 
 def test_lawcurve_manifest_round_trip(tmp_path):
@@ -169,8 +238,8 @@ def test_cli_gen_deterministic(tmp_path, capsys):
     for out in ("r1", "r2"):
         assert main(["gen", "--seed", "7", "--out", str(tmp_path / out),
                      "--config", str(cfg)]) == 0
-    b1 = (tmp_path / "r1" / "member_0000.lbf").read_bytes()
-    b2 = (tmp_path / "r2" / "member_0000.lbf").read_bytes()
+    b1 = (tmp_path / "r1" / "ensemble.lbf").read_bytes()
+    b2 = (tmp_path / "r2" / "ensemble.lbf").read_bytes()
     assert b1 == b2
     r1 = RP.strip_timing((tmp_path / "r1" / "report.json").read_text())
     r2 = RP.strip_timing((tmp_path / "r2" / "report.json").read_text())
@@ -265,6 +334,56 @@ def test_cli_evolve_nonpositive_checkpoints_exit_1(tmp_path, capsys, via_flag,
     assert len(err.splitlines()) == 1 and "checkpoints" in err
 
 
+@pytest.mark.parametrize("text", ['{"horizon": Infinity}', '{"horizon": NaN}',
+                                  '{"horizon": -1.0}', '{"horizon": 0}',
+                                  '{"dt": -Infinity}'])
+def test_cli_evolve_rejects_bad_values_naming_the_field(tmp_path, capsys,
+                                                        text):
+    _gen_pair(tmp_path)
+    evo_cfg = tmp_path / "e.json"
+    evo_cfg.write_text(text)
+    capsys.readouterr()
+    assert main(["evolve", "--ensemble", str(tmp_path / "a" / "ensemble.json"),
+                 "--out", str(tmp_path / "evo"),
+                 "--config", str(evo_cfg)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert f"evolve: field {next(iter(json.loads(text)))}" in err
+
+
+def test_cli_evolve_cfl_trip_exit_3(tmp_path, capsys):
+    _gen_pair(tmp_path)
+    evo_cfg = tmp_path / "e.json"
+    evo_cfg.write_text(json.dumps({"dt": 4.0, "horizon": 4.0,
+                                   "checkpoints": 1}))
+    capsys.readouterr()
+    assert main(["evolve", "--ensemble", str(tmp_path / "a" / "ensemble.json"),
+                 "--out", str(tmp_path / "evo"),
+                 "--config", str(evo_cfg)]) == 3
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "CFL violation" in err
+
+
+def test_cli_transport_failed_certificate_exit_3(tmp_path, capsys,
+                                                 monkeypatch):
+    from lawbound import transport as T
+
+    _gen_pair(tmp_path)
+    certify = T._certify_duals
+
+    def shifted(cost, perm, u, v, tol=1e-8):
+        # duals raised by one are infeasible, so the real certificate fails
+        certify(cost, perm, u + 1.0, v, tol)
+
+    monkeypatch.setattr(T, "_certify_duals", shifted)
+    capsys.readouterr()
+    assert main(["transport", "--a", str(tmp_path / "a" / "ensemble.json"),
+                 "--b", str(tmp_path / "b" / "ensemble.json"),
+                 "--out", str(tmp_path / "tr")]) == 3
+    err = capsys.readouterr().err.strip()
+    assert err == "error: assignment dual infeasible: solver bug"
+
+
 def test_cli_evolve_divergence_column_matches_member_loop(tmp_path):
     gen_cfg = tmp_path / "gen.json"
     gen_cfg.write_text(json.dumps({"n": 16, "members": 4, "k_max": 4}))
@@ -350,7 +469,7 @@ def _gen_pair(tmp_path, members=2, n=16):
 @pytest.mark.parametrize("damage", ["trailing", "truncated"])
 def test_cli_transport_rejects_bad_lbf_length(tmp_path, capsys, damage):
     _gen_pair(tmp_path)
-    member = tmp_path / "a" / "member_0001.lbf"
+    member = tmp_path / "a" / "ensemble.lbf"
     data = member.read_bytes()
     member.write_bytes(data + b"\0" * 8 if damage == "trailing" else data[:-8])
     capsys.readouterr()
@@ -413,7 +532,8 @@ def test_cli_evolve_identical_across_worker_counts(tmp_path, threads):
         outs.append(out)
     files = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*")
                    if p.is_file())
-    assert sum(p.suffix == ".lbf" for p in files) == 3 * 17
+    # one data file per checkpoint
+    assert sum(p.suffix == ".lbf" for p in files) == 3
     assert files == sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*")
                            if p.is_file())
     for rel in files:
@@ -486,7 +606,9 @@ def test_cli_transport_rejects_non_object_manifest(tmp_path, capsys, text):
 
 
 def test_read_ensemble_names_the_member_that_disagrees(tmp_path):
-    _gen_pair(tmp_path)
+    e = E.Ensemble(GRID, np.random.default_rng(8).standard_normal(
+        (2, 2) + GRID.shape))
+    write_ensemble_v1(tmp_path / "a", e)
     member = tmp_path / "a" / "member_0001.lbf"
     RP.write_lbf(member, rand_field(5, m=1))
     with pytest.raises(ValueError, match="disagree") as info:
@@ -527,6 +649,9 @@ def test_lawcurve_manifest_rejects_bad_time_order(tmp_path):
 
 # ------------------------------------------------------------ reader fuzz
 
+import contextlib  # noqa: E402
+import io  # noqa: E402
+import math  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -544,17 +669,27 @@ json_values = st.recursive(
 
 
 @st.composite
-def lbf_bytes(draw):
-    """A valid LBF1 file, then maybe cut, extended or with bytes replaced."""
+def lbf_bytes(draw, ensemble=False):
+    """A valid LBF file, then maybe cut, extended or with bytes replaced.
+
+    Returns (file bytes, manifest text): a version-1 field file and no
+    manifest, or with `ensemble` a version-2 file of 1-3 members and the
+    ensemble manifest written with it."""
     d = draw(st.sampled_from([1, 2]))
     m = draw(st.integers(1, 2))
+    size = draw(st.integers(1, 3)) if ensemble else 1
+    count = size * m * 8**d
     values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
-                           min_size=m * 8**d, max_size=m * 8**d))
+                           min_size=count, max_size=count))
+    grid = F.Grid(d, 8)
+    values = np.array(values).reshape((size, m) + grid.shape)
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "f.lbf"
-        grid = F.Grid(d, 8)
-        RP.write_lbf(path, F.GridField(
-            grid, np.array(values).reshape((m,) + grid.shape)))
+        if ensemble:
+            manifest = RP.write_ensemble(Path(tmp), E.Ensemble(grid, values))
+            path, text = Path(tmp) / "ensemble.lbf", manifest.read_text()
+        else:
+            path, text = Path(tmp) / "f.lbf", None
+            RP.write_lbf(path, F.GridField(grid, values[0]))
         data = bytearray(path.read_bytes())
     edit = draw(st.sampled_from(["none", "cut", "extend", "replace"]))
     if edit == "cut":
@@ -565,12 +700,13 @@ def lbf_bytes(draw):
         at = draw(st.integers(0, len(data) - 1))
         patch = draw(st.binary(min_size=1, max_size=8))
         data[at:at + len(patch)] = patch
-    return bytes(data)
+    return bytes(data), text
 
 
 @FUZZ
 @given(lbf_bytes())
-def test_fuzz_lbf_reader_round_trips_or_names_the_file(data):
+def test_fuzz_lbf_reader_round_trips_or_names_the_file(drawn):
+    data, _ = drawn
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "f.lbf"
         path.write_bytes(data)
@@ -584,18 +720,44 @@ def test_fuzz_lbf_reader_round_trips_or_names_the_file(data):
         assert again.read_bytes() == data
 
 
+@FUZZ
+@given(lbf_bytes(ensemble=True))
+def test_fuzz_lbf_ensemble_file_round_trips_or_names_the_file(drawn):
+    data, text = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ensemble.lbf"
+        path.write_bytes(data)
+        (Path(tmp) / "ensemble.json").write_text(text)
+        try:
+            e, t = RP.read_ensemble(Path(tmp) / "ensemble.json")
+        except ValueError as exc:
+            assert str(path) in str(exc)
+            return
+        RP.write_ensemble(Path(tmp) / "again", e, t)
+        assert (Path(tmp) / "again" / "ensemble.lbf").read_bytes() == data
+
+
 _FUZZ_DIR = tempfile.TemporaryDirectory()
 
 
 def _fuzz_curve():
-    """A written two-entry law curve, made once for the manifest fuzz."""
+    """A written two-entry law curve, made once for the manifest fuzz.
+
+    Its first entry is rewritten in the version-1 layout; the directory
+    keeps the version-2 file and its manifest as `v2.json`, so a member
+    list may name files of both layouts."""
     root = Path(_FUZZ_DIR.name)
     manifest = root / "curve" / "lawcurve.json"
     if not manifest.exists():
         rng = np.random.default_rng(40)
-        RP.write_lawcurve(root / "curve", E.LawCurve(
-            [0.0, 0.5], [E.Ensemble(F.Grid(2, 8), rng.standard_normal(
-                (2, 2, 8, 8))) for _ in range(2)]))
+        curve = E.LawCurve([0.0, 0.5], [E.Ensemble(F.Grid(2, 8),
+                                                   rng.standard_normal(
+                                                       (2, 2, 8, 8)))
+                                        for _ in range(2)])
+        RP.write_lawcurve(root / "curve", curve)
+        first = root / "curve" / "t_0000"
+        (first / "ensemble.json").rename(first / "v2.json")
+        write_ensemble_v1(first, curve.ensembles[0])
     return manifest
 
 
@@ -608,17 +770,25 @@ def _mutate(draw, doc, keys):
     return doc
 
 
+_FUZZ_NAMES = ["member_0000.lbf", "member_0001.lbf", "ensemble.lbf",
+               "missing.lbf", "", "."]
+
+
 @FUZZ
 @given(st.data())
 def test_fuzz_ensemble_manifest_reads_or_names_the_field(data):
-    base = _fuzz_curve().parent / "t_0000" / "ensemble.json"
-    doc = _mutate(data.draw, json.loads(base.read_text()),
-                  ["schema_version", "kind", "grid", "m", "time", "members"])
-    if data.draw(st.booleans()):
-        doc["members"] = data.draw(st.lists(st.sampled_from(
-            ["member_0000.lbf", "member_0001.lbf", "missing.lbf", "", "."]),
-            max_size=3))
-    path = base.parent / "fuzz.json"
+    base = _fuzz_curve().parent / "t_0000"
+    layout = data.draw(st.sampled_from(["ensemble.json", "v2.json"]))
+    doc = _mutate(data.draw, json.loads((base / layout).read_text()),
+                  ["schema_version", "kind", "grid", "m", "time", "members",
+                   "size"])
+    members = data.draw(st.sampled_from(["keep", "list", "name"]))
+    if members == "list":
+        doc["members"] = data.draw(st.lists(st.sampled_from(_FUZZ_NAMES),
+                                            max_size=3))
+    elif members == "name":
+        doc["members"] = data.draw(st.sampled_from(_FUZZ_NAMES))
+    path = base / "fuzz.json"
     path.write_text(json.dumps(doc))
     try:
         e, t = RP.read_ensemble(path)
@@ -626,8 +796,14 @@ def test_fuzz_ensemble_manifest_reads_or_names_the_field(data):
         assert str(exc).startswith(str(path) + ":")
         return
     assert t == doc["time"]
-    assert np.array_equal(e.values, np.stack(
-        [RP.read_lbf(base.parent / name).values for name in doc["members"]]))
+    # what each file holds: member i in the version-1 files, both in one
+    # version-2 file
+    first = RP.read_ensemble(base / "v2.json")[0].values
+    held = {"member_0000.lbf": first[:1], "member_0001.lbf": first[1:],
+            "ensemble.lbf": first}
+    names = [doc["members"]] if isinstance(doc["members"], str) \
+        else doc["members"]
+    assert np.array_equal(e.values, np.concatenate([held[n] for n in names]))
 
 
 @FUZZ
@@ -655,3 +831,67 @@ def test_fuzz_lawcurve_manifest_reads_or_names_the_field(data):
         assert any(str(exc).startswith(name + ":") for name in named)
         return
     assert curve.times.tolist() == [entry["time"] for entry in doc["entries"]]
+
+
+# ------------------------------------------------------------ config fuzz
+
+_CONFIG_FIELDS = {"i": (int, 1), "f": (float, 0.5), "b": (bool, False),
+                  "s": (str, "x"), "l": (list, []), "r": (float, None)}
+
+
+@FUZZ
+@given(st.dictionaries(st.sampled_from(sorted(_CONFIG_FIELDS) + [
+    "schema_version", "zz"]), json_values, max_size=4))
+def test_fuzz_validate_config_returns_typed_values_or_names_the_field(config):
+    try:
+        out = RP.validate_config(config, _CONFIG_FIELDS, "cmd")
+    except ValueError as exc:
+        msg = str(exc)
+        assert msg.startswith("cmd: ") and len(msg.splitlines()) == 1
+        assert any(key in msg for key in config) or "field r" in msg
+        return
+    for key, (types, _) in _CONFIG_FIELDS.items():
+        assert isinstance(out[key], types)
+        assert types is bool or not isinstance(out[key], bool)
+        if types is float:
+            assert math.isfinite(out[key])
+
+
+_EVOLVE_VALUES = {
+    "dt": [0.0125, 0.00625, 0, -0.0125, 5e-324, 1e308, math.nan, math.inf,
+           "0.01", True, None, [0.01]],
+    "horizon": [0.025, 0.0125, 0.03, 1.0, 0, -1.0, 5e-324, 1e308, math.nan,
+                math.inf, -math.inf, "1", False, {}],
+    "checkpoints": [1, 2, 3, 8, 0, -1, 2**64, 1.5, True, "2", None],
+    "bogus": [1],
+}
+
+
+@FUZZ
+@given(st.data())
+def test_fuzz_cli_evolve_config_runs_or_names_the_field(data):
+    root = Path(_FUZZ_DIR.name)
+    manifest = root / "evolve" / "ensemble.json"
+    if not manifest.exists():
+        RP.write_ensemble(manifest.parent, E.Ensemble.from_fields(
+            [F.random_divfree(GRID, 3.0, 4, seed=i) for i in range(2)]))
+    keys = data.draw(st.lists(st.sampled_from(sorted(_EVOLVE_VALUES)),
+                              unique=True))
+    config = {key: data.draw(st.sampled_from(_EVOLVE_VALUES[key]))
+              for key in keys}
+    (root / "evolve.json").write_text(json.dumps(config))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(["evolve", "--ensemble", str(manifest), "--out", out,
+                     "--config", str(root / "evolve.json")])
+    lines = err.getvalue().splitlines()
+    if code in (0, 2):
+        return
+    # a usage error names a field; a CFL trip is an internal failure
+    assert len(lines) == 1, lines
+    if code == 1:
+        assert any(key in lines[0] for key in _EVOLVE_VALUES), lines
+    else:
+        assert code == 3 and "CFL" in lines[0], lines

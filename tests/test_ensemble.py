@@ -122,6 +122,29 @@ def test_pointwise_to_time_avg_bound_varying_curve():
     assert E.pointwise_to_time_avg_gap(curve, [4 * g.spacing]) <= 1e-9
 
 
+def test_pointwise_to_time_avg_gap_transforms_each_ensemble_once(monkeypatch):
+    g = F.Grid(2, 16)
+    curve = E.LawCurve(
+        np.linspace(0.0, 0.5, 3),
+        [grf_ensemble(g, 3, 0.5, 4, seed0=10 * j) for j in range(3)],
+    )
+    radii = np.array([2 * g.spacing, 4 * g.spacing])
+    # the route that transformed every ensemble twice
+    sf = E.structure_function(curve, radii).values
+    per_time = np.stack([E.pointwise_modulus(e, radii).values
+                         for e in curve.ensembles])
+    oracle = float(np.max(sf - np.sqrt(curve.horizon) * per_time.max(axis=0)))
+    calls = []
+
+    def counted(*args, _f=np.fft.rfftn, **kw):
+        calls.append(1)
+        return _f(*args, **kw)
+
+    monkeypatch.setattr(np.fft, "rfftn", counted)
+    assert E.pointwise_to_time_avg_gap(curve, radii) == oracle
+    assert len(calls) == 3
+
+
 def test_structure_curve_monotone_and_radius_guard():
     g = F.Grid(2, 64)
     e = grf_ensemble(g, 8, s=0.5, k_max=24, seed0=3)
