@@ -198,13 +198,17 @@ def cmd_sample(args) -> int:
         "store_paths": (bool, False),
     }, "sample")
     spec = _kernel_from_config(kernel_cfg)
+    if cfg["store_paths"] and not spec.starts_at_input:
+        raise ValueError("sample: field store_paths needs a kernel whose "
+                         "path starts at its input state (init 'delta', "
+                         "kind other than 'pf-ode')")
     e, _ = read_ensemble(args.ensemble)
     euler_cfg = EU.EulerConfig(e.grid, dt=cfg["reference_dt"])
     ref = EU.reference_step_map(euler_cfg, cfg["dt_phys"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report = Report("sample", cfg | {"kernel": kernel_cfg, "seed": args.seed})
-    if spec.init == "delta":
+    if spec.starts_at_input:
         bundle, curve = SA.rollout_paths(e, spec, ref, cfg["dt_phys"],
                                          cfg["n_steps"], int(args.seed))
         if cfg["store_paths"]:
@@ -221,16 +225,12 @@ def cmd_sample(args) -> int:
                 index["members"].append(names)
             (pdir / "index.json").write_text(json.dumps(index, sort_keys=True))
     else:
-        cur = e
-        times = [0.0]
-        ensembles = [cur]
+        ensembles = [e]
         for n in range(cfg["n_steps"]):
-            mapper = SA.kernel_map(spec, ref, int(args.seed), step=n)
-            cur = E.Ensemble.from_fields([mapper(cur.member(i), i)
-                                          for i in range(cur.size)])
-            times.append((n + 1) * cfg["dt_phys"])
-            ensembles.append(cur)
-        curve = E.LawCurve(np.array(times), ensembles)
+            ensembles.append(SA._step_endpoints(ensembles[-1], spec, ref,
+                                                int(args.seed), n))
+        curve = E.LawCurve(np.arange(cfg["n_steps"] + 1) * cfg["dt_phys"],
+                           ensembles)
     write_lawcurve(out / "curve", curve)
     report.extra = {"n_steps": cfg["n_steps"], "members": e.size}
     return _finish(report, out, started)

@@ -41,7 +41,6 @@ __all__ = [
     "StrainField",
     "step",
     "evolve",
-    "evolve_ensemble",
     "reference_step_map",
     "energy",
     "enstrophy",
@@ -321,6 +320,10 @@ def _march(values, cfg: EulerConfig, n_steps: int, snaps: dict) -> None:
     per-thread malloc arenas and raised peak RSS.  A guard trip raises what
     the whole batch stepped at once would raise: at the first tripped step,
     the CFL message from the batch's largest k1 speed, else the NaN guard.
+    Each block keeps only its k1 speeds at its own trip step: a block that
+    did not trip at step s has max speed <= cfl*h/dt, below that of any
+    block the CFL guard stopped at s, so the maximum over the blocks that
+    tripped first is the batch's.
     """
     n = cfg.grid.n
     N = len(values)
@@ -328,8 +331,8 @@ def _march(values, cfg: EulerConfig, n_steps: int, snaps: dict) -> None:
     blocks = [slice(i, min(i + rows, N)) for i in range(0, N, rows)]
     workers = min(worker_count(), len(blocks))
     w = np.empty((N, n, n // 2 + 1), complex)
-    speeds = np.empty((n_steps, 2, len(blocks)))   # k1 max|u|, max|v|
-    trips = [None] * len(blocks)                   # first tripped step
+    speeds = np.empty((len(blocks), 2))   # k1 max|u|, max|v| at the trip
+    trips = [None] * len(blocks)          # first tripped step
 
     def run(item):
         group, ws = item
@@ -344,8 +347,9 @@ def _march(values, cfg: EulerConfig, n_steps: int, snaps: dict) -> None:
                 return
             for b in list(live):
                 blk = blocks[b]
-                speeds[s, :, b], tripped = _rk4(w[blk], cfg, views[b])
+                step_speeds, tripped = _rk4(w[blk], cfg, views[b])
                 if tripped:
+                    speeds[b] = step_speeds
                     trips[b] = s
                     live.remove(b)
                 elif s + 1 in snaps:
@@ -359,8 +363,8 @@ def _march(values, cfg: EulerConfig, n_steps: int, snaps: dict) -> None:
         parallel_map(run, items)
     tripped = [s for s in trips if s is not None]
     if tripped:
-        s = min(tripped)
-        raise _guard_error((speeds[s, 0].max(), speeds[s, 1].max()), cfg)
+        first = [b for b, s in enumerate(trips) if s == min(tripped)]
+        raise _guard_error(tuple(speeds[first].max(axis=0)), cfg)
 
 
 def _push(u, cfg: EulerConfig, n_steps: int, marks) -> list:
@@ -415,14 +419,12 @@ def evolve(u, cfg: EulerConfig, t: float, checkpoints: int = 0):
             [u] + [type(u)(u.grid, x) for x in states])
 
 
-def evolve_ensemble(e: Ensemble, cfg: EulerConfig, t: float) -> Ensemble:
-    """Pushforward of an empirical law through the flow."""
-    return evolve(e, cfg, t)
-
-
 def reference_step_map(cfg: EulerConfig, dt_phys: float):
-    """The one-step reference map S_{dt_phys} as a plain callable."""
-    def apply(u: GridField) -> GridField:
+    """The one-step reference map S_{dt_phys} as a plain callable.
+
+    It maps a GridField to a GridField and an Ensemble to the Ensemble of
+    its pushed members, in one `evolve` call."""
+    def apply(u):
         return evolve(u, cfg, dt_phys)
     return apply
 
@@ -573,18 +575,14 @@ def w2_strain_bound_check(a: Ensemble, b: Ensemble, cfg: EulerConfig, t: float,
     over the checkpoints.  Also reports the worst-case comparison against
     max_x |S|.
     """
+    from .rollout import push_coupling
     from .transport import wasserstein_exact
 
     w2_0, plan = wasserstein_exact(a, b, p=2)
     b_aligned = Ensemble(b.grid, b.values[plan.permutation])
-    (times, path_a), (_, path_b) = parallel_map(
-        lambda e: evolve(e, cfg, t, checkpoints=checkpoints), [a, b_aligned])
-    lam = np.empty(checkpoints + 1)
-    sup_strain = np.empty(checkpoints + 1)
-    m_vals = np.empty(checkpoints + 1)
-    for c, (ua, vb) in enumerate(zip(path_a, path_b)):
-        lam[c], sup_strain[c], sq = _coupled_strain(ua, vb)
-        m_vals[c] = np.mean(sq)
+    times, path_a, path_b, lam, sup_strain, sq = push_coupling(
+        a, b_aligned, cfg, t, checkpoints)
+    m_vals = np.mean(sq, axis=1)
     w2_t, _ = wasserstein_exact(path_a[-1], path_b[-1], p=2)
     integral = float(np.trapezoid(lam, times))
     sup_integral = float(np.trapezoid(sup_strain, times))

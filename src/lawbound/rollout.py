@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import Ensemble
-from .euler import EulerConfig, evolve, lambda_coupled
+from .euler import EulerConfig, _coupled_strain, evolve
 from .runtime import parallel_map
-from .sampler import KernelSpec, sample_step
+from .sampler import KernelSpec, _step_endpoints
 from .transport import wasserstein_exact
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "gronwall_closed_form",
     "rollout_bound",
     "constant_coefficient_bound",
+    "push_coupling",
     "run_rollout_experiment",
 ]
 
@@ -40,29 +41,24 @@ class RolloutLedger:
     bounds: np.ndarray    # closed-form bound on delta_n, n = 0..N
 
     def __post_init__(self):
-        self.alphas = np.asarray(self.alphas, dtype=np.float64)
-        self.defects = np.asarray(self.defects, dtype=np.float64)
-        self.deltas = np.asarray(self.deltas, dtype=np.float64)
-        self.bounds = np.asarray(self.bounds, dtype=np.float64)
+        arrays = [np.asarray(arr, dtype=np.float64) for arr in
+                  (self.alphas, self.defects, self.deltas, self.bounds)]
+        self.alphas, self.defects, self.deltas, self.bounds = arrays
         N = len(self.alphas)
         if len(self.defects) != N or len(self.deltas) != N + 1 \
                 or len(self.bounds) != N + 1:
             raise ValueError("ledger length mismatch")
-        for arr in (self.alphas, self.defects, self.deltas, self.bounds):
+        for arr in arrays:
             if not np.all(np.isfinite(arr)) or np.any(arr < 0):
                 raise ValueError("ledger entries must be finite and nonnegative")
 
     def rows(self):
-        out = []
-        for n in range(len(self.alphas) + 1):
-            out.append({
-                "n": n,
-                "alpha": float(self.alphas[n - 1]) if n > 0 else 0.0,
-                "eps": float(self.defects[n - 1]) if n > 0 else 0.0,
-                "delta": float(self.deltas[n]),
-                "bound": float(self.bounds[n]),
-            })
-        return out
+        return [{"n": n,
+                 "alpha": float(self.alphas[n - 1]) if n > 0 else 0.0,
+                 "eps": float(self.defects[n - 1]) if n > 0 else 0.0,
+                 "delta": float(self.deltas[n]),
+                 "bound": float(self.bounds[n])}
+                for n in range(len(self.alphas) + 1)]
 
 
 def gronwall_closed_form(delta0: float, L, eps) -> np.ndarray:
@@ -105,6 +101,22 @@ def constant_coefficient_bound(delta0: float, alpha_bar: float,
                  + eps_bar * (np.exp(N * alpha_bar) - 1.0) / (ea - 1.0))
 
 
+def push_coupling(a: Ensemble, b_aligned: Ensemble, cfg: EulerConfig,
+                  t: float, checkpoints: int) -> tuple:
+    """Push the aligned coupling (a_i, b_aligned_i) through the flow over
+    [0, t], the two ensembles side by side.
+
+    Returns (times, path_a, path_b, lambda, max|S|, squared distances
+    (checkpoints+1, N)) at the checkpoints+1 times of `evolve`, from one
+    strain evaluation per checkpoint."""
+    (times, path_a), (_, path_b) = parallel_map(
+        lambda e: evolve(e, cfg, t, checkpoints=checkpoints), [a, b_aligned])
+    lam, sup_strain, sq = zip(*(_coupled_strain(ua, vb)
+                                for ua, vb in zip(path_a, path_b)))
+    return (times, path_a, path_b, np.array(lam), np.array(sup_strain),
+            np.array(sq))
+
+
 def run_rollout_experiment(a: Ensemble, b: Ensemble, cfg: EulerConfig,
                            model_spec: KernelSpec, n_steps: int,
                            dt_phys: float, master_seed,
@@ -123,63 +135,50 @@ def run_rollout_experiment(a: Ensemble, b: Ensemble, cfg: EulerConfig,
     if a.size != b.size:
         raise ValueError("ensembles must have equal member counts")
     grid = a.grid
-    mu = a
-    mu_hat = b
+    mu, mu_hat = a, b
     delta_0, plan = wasserstein_exact(mu, mu_hat, p=2)
     deltas = [delta_0]
-    alphas = []
-    defects = []
-    guard_events = []
+    alphas, defects, guard_events = [], [], []
 
     for n in range(n_steps):
         # plan: the optimal coupling of (mu, mu_hat) at the window start,
         # solved (and certified) at the end of the previous window
         try:
-            (times_ref, ref_a), (_, ref_b) = parallel_map(
-                lambda e: evolve(e, cfg, dt_phys,
-                                 checkpoints=checkpoints_per_window),
-                [mu, mu_hat])
+            times_ref, ref_a, ref_b, lam, _, _ = push_coupling(
+                mu, Ensemble(grid, mu_hat.values[plan.permutation]), cfg,
+                dt_phys, checkpoints_per_window)
         except RuntimeError as exc:
             # CFL/NaN guard tripped: the run left the admissible data class;
             # truncate here and report the event instead of failing
             guard_events.append({"window": n, "event": str(exc)})
             n_steps = n
             break
-
         # distance-weighted average strain along the pushed optimal coupling
-        order = plan.permutation
-        lam = [lambda_coupled(ua, Ensemble(grid, vb.values[order]))
-               for ua, vb in zip(ref_a, ref_b)]
         alphas.append(float(np.trapezoid(lam, times_ref)))
 
-        ref_push_hat = ref_b[-1]
-        model_out = Ensemble.from_fields([
-            sample_step(mu_hat.member(i), model_spec,
-                        lambda u, i=i: ref_push_hat.member(i),
-                        master_seed, member=i, step=n)[0]
-            for i in range(mu.size)
-        ])
+        # the model kernel acts on mu_hat's members in their own order
+        ref_push_hat = Ensemble(grid,
+                                ref_b[-1].values[np.argsort(plan.permutation)])
+        model_out = _step_endpoints(mu_hat, model_spec, lambda e: ref_push_hat,
+                                    master_seed, n)
         defects.append(wasserstein_exact(ref_push_hat, model_out, p=2)[0])
 
-        mu = ref_a[-1]
-        mu_hat = model_out
+        mu, mu_hat = ref_a[-1], model_out
         delta, plan = wasserstein_exact(mu, mu_hat, p=2)
         deltas.append(delta)
 
-    alphas = np.array(alphas)
-    defects = np.array(defects)
-    deltas = np.array(deltas)
-    bounds = rollout_bound(deltas[0], alphas, defects)
-    ledger = RolloutLedger(alphas, defects, deltas, bounds)
+    ledger = RolloutLedger(alphas, defects, deltas,
+                           rollout_bound(deltas[0], alphas, defects))
+    alphas, defects, deltas, bounds = (ledger.alphas, ledger.defects,
+                                       ledger.deltas, ledger.bounds)
 
-    per_step_ok = True
     violations = []
     for n in range(n_steps):
         rhs = np.exp(alphas[n]) * deltas[n] + defects[n]
         if deltas[n + 1] > rhs * (1 + slack):
-            per_step_ok = False
             violations.append({"n": n + 1, "delta": float(deltas[n + 1]),
                                "rhs": float(rhs)})
+    per_step_ok = not violations
     final_ok = bool(deltas[-1] <= bounds[-1] * (1 + slack) or bounds[-1] == 0
                     and deltas[-1] <= 1e-12)
     # a guard trip truncates the horizon; a shorter run proves nothing about

@@ -1,9 +1,10 @@
 """Worker-count control.
 
-LAWBOUND_THREADS caps the thread pools of `parallel_map`: the sampler's
-per-member loops, the pairs of ensembles pushed side by side through the
-Euler solver, the member blocks of one Euler march, and the row blocks of
-a distance matrix.  Each item is computed independently and results are
+LAWBOUND_THREADS caps the thread pools of `parallel_map`: the per-member
+seed draws of a sampler step, the pair of ensembles that
+`rollout.push_coupling` pushes side by side through the Euler solver, the
+member blocks of one Euler march, and the row blocks of a distance
+matrix.  Each item is computed independently and results are
 gathered in input order, so outputs do not depend on the worker count.
 """
 

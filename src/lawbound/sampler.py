@@ -7,8 +7,14 @@ straightness, Hoelder-from-action) can be measured directly.  No kernels
 are trained: the drift families are built around a supplied deterministic
 reference map, which is all the law-level diagnostics need.
 
+A kernel step acts on a whole ensemble: the reference map is called once
+on the Ensemble, each member's start state and drift data are drawn into
+one (N, m, *shape) batch, and one RK4 over internal time integrates the
+batch.  `sample_step` is the batch of one.
+
 Seed policy: member i at physical step n draws from a stream derived from
-(master_seed, i, n), so runs are reproducible and member-parallel safe.
+(master_seed, i, n), so runs are reproducible and do not depend on the
+batch a member travels in or on the worker count.
 """
 
 from __future__ import annotations
@@ -37,7 +43,6 @@ __all__ = [
     "PathBundle",
     "RegularityReport",
     "sample_step",
-    "kernel_map",
     "rollout_paths",
     "mixture_interpolation",
     "CylindricalObservable",
@@ -88,6 +93,12 @@ class KernelSpec:
         if self.kind == "pf-ode" and self.noise_scale <= 0:
             raise ValueError("pf-ode kernel needs noise_scale > 0")
 
+    @property
+    def starts_at_input(self) -> bool:
+        """Whether each internal path starts at its input state; pf-ode
+        starts from target + sigma * xi whatever `init` says."""
+        return self.init == "delta" and self.kind != "pf-ode"
+
 
 def _member_rng(master_seed, member: int, step: int):
     return np.random.default_rng(
@@ -105,14 +116,6 @@ def _expected_divfree_energy(grid: Grid, exponent: float, k_max: int) -> float:
     band = (mag >= 1.0) & (mag <= k_max)
     return float(grid.volume * np.sum(mag[band] ** (-exponent))
                  / grid.n**grid.d)
-
-
-def _unit_noise(spec: KernelSpec, grid: Grid, rng) -> np.ndarray:
-    """Divergence-free Gaussian draw normalized so E ||xi||_2^2 = 1."""
-    k_max = _noise_band(spec, grid)
-    draw = random_divfree(grid, spec.noise_exponent, k_max, seed=rng)
-    scale = np.sqrt(_expected_divfree_energy(grid, spec.noise_exponent, k_max))
-    return draw.values / scale
 
 
 @lru_cache(maxsize=16)
@@ -133,92 +136,113 @@ def _kernel_perturbation_field(spec: KernelSpec, grid: Grid, master_seed):
     return field
 
 
-class _KernelRealization:
-    """Per-member realization: start state, drift(x, tau), analytic endpoint."""
+class _KernelStep:
+    """One kernel step on the member batch of an Ensemble: start states
+    (N, m, *shape), the data of the drift, which is affine in x, and one
+    internal-time RK4 for every member.
 
-    def __init__(self, spec, u, target, rng, pert_field):
-        g = u.grid
+    The reference map is called once, on the whole ensemble (a GridField
+    target is the batch of one).  Member i draws its init, then endpoint,
+    noise from _member_rng(master_seed, members[i], step) in the calling
+    thread (drawn in pool threads, the buffers raised peak RSS through
+    per-thread malloc arenas); one `parallel_map` over members then writes
+    each start state and chord (target, for pf-ode) into the batch."""
+
+    def __init__(self, e: Ensemble, spec: KernelSpec, reference_map,
+                 master_seed, step: int, members=None):
+        grid, values = e.grid, e.values
+        members = range(e.size) if members is None else members
+        target = reference_map(e).values.reshape(values.shape)
         self.spec = spec
-        self.grid = g
-        y = target.values
-        if spec.init == "gaussian" and spec.noise_scale > 0:
-            start = u.values + spec.noise_scale * _unit_noise(spec, g, rng)
-        else:
-            start = u.values.copy()
+        self.start = np.empty_like(values)
+        self.aux = target if spec.kind == "pf-ode" else np.empty_like(values)
+        self.pert = _kernel_perturbation_field(spec, grid, master_seed)
+        k_max = _noise_band(spec, grid)
+        scale = np.sqrt(_expected_divfree_energy(grid, spec.noise_exponent,
+                                                 k_max))
+        wanted = (spec.init == "gaussian" and spec.noise_scale > 0,
+                  spec.kind in ("pf-ode", "perturbed-reference"))
+
+        def draws(i):
+            """Member i's init and endpoint noise (None where the kernel has
+            none), divergence-free draws normalized to E ||xi||_2^2 = 1."""
+            rng = _member_rng(master_seed, members[i], step)
+            return [random_divfree(grid, spec.noise_exponent, k_max,
+                                   seed=rng).values / scale if w else None
+                    for w in wanted]
+
+        noise = [draws(i) for i in range(e.size)]
+
+        def realize(i):
+            (xi0, xi1), y = noise[i], target[i]
+            start = values[i] if xi0 is None else (values[i]
+                                                   + spec.noise_scale * xi0)
+            if spec.kind == "pf-ode":
+                s0, sm = spec.noise_scale, spec.pf_sigma_max
+                start = y + np.sqrt(s0**2 + sm**2) * xi1
+            elif spec.kind == "perturbed-reference":
+                np.subtract(y + spec.noise_scale * xi1, start, out=self.aux[i])
+            else:  # deterministic / rectified-flow
+                np.subtract(y, start, out=self.aux[i])
+            self.start[i] = start
+
+        parallel_map(realize, range(e.size))
+
+    def drift(self, x, tau):
+        spec = self.spec
         if spec.kind == "pf-ode":
             s0, sm = spec.noise_scale, spec.pf_sigma_max
-            xi = _unit_noise(spec, g, rng)
-            start = y + np.sqrt(s0**2 + sm**2) * xi
-            self._endpoint = y + s0 * xi
+            sig = sm * (1.0 - tau)
+            return -sm * sig / (s0**2 + sig**2) * (x - self.aux)
+        amp = spec.perturbation if spec.kind == "rectified-flow" else 0.0
+        if amp:
+            return self.aux + amp * np.sin(2.0 * np.pi * tau) * self.pert
+        return self.aux
 
-            def drift(x, tau):
-                sig = sm * (1.0 - tau)
-                return -sm * sig / (s0**2 + sig**2) * (x - y)
-
-        elif spec.kind == "perturbed-reference":
-            out = y + spec.noise_scale * _unit_noise(spec, g, rng)
-            chord = out - start
-            self._endpoint = out
-
-            def drift(x, tau):
-                return chord
-
-        else:  # deterministic / rectified-flow
-            chord = y - start
-            amp = spec.perturbation if spec.kind == "rectified-flow" else 0.0
-
-            def drift(x, tau):
-                v = chord
-                if amp:
-                    v = v + amp * np.sin(2.0 * np.pi * tau) * pert_field
-                return v
-
-            self._endpoint = y  # exact for the unperturbed straight line
-        self.start = start
-        self.drift = drift
+    def integrate(self, tau_nodes, substeps: int = 1, out=None) -> np.ndarray:
+        """The batch state at each tau node, written into `out`
+        (N, len(tau_nodes), m, *shape), a fresh array when None."""
+        x = self.start
+        if out is None:
+            out = np.empty((len(x), len(tau_nodes)) + x.shape[1:])
+        out[:, 0] = x
+        for c in range(len(tau_nodes) - 1):
+            h = (tau_nodes[c + 1] - tau_nodes[c]) / substeps
+            tau = tau_nodes[c]
+            for _ in range(substeps):
+                k1 = self.drift(x, tau)
+                k2 = self.drift(x + 0.5 * h * k1, tau + 0.5 * h)
+                k3 = self.drift(x + 0.5 * h * k2, tau + 0.5 * h)
+                k4 = self.drift(x + h * k3, tau + h)
+                x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+                tau += h
+            if not np.all(np.isfinite(x)):
+                raise RuntimeError("NaN in sampler path integration")
+            out[:, c + 1] = x
+        return out
 
 
-def _integrate(real: _KernelRealization, tau_nodes, substeps: int) -> np.ndarray:
-    x = real.start.copy()
-    out = np.empty((len(tau_nodes),) + x.shape)
-    out[0] = x
-    for c in range(len(tau_nodes) - 1):
-        h = (tau_nodes[c + 1] - tau_nodes[c]) / substeps
-        tau = tau_nodes[c]
-        for _ in range(substeps):
-            k1 = real.drift(x, tau)
-            k2 = real.drift(x + 0.5 * h * k1, tau + 0.5 * h)
-            k3 = real.drift(x + 0.5 * h * k2, tau + 0.5 * h)
-            k4 = real.drift(x + h * k3, tau + h)
-            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            tau += h
-        if not np.all(np.isfinite(x)):
-            raise RuntimeError("NaN in sampler path integration")
-        out[c + 1] = x
-    return out
+def _step_endpoints(e: Ensemble, spec: KernelSpec, reference_map, master_seed,
+                    step: int) -> Ensemble:
+    """The kernel's output ensemble for input e at physical step `step`."""
+    taus = np.linspace(0.0, 1.0, spec.internal_steps + 1)
+    real = _KernelStep(e, spec, reference_map, master_seed, step)
+    states = real.integrate(taus)
+    return Ensemble(e.grid, states[:, -1].copy())
 
 
 def sample_step(u: GridField, spec: KernelSpec, reference_map, master_seed,
                 member: int = 0, step: int = 0):
-    """Draw one internal-time path for one member.
+    """Draw one internal-time path for one member: the batch of one, on the
+    stream of `member`.  `reference_map` maps u (a GridField) to its target.
 
     Returns (output GridField, states array (internal_steps+1, m, *shape),
     tau nodes)."""
-    rng = _member_rng(master_seed, member, step)
-    pert = _kernel_perturbation_field(spec, u.grid, master_seed)
-    real = _KernelRealization(spec, u, reference_map(u), rng, pert)
     taus = np.linspace(0.0, 1.0, spec.internal_steps + 1)
-    states = _integrate(real, taus, substeps=1)
+    states = _KernelStep(Ensemble(u.grid, u.values[None]), spec,
+                         lambda _: reference_map(u), master_seed, step,
+                         [member]).integrate(taus)[0]
     return GridField(u.grid, states[-1]), states, taus
-
-
-def kernel_map(spec: KernelSpec, reference_map, master_seed, step: int = 0):
-    """The kernel as a (field, member) -> field sampler (endpoint only)."""
-    def apply(u: GridField, member: int) -> GridField:
-        out, _, _ = sample_step(u, spec, reference_map, master_seed,
-                                member=member, step=step)
-        return out
-    return apply
 
 
 @dataclass
@@ -246,31 +270,29 @@ class PathBundle:
 
 def rollout_paths(e: Ensemble, spec: KernelSpec, reference_map, dt_phys: float,
                   n_steps: int, master_seed) -> tuple:
-    """Concatenated per-member paths over n_steps physical steps.
+    """Concatenated member paths over n_steps physical steps.
 
-    Requires init="delta" so segments start at the previous endpoint and the
-    concatenated path is continuous (junction equality is asserted bitwise).
+    Requires a kernel whose path starts at its input state
+    (`spec.starts_at_input`), so that the concatenated path is continuous
+    (junction equality is asserted bitwise).  Each physical step is one
+    batched kernel step written straight into the path array.
     Returns (PathBundle, LawCurve of the step-endpoint ensembles).
     """
-    if spec.init != "delta":
-        raise ValueError("rollout paths need init='delta' for junction continuity")
+    if not spec.starts_at_input:
+        raise ValueError("rollout paths need a kernel whose path starts at "
+                         "its input state (init='delta', not pf-ode)")
     S = spec.internal_steps
     C = n_steps * S + 1
-
-    def run_member(i):
-        u = e.member(i)
-        chunks = [u.values[None]]
-        for n in range(n_steps):
-            out, states, _ = sample_step(u, spec, reference_map, master_seed,
-                                         member=i, step=n)
-            if not np.array_equal(states[0], u.values):
-                raise RuntimeError("segment does not start at the junction state")
-            chunks.append(states[1:])
-            u = out
-        return np.concatenate(chunks, axis=0)
-
-    all_states = np.stack(parallel_map(run_member, range(e.size)))
     taus = np.linspace(0.0, 1.0, S + 1)
+    all_states = np.empty((e.size, C) + e.values.shape[1:])
+    all_states[:, 0] = e.values
+    for n in range(n_steps):
+        seg = all_states[:, n * S: (n + 1) * S + 1]
+        u = Ensemble(e.grid, seg[:, 0].copy())
+        real = _KernelStep(u, spec, reference_map, master_seed, n)
+        if not np.array_equal(real.start, u.values):
+            raise RuntimeError("segment does not start at the junction state")
+        real.integrate(taus, out=seg)
     times = np.concatenate(
         [taus[:-1] * dt_phys + n * dt_phys for n in range(n_steps)]
         + [[n_steps * dt_phys]]
@@ -289,15 +311,8 @@ def mixture_interpolation(e: Ensemble, spec: KernelSpec, reference_map,
                           substeps: int = 1) -> LawCurve:
     """Within-step law interpolation: per-tau ensembles of internal states."""
     tau_grid = np.asarray(tau_grid, dtype=np.float64)
-    pert = _kernel_perturbation_field(spec, e.grid, master_seed)
-
-    def run_member(i):
-        u = e.member(i)
-        rng = _member_rng(master_seed, i, step)
-        real = _KernelRealization(spec, u, reference_map(u), rng, pert)
-        return _integrate(real, tau_grid, substeps)
-
-    states = np.stack(parallel_map(run_member, range(e.size)))
+    states = _KernelStep(e, spec, reference_map, master_seed,
+                         step).integrate(tau_grid, substeps)
     return LawCurve(tau_grid,
                     [Ensemble(e.grid, states[:, c]) for c in range(len(tau_grid))])
 
@@ -347,19 +362,17 @@ def continuity_equation_check(e: Ensemble, spec: KernelSpec, reference_map,
     """
     tau_grid = np.asarray(tau_grid, dtype=np.float64)
     C = len(tau_grid)
-    pert = _kernel_perturbation_field(spec, e.grid, master_seed)
+    real = _KernelStep(e, spec, reference_map, master_seed, 0)
+    states = real.integrate(tau_grid, substeps)
     vals = np.zeros(C)
     rhs = np.zeros(C)
-    for i in range(e.size):
-        u = e.member(i)
-        rng = _member_rng(master_seed, i, 0)
-        real = _KernelRealization(spec, u, reference_map(u), rng, pert)
-        states = _integrate(real, tau_grid, substeps)
-        for c in range(C):
-            x = GridField(e.grid, states[c])
+    for c in range(C):
+        vel = real.drift(states[:, c], tau_grid[c])
+        for i in range(e.size):
+            x = GridField(e.grid, states[i, c])
             vals[c] += observable.value(x)
-            vel = GridField(e.grid, real.drift(states[c], tau_grid[c]))
-            rhs[c] += observable.derivative_pairing(x, vel)
+            rhs[c] += observable.derivative_pairing(x, GridField(e.grid,
+                                                                 vel[i]))
     vals /= e.size
     rhs /= e.size
     dtau = np.diff(tau_grid)
@@ -388,17 +401,6 @@ class RegularityReport:
     worst_increment_gap: float   # max over pairs of mean H^-1 incr - bound
     increments_ok: bool
     chain_ok: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "c_spd": self.c_spd,
-            "c_ch": self.c_ch,
-            "c_str": self.c_str,
-            "n_pairs": self.n_pairs,
-            "worst_increment_gap": self.worst_increment_gap,
-            "increments_ok": bool(self.increments_ok),
-            "chain_ok": bool(self.chain_ok),
-        }
 
 
 def _l2_norms(grid: Grid, arr: np.ndarray) -> np.ndarray:
@@ -436,14 +438,13 @@ def time_regularity_report(bundle: PathBundle, pair_samples: int, seed,
 
     # straightness: internal FD velocity minus the chord, per internal slot
     n_steps = len(b) - 1
-    S = b[1] - b[0]
     c_str = 0.0
     for n in range(n_steps):
         seg = states[:, b[n]: b[n + 1] + 1]
         dtau = (times[b[n] + 1] - times[b[n]]) / bundle.dt_phys
         V = (seg[:, 1:] - seg[:, :-1]) / dtau         # internal-time velocity
         R = V - chords[:, n][:, None]
-        msq = (_l2_norms(g, R) ** 2).mean(axis=0)     # (S,)
+        msq = (_l2_norms(g, R) ** 2).mean(axis=0)     # per internal slot
         c_str = max(c_str, float(msq.max()) / bundle.dt_phys**2)
 
     chain_ok = c_spd <= (c_ch + np.sqrt(c_str)) * (1 + tol) + 1e-15
@@ -484,7 +485,6 @@ def holder_from_action_check(bundle: PathBundle, p: float, pair_samples: int,
     coef, weight = bundle.hminus1_pair_norms()
     rng = np.random.default_rng(seed)
     worst = -np.inf
-    checked = 0
     for _ in range(pair_samples):
         i = int(rng.integers(0, N))
         c1, c2 = sorted(rng.choice(C, size=2, replace=False))
@@ -494,6 +494,5 @@ def holder_from_action_check(bundle: PathBundle, p: float, pair_samples: int,
         action = float(np.sum(dt_c[c1:c2] * speeds[i, c1:c2] ** p))
         rhs = (times[c2] - times[c1]) ** (1.0 - 1.0 / p) * action ** (1.0 / p)
         worst = max(worst, lhs - rhs * (1 + tol))
-        checked += 1
     return {"worst_gap": float(worst), "ok": bool(worst <= 1e-15),
-            "pairs": checked, "p": p}
+            "pairs": pair_samples, "p": p}

@@ -364,6 +364,56 @@ def test_cli_evolve_cfl_trip_exit_3(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "CFL violation" in err
 
 
+def test_cli_evolve_long_horizon_cfl_trip_exit_3(tmp_path, capsys):
+    # 2.5e11 steps: the guard must trip at the first step, with no
+    # per-step storage allocated before the march
+    _gen_pair(tmp_path)
+    evo_cfg = tmp_path / "e.json"
+    evo_cfg.write_text(json.dumps({"dt": 4.0, "horizon": 1e12,
+                                   "checkpoints": 1}))
+    capsys.readouterr()
+    assert main(["evolve", "--ensemble", str(tmp_path / "a" / "ensemble.json"),
+                 "--out", str(tmp_path / "evo"),
+                 "--config", str(evo_cfg)]) == 3
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "CFL violation" in err
+
+
+def test_cli_sample_pf_ode_default_init_exit_0(tmp_path):
+    # pf-ode starts from target + sigma * xi whatever `init` says, so it
+    # takes the stepwise route even with the default init "delta"
+    _gen_pair(tmp_path)
+    scfg = tmp_path / "s.json"
+    scfg.write_text(json.dumps({
+        "n_steps": 2, "reference_dt": 0.0125,
+        "kernel": {"kind": "pf-ode", "noise_scale": 0.1, "internal_steps": 4},
+    }))
+    assert main(["sample", "--seed", "4", "--out", str(tmp_path / "s"),
+                 "--ensemble", str(tmp_path / "a" / "ensemble.json"),
+                 "--config", str(scfg)]) == 0
+    curve = RP.read_lawcurve(tmp_path / "s" / "curve" / "lawcurve.json")
+    assert len(curve.times) == 3
+
+
+@pytest.mark.parametrize("kernel", [
+    {"kind": "pf-ode", "noise_scale": 0.1},
+    {"kind": "rectified-flow", "noise_scale": 0.1, "init": "gaussian"},
+])
+def test_cli_sample_store_paths_needs_paths_from_the_input(tmp_path, capsys,
+                                                           kernel):
+    _gen_pair(tmp_path)
+    scfg = tmp_path / "s.json"
+    scfg.write_text(json.dumps({"n_steps": 1, "store_paths": True,
+                                "kernel": kernel}))
+    capsys.readouterr()
+    assert main(["sample", "--seed", "4", "--out", str(tmp_path / "s"),
+                 "--ensemble", str(tmp_path / "a" / "ensemble.json"),
+                 "--config", str(scfg)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "store_paths" in err
+    assert not (tmp_path / "s").exists()
+
+
 def test_cli_transport_failed_certificate_exit_3(tmp_path, capsys,
                                                  monkeypatch):
     from lawbound import transport as T

@@ -412,7 +412,7 @@ def test_w2_strain_bound_identical_and_t0():
 def test_evolve_ensemble_matches_member_loop():
     a, _ = grf_pair_ensembles(3, amp=0.0, seed0=70)
     cfg = EU.EulerConfig(GRID, dt=0.0125)
-    pushed = EU.evolve_ensemble(a, cfg, 0.05)
+    pushed = EU.evolve(a, cfg, 0.05)
     for i in range(a.size):
         direct = EU.evolve(a.member(i), cfg, 0.05)
         assert np.array_equal(pushed.values[i], direct.values)

@@ -168,3 +168,104 @@ def test_guard_truncated_rollout_is_not_satisfied():
     assert rep["per_step_ok"] and rep["final_ok"]
     assert rep["horizon_complete"] is False
     assert rep["satisfied"] is False
+
+
+# ----------------------------------------------------------- coupling push
+
+def test_push_coupling_lambda_matches_per_checkpoint_loop():
+    a = unit_ensemble(4, 90)
+    b = E.Ensemble(GRID, a.values + 0.05 * unit_ensemble(4, 94).values)
+    times, path_a, path_b, lam, sup, sq = R.push_coupling(a, b, CFG, DT, 4)
+    ta, pa = EU.evolve(a, CFG, DT, checkpoints=4)
+    _, pb = EU.evolve(b, CFG, DT, checkpoints=4)
+    assert times.tobytes() == ta.tobytes()
+    loop = np.array([EU.lambda_coupled(ua, vb) for ua, vb in zip(pa, pb)])
+    assert lam.tobytes() == loop.tobytes()
+    for c, (ua, vb) in enumerate(zip(pa, pb)):
+        assert path_a[c].values.tobytes() == ua.values.tobytes()
+        assert path_b[c].values.tobytes() == vb.values.tobytes()
+        assert sup[c] == EU.strain(vb).max_norm
+        direct = [F.l2_norm(F.GridField(GRID, x - y)) ** 2
+                  for x, y in zip(ua.values, vb.values)]
+        assert np.allclose(sq[c], direct, rtol=1e-13, atol=0)
+
+
+def test_push_commutes_with_member_permutation():
+    # a march is blockwise (16 members per block at n=64), and a member's
+    # result must not depend on its block: pushing then permuting equals
+    # permuting then pushing, which push_coupling's callers rely on
+    g = F.Grid(2, 64)
+    cfg = EU.EulerConfig(g, dt=0.005)
+    e = E.Ensemble(g, np.stack([F.random_divfree(g, 4.0, 8, seed=s).values
+                                for s in range(40)]))
+    order = np.random.default_rng(0).permutation(40)
+    pushed = EU.evolve(e, cfg, 0.01).values[order]
+    permuted = EU.evolve(E.Ensemble(g, e.values[order]), cfg, 0.01).values
+    assert pushed.tobytes() == permuted.tobytes()
+
+
+def oracle_rollout_ledger(a, b, cfg, spec, n_steps, dt_phys, seed, k):
+    """The per-member rollout route: unaligned pushes, lambda per
+    checkpoint, and the model kernel drawn member by member."""
+    from lawbound.transport import wasserstein_exact
+
+    mu, mu_hat = a, b
+    delta, plan = wasserstein_exact(mu, mu_hat, p=2)
+    deltas, alphas, defects = [delta], [], []
+    for n in range(n_steps):
+        times, ref_a = EU.evolve(mu, cfg, dt_phys, checkpoints=k)
+        _, ref_b = EU.evolve(mu_hat, cfg, dt_phys, checkpoints=k)
+        lam = [EU.lambda_coupled(ua, E.Ensemble(GRID,
+                                                vb.values[plan.permutation]))
+               for ua, vb in zip(ref_a, ref_b)]
+        alphas.append(float(np.trapezoid(lam, times)))
+        push = ref_b[-1]
+        model = E.Ensemble.from_fields([
+            SA.sample_step(mu_hat.member(i), spec,
+                           lambda u, i=i: push.member(i), seed, member=i,
+                           step=n)[0] for i in range(mu.size)])
+        defects.append(wasserstein_exact(push, model, p=2)[0])
+        mu, mu_hat = ref_a[-1], model
+        delta, plan = wasserstein_exact(mu, mu_hat, p=2)
+        deltas.append(delta)
+    return np.array(alphas), np.array(defects), np.array(deltas)
+
+
+def test_experiment_matches_member_oracle():
+    a = unit_ensemble(4, 20)
+    b = E.Ensemble(GRID, a.values + 0.02 * unit_ensemble(4, 60).values)
+    spec = SA.KernelSpec("perturbed-reference", internal_steps=4,
+                         noise_scale=2e-3)
+    ledger, _ = R.run_rollout_experiment(a, b, CFG, spec, n_steps=2,
+                                         dt_phys=DT, master_seed=7,
+                                         checkpoints_per_window=4)
+    alphas, defects, deltas = oracle_rollout_ledger(a, b, CFG, spec, 2, DT,
+                                                    7, 4)
+    assert ledger.alphas.tobytes() == alphas.tobytes()
+    assert ledger.defects.tobytes() == defects.tobytes()
+    assert ledger.deltas.tobytes() == deltas.tobytes()
+
+
+def test_experiment_makes_two_evolve_calls_per_window(monkeypatch):
+    calls = {"evolve": 0, "from_fields": 0}
+    evolve = R.evolve
+    from_fields = E.Ensemble.from_fields.__func__
+
+    def counted_evolve(*args, **kw):
+        calls["evolve"] += 1
+        return evolve(*args, **kw)
+
+    def counted_from_fields(cls, members):
+        calls["from_fields"] += 1
+        return from_fields(cls, members)
+
+    a = unit_ensemble(3, 20)
+    b = E.Ensemble(GRID, a.values + 0.02 * unit_ensemble(3, 60).values)
+    spec = SA.KernelSpec("perturbed-reference", internal_steps=2,
+                         noise_scale=2e-3)
+    monkeypatch.setattr(R, "evolve", counted_evolve)
+    monkeypatch.setattr(E.Ensemble, "from_fields",
+                        classmethod(counted_from_fields))
+    R.run_rollout_experiment(a, b, CFG, spec, n_steps=3, dt_phys=DT,
+                             master_seed=7, checkpoints_per_window=2)
+    assert calls == {"evolve": 2 * 3, "from_fields": 0}

@@ -276,3 +276,192 @@ def test_hminus1_pair_norms_match_full_complex_oracle():
         full = (full_weight * (np.abs(full_coef[:, c2] - full_coef[:, c1]) ** 2
                                ).sum(axis=1)).sum(axis=(1, 2))
         assert np.all(np.abs(half - full) <= 1e-13 * full)
+
+
+# ------------------------------------------- per-member oracle of the batch
+
+class MemberRealization:
+    """The per-member route the batched kernel step replaced: start state
+    and drift(x, tau) of one member, drawn from its own stream."""
+
+    def __init__(self, spec, u, target, rng, pert_field):
+        g = u.grid
+        k_max = SA._noise_band(spec, g)
+
+        def unit_noise():
+            draw = F.random_divfree(g, spec.noise_exponent, k_max, seed=rng)
+            return draw.values / np.sqrt(SA._expected_divfree_energy(
+                g, spec.noise_exponent, k_max))
+
+        y = target.values
+        if spec.init == "gaussian" and spec.noise_scale > 0:
+            start = u.values + spec.noise_scale * unit_noise()
+        else:
+            start = u.values.copy()
+        if spec.kind == "pf-ode":
+            s0, sm = spec.noise_scale, spec.pf_sigma_max
+            start = y + np.sqrt(s0**2 + sm**2) * unit_noise()
+
+            def drift(x, tau):
+                sig = sm * (1.0 - tau)
+                return -sm * sig / (s0**2 + sig**2) * (x - y)
+
+        elif spec.kind == "perturbed-reference":
+            chord = y + spec.noise_scale * unit_noise() - start
+
+            def drift(x, tau):
+                return chord
+
+        else:
+            chord = y - start
+            amp = spec.perturbation if spec.kind == "rectified-flow" else 0.0
+
+            def drift(x, tau):
+                v = chord
+                if amp:
+                    v = v + amp * np.sin(2.0 * np.pi * tau) * pert_field
+                return v
+
+        self.start = start
+        self.drift = drift
+
+
+def member_integrate(real, tau_nodes, substeps):
+    x = real.start.copy()
+    out = np.empty((len(tau_nodes),) + x.shape)
+    out[0] = x
+    for c in range(len(tau_nodes) - 1):
+        h = (tau_nodes[c + 1] - tau_nodes[c]) / substeps
+        tau = tau_nodes[c]
+        for _ in range(substeps):
+            k1 = real.drift(x, tau)
+            k2 = real.drift(x + 0.5 * h * k1, tau + 0.5 * h)
+            k3 = real.drift(x + 0.5 * h * k2, tau + 0.5 * h)
+            k4 = real.drift(x + h * k3, tau + h)
+            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            tau += h
+        out[c + 1] = x
+    return out
+
+
+def member_route(e, spec, ref, tau_nodes, seed, step=0, substeps=1):
+    """Per-member realizations and their paths (N, C, m, *shape)."""
+    pert = SA._kernel_perturbation_field(spec, e.grid, seed)
+    reals = [MemberRealization(spec, e.member(i), ref(e.member(i)),
+                               SA._member_rng(seed, i, step), pert)
+             for i in range(e.size)]
+    return reals, np.stack([member_integrate(r, tau_nodes, substeps)
+                            for r in reals])
+
+
+def oracle_rollout_states(e, spec, ref, n_steps, seed):
+    taus = np.linspace(0.0, 1.0, spec.internal_steps + 1)
+    chunks = [e.values[:, None]]
+    for n in range(n_steps):
+        _, states = member_route(e, spec, ref, taus, seed, step=n)
+        chunks.append(states[:, 1:])
+        e = E.Ensemble(e.grid, states[:, -1])
+    return np.concatenate(chunks, axis=1)
+
+
+def oracle_continuity_curves(e, spec, ref, obs, tau_grid, seed, substeps):
+    reals, states = member_route(e, spec, ref, tau_grid, seed,
+                                 substeps=substeps)
+    vals = np.zeros(len(tau_grid))
+    rhs = np.zeros(len(tau_grid))
+    for i, real in enumerate(reals):
+        for c, tau in enumerate(tau_grid):
+            x = F.GridField(e.grid, states[i, c])
+            vals[c] += obs.value(x)
+            rhs[c] += obs.derivative_pairing(
+                x, F.GridField(e.grid, real.drift(states[i, c], tau)))
+    return vals / e.size, rhs / e.size
+
+
+def oracle_spec(kind, init):
+    return SA.KernelSpec(kind, internal_steps=8, perturbation=0.3,
+                         noise_scale=0.1, init=init)
+
+
+SPECS = [(kind, init) for kind in SA._KINDS for init in ("delta", "gaussian")]
+PATH_SPECS = [(k, i) for k, i in SPECS if oracle_spec(k, i).starts_at_input]
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("kind,init", PATH_SPECS)
+def test_rollout_paths_match_member_oracle(kind, init, workers, threads):
+    threads(workers)
+    spec = oracle_spec(kind, init)
+    bundle, endpoints = SA.rollout_paths(ENS, spec, REF, DT, 2, master_seed=3)
+    expected = oracle_rollout_states(ENS, spec, REF, 2, 3)
+    assert bundle.states.tobytes() == expected.tobytes()
+    for n, ens in enumerate(endpoints.ensembles):
+        assert ens.values.tobytes() == expected[:, 8 * n].tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("kind,init", SPECS)
+def test_mixture_matches_member_oracle(kind, init, workers, threads):
+    threads(workers)
+    spec = oracle_spec(kind, init)
+    tau = np.linspace(0.0, 1.0, 6)
+    mix = SA.mixture_interpolation(ENS, spec, REF, tau, master_seed=8, step=2,
+                                   substeps=2)
+    _, expected = member_route(ENS, spec, REF, tau, 8, step=2, substeps=2)
+    for c, ens in enumerate(mix.ensembles):
+        assert ens.values.tobytes() == expected[:, c].tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("kind,init", SPECS)
+def test_continuity_check_matches_member_oracle(kind, init, workers, threads):
+    threads(workers)
+    spec = oracle_spec(kind, init)
+    obs = SA.bilinear_observable(F.random_divfree(GRID, 4.0, 6, seed=100),
+                                 F.random_divfree(GRID, 4.0, 6, seed=101))
+    tau = np.linspace(0.0, 1.0, 9)
+    rep = SA.continuity_equation_check(ENS, spec, REF, obs, tau,
+                                       master_seed=5, substeps=2)
+    vals, rhs = oracle_continuity_curves(ENS, spec, REF, obs, tau, 5, 2)
+    assert np.array(rep["expectation_curve"]).tobytes() == vals.tobytes()
+    assert np.array(rep["drift_pairing_curve"]).tobytes() == rhs.tobytes()
+
+
+@pytest.mark.parametrize("kind,init", SPECS)
+def test_sample_step_is_the_batch_of_one(kind, init):
+    spec = oracle_spec(kind, init)
+    taus = np.linspace(0.0, 1.0, 9)
+    _, expected = member_route(ENS, spec, REF, taus, 4, step=1)
+    out, states, _ = SA.sample_step(ENS.member(2), spec, REF, 4, member=2,
+                                    step=1)
+    assert states.tobytes() == expected[2].tobytes()
+    assert out.values.tobytes() == expected[2, -1].tobytes()
+
+
+def test_rollout_paths_reject_pf_ode_before_any_work():
+    calls = []
+
+    def ref(e):
+        calls.append(e)
+        return e
+
+    spec = SA.KernelSpec("pf-ode", noise_scale=0.1)
+    assert spec.init == "delta" and not spec.starts_at_input
+    with pytest.raises(ValueError, match="starts at its input"):
+        SA.rollout_paths(ENS, spec, ref, DT, 2, master_seed=1)
+    assert calls == []
+
+
+def test_rollout_paths_make_one_evolve_call_per_step(monkeypatch):
+    calls = []
+    evolve = EU.evolve
+
+    def counted(u, *args, **kw):
+        calls.append(u.values.shape[0])
+        return evolve(u, *args, **kw)
+
+    monkeypatch.setattr(EU, "evolve", counted)
+    spec = SA.KernelSpec("rectified-flow", internal_steps=4, perturbation=0.3)
+    SA.rollout_paths(ENS, spec, EU.reference_step_map(CFG, DT), DT, 3,
+                     master_seed=2)
+    assert calls == [ENS.size] * 3
