@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import Ensemble, LawCurve
-from .euler import _resolved_drift, _rk4_increment, _stage, _Workspace
+from .euler import _resolved_drift, _rk4_step, _Workspace
 from .fields import (
     Grid,
     GridField,
@@ -24,7 +24,7 @@ from .fields import (
     forward,
     l2_norm,
     project_gt,
-    random_divfree,
+    random_divfree_batch,
     spec_l2_norm,
 )
 
@@ -86,12 +86,12 @@ class TestTuple:
 def random_test_tuple(grid: Grid, k: int, k_test: int, horizon: float,
                       seed) -> TestTuple:
     """Unit-norm divergence-free random tests band-limited to k_test."""
+    if not 1 <= k <= 3:
+        raise ValueError("test tuple supports k in {1, 2, 3}")
     rng = np.random.default_rng(seed)
-    fields = []
-    for _ in range(k):
-        f = random_divfree(grid, 3.0, k_test, seed=rng)
-        fields.append(GridField(grid, f.values / l2_norm(f)))
-    return TestTuple(fields, horizon)
+    tests = Ensemble(grid, random_divfree_batch(grid, 3.0, k_test,
+                                                [rng] * k)).normalized()
+    return TestTuple([tests.member(i) for i in range(k)], horizon)
 
 
 # ------------------------------------------------------------ Euler drift
@@ -150,22 +150,17 @@ def drift_driven_curve(e0: Ensemble, drift: DriftSpec, horizon: float,
     times = np.linspace(0.0, horizon, n_steps + 1)
     K = drift.resolution
     pert = drift.epsilon * drift.perturbation.values
-    x = e0.values.copy()
+    states = np.empty((n_steps + 1,) + e0.values.shape)
+    states[0] = e0.values
     ws = _Workspace(e0.size, e0.grid.n)
-    k1, k2, k3, k4, stage = (np.empty_like(x) for _ in range(5))
+    bufs = [np.empty_like(e0.values) for _ in range(5)]
 
-    def vel(y, out):
+    def vel(y, _, out):
         return np.add(_resolved_drift(y, K, ws), pert, out=out)
 
-    states = [x]
-    for _ in range(n_steps):
-        vel(x, k1)
-        vel(_stage(x, 0.5 * dt, k1, stage), k2)
-        vel(_stage(x, 0.5 * dt, k2, stage), k3)
-        vel(_stage(x, dt, k3, stage), k4)
-        x = x + _rk4_increment(k1, k2, k3, k4, dt)
-        states.append(x)
-    if not np.all(np.isfinite(x)):
+    for s in range(n_steps):
+        _rk4_step(vel, states[s], 0.0, dt, bufs, states[s + 1])
+    if not np.all(np.isfinite(states[-1])):
         raise RuntimeError("NaN in drift-driven curve")
     return LawCurve(times, [Ensemble(e0.grid, s) for s in states])
 
@@ -245,15 +240,15 @@ def certification_report(grid: Grid, members: int, k: int, K: float,
     drift, the drift-driven curve, and reports both residual routes, their
     relative gap, and the regression bound.
     """
+    if members < 1:
+        raise ValueError(f"certification needs at least one member, "
+                         f"got {members}")
     rng = np.random.default_rng(seed)
-    members_list = []
-    for _ in range(members):
-        f = random_divfree(grid, 3.5, int(K), seed=rng)
-        members_list.append(GridField(grid, f.values / max(l2_norm(f), 1e-30)))
-    e0 = Ensemble.from_fields(members_list)
+    e0 = Ensemble(grid, random_divfree_batch(grid, 3.5, int(K),
+                                             [rng] * members)).normalized()
     tt = random_test_tuple(grid, k, k_test, horizon, seed=rng)
-    g_pert = random_divfree(grid, 3.0, int(K), seed=rng)
-    g_pert = GridField(grid, g_pert.values / l2_norm(g_pert))
+    g_pert = Ensemble(grid, random_divfree_batch(grid, 3.0, int(K), [rng]))
+    g_pert = g_pert.normalized().member(0)
     drift = DriftSpec(resolution=K, epsilon=epsilon, perturbation=g_pert)
     curve = drift_driven_curve(e0, drift, horizon, n_steps)
     sweep = _fused_certification_pass(curve, tt, K, drift)
@@ -368,19 +363,15 @@ def pf_identities(gd: GaussianDiffusion, taus, c: float, mc_size: int = 4096,
     rng = np.random.default_rng(seed)
     L = np.linalg.cholesky(gd.cov)
     x = gd.mean[None, :] + rng.standard_normal((mc_size, gd.dim)) @ L.T
+    bufs = [np.empty_like(x) for _ in range(5)]
+
+    def vel(z, tau, out):
+        B = gd.pf_drift_matrix(tau, gd.score_matrix(tau))
+        return np.matmul(z - gd.mean[None, :], B.T, out=out)
+
     fine = np.linspace(taus[0], taus[-1], 257)
     for s in range(len(fine) - 1):
-        h = fine[s + 1] - fine[s]
-
-        def vel(z, tau):
-            B = gd.pf_drift_matrix(tau, gd.score_matrix(tau))
-            return (z - gd.mean[None, :]) @ B.T
-
-        k1 = vel(x, fine[s])
-        k2 = vel(x + 0.5 * h * k1, fine[s] + 0.5 * h)
-        k3 = vel(x + 0.5 * h * k2, fine[s] + 0.5 * h)
-        k4 = vel(x + h * k3, fine[s] + h)
-        x = x + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        _rk4_step(vel, x, fine[s], fine[s + 1] - fine[s], bufs, x)
     cov_T = gd.marginal_cov(taus[-1])
     mean_err = np.abs(x.mean(axis=0) - gd.mean)
     mean_se = np.sqrt(np.diag(cov_T) / mc_size)

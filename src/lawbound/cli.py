@@ -73,13 +73,7 @@ def _kernel_from_config(cfg: dict) -> SA.KernelSpec:
         "noise_k_max": (int, 0),
         "pf_sigma_max": (float, 1.0),
     }
-    out = validate_config(cfg, allowed, "kernel")
-    return SA.KernelSpec(
-        kind=out["kind"], internal_steps=out["internal_steps"],
-        noise_scale=out["noise_scale"], perturbation=out["perturbation"],
-        init=out["init"], noise_exponent=out["noise_exponent"],
-        noise_k_max=out["noise_k_max"], pf_sigma_max=out["pf_sigma_max"],
-    )
+    return SA.KernelSpec(**validate_config(cfg, allowed, "kernel"))
 
 
 def _finish(report: Report, out_dir: Path, started: float) -> int:
@@ -111,14 +105,11 @@ def cmd_gen(args) -> int:
     grid = F.Grid(2, cfg["n"])
     k_max = cfg["k_max"] or grid.n // 4
     p = F.spectrum_exponent_for_structure(cfg["structure_exponent"])
-    members = []
-    for i in range(cfg["members"]):
-        u = F.random_divfree(grid, p, k_max, seed=np.random.SeedSequence(
-            [int(args.seed), i]))
-        if cfg["normalize"]:
-            u = F.GridField(grid, u.values / F.l2_norm(u))
-        members.append(u)
-    e = E.Ensemble.from_fields(members)
+    e = E.Ensemble(grid, F.random_divfree_batch(grid, p, k_max, [
+        np.random.SeedSequence([int(args.seed), i])
+        for i in range(cfg["members"])]))
+    if cfg["normalize"]:
+        e = e.normalized()
     out = Path(args.out)
     manifest = write_ensemble(out, e, time=cfg["time"])
     report = Report("gen", cfg | {"seed": args.seed})
@@ -208,22 +199,21 @@ def cmd_sample(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report = Report("sample", cfg | {"kernel": kernel_cfg, "seed": args.seed})
-    if spec.starts_at_input:
+    if cfg["store_paths"]:
+        # the path array (N, C, m, *shape) is built only when it is stored
         bundle, curve = SA.rollout_paths(e, spec, ref, cfg["dt_phys"],
                                          cfg["n_steps"], int(args.seed))
-        if cfg["store_paths"]:
-            pdir = out / "paths"
-            pdir.mkdir(exist_ok=True)
-            index = {"times": bundle.times.tolist(), "members": []}
-            for i in range(bundle.size):
-                names = []
-                for c in range(bundle.states.shape[1]):
-                    name = f"path_{i:03d}_{c:05d}.lbf"
-                    write_lbf(pdir / name,
-                              F.GridField(e.grid, bundle.states[i, c]))
-                    names.append(name)
-                index["members"].append(names)
-            (pdir / "index.json").write_text(json.dumps(index, sort_keys=True))
+        pdir = out / "paths"
+        pdir.mkdir(exist_ok=True)
+        index = {"times": bundle.times.tolist(), "members": []}
+        for i in range(bundle.size):
+            names = []
+            for c in range(bundle.states.shape[1]):
+                name = f"path_{i:03d}_{c:05d}.lbf"
+                write_lbf(pdir / name, F.GridField(e.grid, bundle.states[i, c]))
+                names.append(name)
+            index["members"].append(names)
+        (pdir / "index.json").write_text(json.dumps(index, sort_keys=True))
     else:
         ensembles = [e]
         for n in range(cfg["n_steps"]):
@@ -489,7 +479,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, seed=False, ensemble=False, pair=False, curve_pair=False):
+    def add(name, fn, seed=False, ensemble=False, pair=False):
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None)
         sp.add_argument("--out", required=True)
@@ -497,7 +487,7 @@ def _build_parser() -> _Parser:
             sp.add_argument("--seed", required=True, type=_seed)
         if ensemble:
             sp.add_argument("--ensemble", required=True)
-        if pair or curve_pair:
+        if pair:
             sp.add_argument("--a", required=True)
             sp.add_argument("--b", required=True)
         sp.set_defaults(fn=fn)
@@ -513,7 +503,7 @@ def _build_parser() -> _Parser:
     add("rollout", cmd_rollout, seed=True, pair=True)
     add("certify", cmd_certify, seed=True)
     add("pfode", cmd_pfode, seed=True)
-    add("scores", cmd_scores, curve_pair=True)
+    add("scores", cmd_scores, pair=True)
     va = sub.add_parser("verify-all")
     va.add_argument("--quick", action="store_true")
     va.add_argument("--seed", required=True, type=_seed)

@@ -77,13 +77,17 @@ class Ensemble:
     def member(self, i: int) -> GridField:
         return GridField(self.grid, self.values[i])
 
-    def members(self):
-        return [self.member(i) for i in range(self.size)]
-
     def member_norms(self) -> np.ndarray:
         """Grid-quadrature L2 norm of every member."""
         sq = (self.values**2).sum(axis=tuple(range(1, self.values.ndim)))
         return np.sqrt(self.grid.cell_volume * sq)
+
+    def normalized(self) -> "Ensemble":
+        """Every member scaled to unit L2 norm (a zero member stays zero);
+        member i equals u_i / l2_norm(u_i) bit for bit."""
+        norms = np.maximum(self.member_norms(), 1e-30)
+        return Ensemble(self.grid, self.values / norms.reshape(
+            (-1,) + (1,) * (self.values.ndim - 1)))
 
 
 @dataclass

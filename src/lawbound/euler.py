@@ -59,7 +59,6 @@ class EulerConfig:
     dt: float
     dealias_fraction: float = 2.0 / 3.0
     cfl: float = 0.5
-    k_init: float = None
 
     def __post_init__(self):
         if self.grid.d != 2:
@@ -266,15 +265,6 @@ def _cfl_limit(speeds, cfg: EulerConfig):
     return None
 
 
-def _guard_error(speeds, cfg: EulerConfig) -> RuntimeError:
-    """The error of a tripped step: the CFL guard when its k1 speeds
-    violate the limit, the NaN guard otherwise."""
-    limit = _cfl_limit(speeds, cfg)
-    if limit is None:
-        return RuntimeError("NaN detected in Euler step")
-    return RuntimeError(f"CFL violation: dt={cfg.dt} > {limit:.3e}")
-
-
 def _stage(x, h, k, out):
     """x + h*k into out."""
     return np.add(x, np.multiply(h, k, out=out), out=out)
@@ -289,23 +279,33 @@ def _rk4_increment(k1, k2, k3, k4, dt):
     return np.multiply(dt / 6.0, k1, out=k1)
 
 
+def _rk4_step(f, x, t, dt, bufs, out, k1_done=False):
+    """One RK4 step of dx/dt = f(y, t, out) from x into out (x itself for an
+    in-place step) on the caller's buffers bufs = (k1, k2, k3, k4, stage),
+    none of which may alias x or out.  k1 is evaluated here unless k1_done
+    says it already holds f(x, t).  This is the package's one RK4 tableau."""
+    k1, k2, k3, k4, stage = bufs
+    if not k1_done:
+        f(x, t, k1)
+    f(_stage(x, 0.5 * dt, k1, stage), t + 0.5 * dt, k2)
+    f(_stage(x, 0.5 * dt, k2, stage), t + 0.5 * dt, k3)
+    f(_stage(x, dt, k3, stage), t + dt, k4)
+    return np.add(x, _rk4_increment(k1, k2, k3, k4, dt), out=out)
+
+
 def _rk4(w, cfg: EulerConfig, ws):
     """One RK4 step of the vorticity block w in place, every stage in ws.
 
     Returns the k1 speeds (max|u|, max|v|) and whether a guard tripped:
     the CFL guard stops before k2 and leaves w as it was, the NaN guard
     checks the new state."""
-    dt = cfg.dt
     mask = _solver_arrays(cfg.grid.n, cfg.dealias_fraction)[2]
-    k1, k2, k3, k4, stage = ws.k1, ws.k2, ws.k3, ws.k4, ws.stage
-    u, v = _advection(w, ws, mask, k1)
+    u, v = _advection(w, ws, mask, ws.k1)
     speeds = (np.abs(u, out=ws.prod).max(), np.abs(v, out=ws.prod).max())
     if _cfl_limit(speeds, cfg) is not None:
         return speeds, True
-    _advection(_stage(w, 0.5 * dt, k1, stage), ws, mask, k2)
-    _advection(_stage(w, 0.5 * dt, k2, stage), ws, mask, k3)
-    _advection(_stage(w, dt, k3, stage), ws, mask, k4)
-    np.add(w, _rk4_increment(k1, k2, k3, k4, dt), out=w)
+    _rk4_step(lambda y, _, out: _advection(y, ws, mask, out), w, 0.0, cfg.dt,
+              (ws.k1, ws.k2, ws.k3, ws.k4, ws.stage), w, k1_done=True)
     return speeds, not np.isfinite(w, out=ws.finite).all()
 
 
@@ -324,9 +324,19 @@ def _march(values, cfg: EulerConfig, n_steps: int, snaps: dict) -> None:
     did not trip at step s has max speed <= cfl*h/dt, below that of any
     block the CFL guard stopped at s, so the maximum over the blocks that
     tripped first is the batch's.
+
+    The solver carries vorticity and rebuilds velocities by Biot-Savart,
+    which drops a mean flow, so a member whose mean velocity exceeds 1e-12
+    of its RMS is rejected with a ValueError.
     """
     n = cfg.grid.n
     N = len(values)
+    mean = np.abs(values.mean(axis=(2, 3))).max(axis=1)
+    moving = mean > 1e-12 * np.sqrt((values**2).mean(axis=(1, 2, 3)))
+    if moving.any():
+        i = int(np.argmax(moving))
+        raise ValueError(f"member {i} has a mean velocity of {mean[i]:.3e}; "
+                         f"the Euler solver needs mean-free velocities")
     rows = max(1, _CHUNK_BYTES // (4 * n * n * 8))
     blocks = [slice(i, min(i + rows, N)) for i in range(0, N, rows)]
     workers = min(worker_count(), len(blocks))
@@ -364,7 +374,10 @@ def _march(values, cfg: EulerConfig, n_steps: int, snaps: dict) -> None:
     tripped = [s for s in trips if s is not None]
     if tripped:
         first = [b for b, s in enumerate(trips) if s == min(tripped)]
-        raise _guard_error(tuple(speeds[first].max(axis=0)), cfg)
+        limit = _cfl_limit(tuple(speeds[first].max(axis=0)), cfg)
+        if limit is None:
+            raise RuntimeError("NaN detected in Euler step")
+        raise RuntimeError(f"CFL violation: dt={cfg.dt} > {limit:.3e}")
 
 
 def _push(u, cfg: EulerConfig, n_steps: int, marks) -> list:
@@ -533,25 +546,15 @@ def l2_difference_identity_check(u0: GridField, v0: GridField, cfg: EulerConfig,
     """
     n_steps = _steps_for(cfg, t)
     g = cfg.grid
-    ws = _Workspace(2, g.n)
-    pair = vorticity_hat(Ensemble(g, np.stack([u0.values, v0.values])))
-    vel = np.empty((2, 2, g.n, g.n))
-    half_sq = np.empty(n_steps + 1)
-    rhs_vals = np.empty(n_steps + 1)
-    for s in range(n_steps + 1):
-        ua, vb = _velocity_into(pair, ws, vel)
-        wdiff = ua - vb
-        half_sq[s] = 0.5 * g.cell_volume * np.sum(wdiff**2)
-        S = strain(GridField(g, vb))
-        wsx = wdiff[0]
-        wsy = wdiff[1]
-        quad = (S.tensor[0, 0] * wsx * wsx + 2 * S.tensor[0, 1] * wsx * wsy
-                + S.tensor[1, 1] * wsy * wsy)
-        rhs_vals[s] = -g.cell_volume * np.sum(quad)
-        if s < n_steps:
-            speeds, tripped = _rk4(pair, cfg, ws)
-            if tripped:
-                raise _guard_error(speeds, cfg)
+    pair = np.stack([u0.values, v0.values])
+    path = np.empty((n_steps + 1,) + pair.shape)  # velocities at every step
+    _march(pair, cfg, n_steps, dict(enumerate(path)))
+    w = path[:, 0] - path[:, 1]
+    S = strain(Ensemble(g, path[:, 1])).tensor
+    half_sq = 0.5 * g.cell_volume * np.sum(w**2, axis=(1, 2, 3))
+    quad = (S[:, 0, 0] * w[:, 0] * w[:, 0] + 2 * S[:, 0, 1] * w[:, 0] * w[:, 1]
+            + S[:, 1, 1] * w[:, 1] * w[:, 1])
+    rhs_vals = -g.cell_volume * np.sum(quad, axis=(1, 2))
     # 4th order central difference, interior nodes only
     idx = np.linspace(2, n_steps - 2, checkpoints).astype(int)
     deriv = (half_sq[idx - 2] - 8 * half_sq[idx - 1]

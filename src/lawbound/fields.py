@@ -43,6 +43,7 @@ __all__ = [
     "leray_project",
     "divergence_norm",
     "random_divfree",
+    "random_divfree_batch",
     "spectrum_exponent_for_structure",
 ]
 
@@ -458,11 +459,24 @@ def _divfree_coef(grid: Grid, spectrum_exponent: float, k_max: int,
     return np.stack([-1j * ky * psi_hat, 1j * kx * psi_hat])
 
 
+def random_divfree_batch(grid: Grid, spectrum_exponent: float, k_max: int,
+                         seeds) -> np.ndarray:
+    """Velocities (N, 2, n, n) of `random_divfree`, one per entry of `seeds`.
+
+    Each seed's coefficients are drawn in order (a Generator listed twice
+    draws twice) and all are synthesized by one irfftn; member i equals
+    random_divfree(grid, spectrum_exponent, k_max, seeds[i]) bit for bit."""
+    coef = np.stack([_divfree_coef(grid, spectrum_exponent, k_max, seed)
+                     for seed in seeds])
+    return _half_synthesize(coef, grid)
+
+
 def random_divfree(grid: Grid, spectrum_exponent: float, k_max: int, seed) -> GridField:
     """Divergence-free Gaussian field with E|uhat(k)|^2 ~ |k|^(-p), 1<=|k|<=k_max.
 
     Built as the perpendicular gradient of a Gaussian stream function with
-    E|psihat(k)|^2 ~ |k|^(-p-2).  Deterministic for a fixed seed.
+    E|psihat(k)|^2 ~ |k|^(-p-2).  Deterministic for a fixed seed.  The
+    batch of one of `random_divfree_batch`.
     """
-    coef = _divfree_coef(grid, spectrum_exponent, k_max, seed)
-    return GridField(grid, _half_synthesize(coef, grid))
+    return GridField(grid, random_divfree_batch(grid, spectrum_exponent,
+                                                k_max, [seed])[0])

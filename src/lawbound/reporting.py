@@ -356,7 +356,7 @@ class Report:
 def read_report(path) -> dict:
     doc = json.loads(Path(path).read_text())
     if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported report schema {doc.get('schema_version')}")
+        raise ValueError(f"unsupported report schema {doc.get('schema_version')!r}")
     return doc
 
 
@@ -378,7 +378,7 @@ def validate_config(config: dict, allowed: dict, command: str) -> dict:
         raise ValueError(f"{command}: config must be a JSON object")
     version = config.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
-        raise ValueError(f"{command}: unsupported schema_version {version}")
+        raise ValueError(f"{command}: unsupported schema_version {version!r}")
     unknown = set(config) - set(allowed) - {"schema_version"}
     if unknown:
         raise ValueError(f"{command}: unknown config fields {sorted(unknown)}")

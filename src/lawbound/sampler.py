@@ -25,6 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .ensemble import Ensemble, LawCurve
+from .euler import _rk4_step
 from .fields import (
     Grid,
     GridField,
@@ -32,7 +33,6 @@ from .fields import (
     _half_spectrum,
     _half_weight,
     _mode_magnitude,
-    inner,
     l2_norm,
     random_divfree,
 )
@@ -188,21 +188,26 @@ class _KernelStep:
 
         parallel_map(realize, range(e.size))
 
-    def drift(self, x, tau):
+    def drift(self, x, tau, out):
+        """The drift of the batch state x at internal time tau, into out."""
         spec = self.spec
         if spec.kind == "pf-ode":
             s0, sm = spec.noise_scale, spec.pf_sigma_max
             sig = sm * (1.0 - tau)
-            return -sm * sig / (s0**2 + sig**2) * (x - self.aux)
+            return np.multiply(-sm * sig / (s0**2 + sig**2),
+                               np.subtract(x, self.aux, out=out), out=out)
         amp = spec.perturbation if spec.kind == "rectified-flow" else 0.0
         if amp:
-            return self.aux + amp * np.sin(2.0 * np.pi * tau) * self.pert
-        return self.aux
+            return np.add(self.aux, amp * np.sin(2.0 * np.pi * tau) * self.pert,
+                          out=out)
+        np.copyto(out, self.aux)
+        return out
 
     def integrate(self, tau_nodes, substeps: int = 1, out=None) -> np.ndarray:
         """The batch state at each tau node, written into `out`
         (N, len(tau_nodes), m, *shape), a fresh array when None."""
-        x = self.start
+        x = self.start.copy()
+        bufs = [np.empty_like(x) for _ in range(5)]
         if out is None:
             out = np.empty((len(x), len(tau_nodes)) + x.shape[1:])
         out[:, 0] = x
@@ -210,11 +215,7 @@ class _KernelStep:
             h = (tau_nodes[c + 1] - tau_nodes[c]) / substeps
             tau = tau_nodes[c]
             for _ in range(substeps):
-                k1 = self.drift(x, tau)
-                k2 = self.drift(x + 0.5 * h * k1, tau + 0.5 * h)
-                k3 = self.drift(x + 0.5 * h * k2, tau + 0.5 * h)
-                k4 = self.drift(x + h * k3, tau + h)
-                x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+                _rk4_step(self.drift, x, tau, h, bufs, x)
                 tau += h
             if not np.all(np.isfinite(x)):
                 raise RuntimeError("NaN in sampler path integration")
@@ -319,23 +320,29 @@ def mixture_interpolation(e: Ensemble, spec: KernelSpec, reference_map,
 
 @dataclass
 class CylindricalObservable:
-    """Phi(x) = fn(<x, f_1>, ..., <x, f_q>) with gradient coefficients."""
+    """Phi(x) = fn(<x, f_1>, ..., <x, f_q>) with gradient coefficients,
+    evaluated on a member batch x (N, m, *shape), one value per member.
+
+    Each pairing <x_i, f_j> is cell * sum(x_i * f_j), bitwise the
+    per-member `fields.inner`."""
 
     test_fields: list
     fn: callable
     partials: callable  # pairings tuple -> tuple of d fn / d p_j
 
-    def pairings(self, u: GridField):
-        return tuple(inner(u, f) for f in self.test_fields)
+    def pairings(self, x: np.ndarray) -> list:
+        axes = tuple(range(1, x.ndim))
+        return [f.grid.cell_volume * np.sum(x * f.values, axis=axes)
+                for f in self.test_fields]
 
-    def value(self, u: GridField) -> float:
-        return float(self.fn(*self.pairings(u)))
+    def values(self, x: np.ndarray) -> np.ndarray:
+        return np.zeros(len(x)) + self.fn(*self.pairings(x))
 
-    def derivative_pairing(self, u: GridField, w: GridField) -> float:
-        p = self.pairings(u)
-        grads = self.partials(*p)
-        return float(sum(gj * inner(w, fj)
-                         for gj, fj in zip(grads, self.test_fields)))
+    def derivative_pairings(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """<DPhi(x_i), w_i> per member."""
+        grads = self.partials(*self.pairings(x))
+        return sum((gj * pj for gj, pj in zip(grads, self.pairings(w))),
+                   np.zeros(len(x)))
 
 
 def constant_observable(c: float) -> CylindricalObservable:
@@ -364,17 +371,16 @@ def continuity_equation_check(e: Ensemble, spec: KernelSpec, reference_map,
     C = len(tau_grid)
     real = _KernelStep(e, spec, reference_map, master_seed, 0)
     states = real.integrate(tau_grid, substeps)
-    vals = np.zeros(C)
-    rhs = np.zeros(C)
-    for c in range(C):
-        vel = real.drift(states[:, c], tau_grid[c])
-        for i in range(e.size):
-            x = GridField(e.grid, states[i, c])
-            vals[c] += observable.value(x)
-            rhs[c] += observable.derivative_pairing(x, GridField(e.grid,
-                                                                 vel[i]))
-    vals /= e.size
-    rhs /= e.size
+    vals = np.empty((C, e.size))
+    rhs = np.empty((C, e.size))
+    vel = np.empty_like(e.values)
+    for c, tau in enumerate(tau_grid):
+        x = states[:, c]
+        vals[c] = observable.values(x)
+        rhs[c] = observable.derivative_pairings(x, real.drift(x, tau, vel))
+    # member means summed in member order (a running sum, not pairwise)
+    vals = np.cumsum(vals, axis=1)[:, -1] / e.size
+    rhs = np.cumsum(rhs, axis=1)[:, -1] / e.size
     dtau = np.diff(tau_grid)
     if np.max(np.abs(dtau - dtau[0])) > 1e-12:
         raise ValueError("continuity check needs a uniform tau grid")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .ensemble import Ensemble, LawCurve
 from .fields import Grid, GridField, inner, l2_norm
-from .transport import solve_assignment, wasserstein_exact
+from .transport import _certify_duals, solve_assignment, wasserstein_exact
 
 __all__ = [
     "crps",
@@ -114,7 +114,8 @@ def w1_assignment(p_samples, q_samples) -> float:
         raise ValueError("assignment W1 needs equal shapes")
     diff = x[:, None, :] - y[None, :, :]
     cost = np.sqrt((diff**2).sum(axis=2))
-    perm, _, _ = solve_assignment(cost)
+    perm, u, v = solve_assignment(cost)
+    _certify_duals(cost, perm, u, v)
     return float(cost[np.arange(len(perm)), perm].mean())
 
 
@@ -226,18 +227,16 @@ class QuadraticCertificate:
     """Quadratic conditional NLL anchored at the numerical truth.
 
     V(a, b) = (lam/2) |b - b_true(a)|^2 pointwise; reconstruction stability
-    constant c_r (identity reconstruction has c_r = 1); clip level for the
-    clipped certificate observables.
+    constant c_r (identity reconstruction has c_r = 1).
     """
 
     lam: float
     b_true: Callable
     c_r: float = 1.0
-    clip_level: float = 1.0
 
     def __post_init__(self):
-        if self.lam <= 0 or self.clip_level <= 0 or self.c_r <= 0:
-            raise ValueError("lam, c_r, and clip level must be positive")
+        if self.lam <= 0 or self.c_r <= 0:
+            raise ValueError("lam and c_r must be positive")
 
 
 def excess_nll_check(inputs: Ensemble, num_out: Ensemble, model_out: Ensemble,

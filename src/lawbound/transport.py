@@ -378,15 +378,11 @@ def capacity_coverage(a: Ensemble, b: Ensemble, K: float,
     return capacity_sweep(a, b, [K], slack)[0]
 
 
-def one_step_defect(rho: Ensemble, reference_map, model_kernel, seed=None) -> float:
+def one_step_defect(rho: Ensemble, reference_map, model_kernel) -> float:
     """W2 between the reference pushforward and the model kernel output.
 
-    reference_map: GridField -> GridField, deterministic per member.
-    model_kernel: (GridField, member_index) -> GridField, one sample each.
+    Both maps take the Ensemble rho to an Ensemble of its pushed members:
+    reference_map deterministically, model_kernel one sample per member.
     """
-    ref = Ensemble.from_fields([reference_map(rho.member(i))
-                                for i in range(rho.size)])
-    mod = Ensemble.from_fields([model_kernel(rho.member(i), i)
-                                for i in range(rho.size)])
-    value, _ = wasserstein_exact(ref, mod, p=2)
+    value, _ = wasserstein_exact(reference_map(rho), model_kernel(rho), p=2)
     return value

@@ -364,6 +364,15 @@ def test_cross_route_agreement_report_level():
     assert rep2["rel_gap"] <= rep["rel_gap"] / 3.0
 
 
+@pytest.mark.parametrize("members, k, match", [(0, 1, "member"),
+                                               (-2, 1, "member"),
+                                               (2, 0, "k in"), (2, 4, "k in")])
+def test_certification_rejects_bad_member_and_test_counts(members, k, match):
+    with pytest.raises(ValueError, match=match):
+        C.certification_report(GRID, members=members, k=k, K=8, k_test=4,
+                               epsilon=0.0, n_steps=4, horizon=0.5, seed=1)
+
+
 def test_fused_pass_matches_public_routes():
     # the batched pass against the per-member oracle routes above
     _, tt, drift, curve = small_setup(k=2, eps=1e-2, n_steps=32)
@@ -480,6 +489,45 @@ def test_pf_marginals_match_analytic():
     rep = C.pf_identities(gd, np.linspace(0, 1, 33), c=0.0,
                           mc_size=4096, seed=5)
     assert rep["marginals_ok"]
+
+
+def oracle_pf_samples(gd, taus, mc_size, seed):
+    """The probability-flow samples as pf_identities marched them before
+    the shared RK4 step: every stage allocated, the tableau written out."""
+    rng = np.random.default_rng(seed)
+    L = np.linalg.cholesky(gd.cov)
+    x = gd.mean[None, :] + rng.standard_normal((mc_size, gd.dim)) @ L.T
+    fine = np.linspace(taus[0], taus[-1], 257)
+    for s in range(len(fine) - 1):
+        h = fine[s + 1] - fine[s]
+
+        def vel(z, tau):
+            B = gd.pf_drift_matrix(tau, gd.score_matrix(tau))
+            return (z - gd.mean[None, :]) @ B.T
+
+        k1 = vel(x, fine[s])
+        k2 = vel(x + 0.5 * h * k1, fine[s] + 0.5 * h)
+        k3 = vel(x + 0.5 * h * k2, fine[s] + 0.5 * h)
+        k4 = vel(x + h * k3, fine[s] + h)
+        x = x + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return x
+
+
+@pytest.mark.parametrize("q, slope", [(1, 0.0), (4, 0.5)])
+def test_pf_marginals_match_the_allocating_loop(q, slope):
+    base = default_gd(q=q, seed=4)
+    gd = C.GaussianDiffusion(mean=base.mean, cov=base.cov, sigma_slope=slope)
+    taus = np.linspace(0, 1, 17)
+    rep = C.pf_identities(gd, taus, c=0.2, mc_size=300, seed=9)
+    x = oracle_pf_samples(gd, taus, 300, 9)
+    cov_T = gd.marginal_cov(taus[-1])
+    mean_se = np.sqrt(np.diag(cov_T) / 300)
+    cov_hat = np.cov(x.T) if q > 1 else np.array([[np.var(x[:, 0], ddof=1)]])
+    cov_se = np.sqrt((np.outer(np.diag(cov_T), np.diag(cov_T)) + cov_T**2)
+                     / 299)
+    assert rep["mean_zmax"] == float(
+        (np.abs(x.mean(axis=0) - gd.mean) / mean_se).max())
+    assert rep["cov_zmax"] == float((np.abs(cov_hat - cov_T) / cov_se).max())
 
 
 def test_pf_drift_identity_mc_oracle():

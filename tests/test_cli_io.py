@@ -8,6 +8,7 @@ import pytest
 from lawbound import ensemble as E
 from lawbound import fields as F
 from lawbound import reporting as RP
+from lawbound import sampler as SA
 from lawbound.cli import main
 
 GRID = F.Grid(2, 16)
@@ -377,6 +378,54 @@ def test_cli_evolve_long_horizon_cfl_trip_exit_3(tmp_path, capsys):
                  "--config", str(evo_cfg)]) == 3
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and "CFL violation" in err
+
+
+def test_cli_evolve_mean_flow_exit_1(tmp_path, capsys):
+    # the vorticity solver rebuilds u by Biot-Savart and would drop the
+    # mean of u_x; that is a solver limit, not a failed energy check
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({"n": 32, "members": 4, "k_max": 6}))
+    assert main(["gen", "--seed", "1", "--out", str(tmp_path / "g"),
+                 "--config", str(cfg)]) == 0
+    e, _ = RP.read_ensemble(tmp_path / "g" / "ensemble.json")
+    values = e.values.copy()
+    values[:, 0] += 0.5
+    RP.write_ensemble(tmp_path / "m", E.Ensemble(e.grid, values))
+    evo_cfg = tmp_path / "e.json"
+    evo_cfg.write_text(json.dumps({"horizon": 0.05, "dt": 0.00625}))
+    capsys.readouterr()
+    assert main(["evolve", "--ensemble", str(tmp_path / "m" / "ensemble.json"),
+                 "--out", str(tmp_path / "evo"),
+                 "--config", str(evo_cfg)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "mean velocity" in err
+    assert not (tmp_path / "evo" / "report.json").exists()
+
+
+def test_cli_sample_builds_paths_only_when_stored(tmp_path, monkeypatch):
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({"n": 16, "members": 3, "k_max": 4}))
+    assert main(["gen", "--seed", "3", "--out", str(tmp_path / "e"),
+                 "--config", str(cfg)]) == 0
+    curves = {}
+    for store in (True, False):
+        if not store:
+            def refuse(*args, **kwargs):
+                raise AssertionError("rollout_paths called")
+            monkeypatch.setattr(SA, "rollout_paths", refuse)
+        scfg = tmp_path / f"s{store}.json"
+        scfg.write_text(json.dumps({
+            "n_steps": 2, "store_paths": store, "reference_dt": 0.0125,
+            "kernel": {"kind": "rectified-flow", "internal_steps": 4,
+                       "perturbation": 0.3}}))
+        out = tmp_path / f"s{store}"
+        assert main(["sample", "--seed", "4", "--out", str(out),
+                     "--ensemble", str(tmp_path / "e" / "ensemble.json"),
+                     "--config", str(scfg)]) == 0
+        assert (out / "paths").exists() == store
+        curves[store] = [p.read_bytes() for p in
+                         sorted((out / "curve").rglob("*.lbf"))]
+    assert len(curves[True]) == 3 and curves[True] == curves[False]
 
 
 def test_cli_sample_pf_ode_default_init_exit_0(tmp_path):
@@ -884,6 +933,16 @@ def test_fuzz_lawcurve_manifest_reads_or_names_the_field(data):
 
 
 # ------------------------------------------------------------ config fuzz
+
+@pytest.mark.parametrize("version", ["\x1e0", "2\n3", 7])
+def test_unsupported_schema_version_is_named_on_one_line(version):
+    # a record separator or newline in the value must not split the error
+    with pytest.raises(ValueError) as exc:
+        RP.validate_config({"schema_version": version}, {}, "cmd")
+    msg = str(exc.value)
+    assert msg.startswith("cmd: unsupported schema_version")
+    assert len(msg.splitlines()) == 1
+
 
 _CONFIG_FIELDS = {"i": (int, 1), "f": (float, 0.5), "b": (bool, False),
                   "s": (str, "x"), "l": (list, []), "r": (float, None)}

@@ -336,3 +336,35 @@ def test_coefficient_tails_match_synthesized_field():
         u = F.random_divfree(g, p, g.n // 2 - 1, seed=seed)
         via_field = E.tail_profile(E.Ensemble(g, u.values[None]), Ks)
         assert np.all(np.abs(direct - via_field) <= 1e-13 * via_field)
+
+
+# ------------------------------------------- batched unit synthesis
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_batched_unit_synthesis_matches_member_draws(n):
+    g = F.Grid(2, n)
+    p = F.spectrum_exponent_for_structure(0.5)
+    # a Generator listed three times draws three times, in order
+    seeds = lambda: [np.random.default_rng(3)] * 3 + [
+        7, np.random.SeedSequence([1, 2])]
+    batch = F.random_divfree_batch(g, p, n // 4, seeds())
+    unit = E.Ensemble(g, batch).normalized()
+    assert batch.shape == (5, 2, n, n)
+    for i, seed in enumerate(seeds()):
+        # the per-member route: one coefficient draw, one irfftn
+        u = F._half_synthesize(F._divfree_coef(g, p, n // 4, seed), g)
+        assert batch[i].tobytes() == u.tobytes()
+        member = F.GridField(g, u)
+        assert unit.values[i].tobytes() \
+            == (u / F.l2_norm(member)).tobytes()
+    single = F.random_divfree(g, p, n // 4, seed=7)
+    assert single.values.tobytes() == batch[3].tobytes()
+
+
+def test_normalized_keeps_a_zero_member_zero():
+    g = F.Grid(2, 16)
+    vals = np.zeros((2, 2) + g.shape)
+    vals[1] = F.random_divfree(g, 3.0, 4, seed=1).values
+    unit = E.Ensemble(g, vals).normalized()
+    assert np.all(unit.values[0] == 0.0)
+    assert abs(unit.member_norms()[1] - 1.0) < 1e-14

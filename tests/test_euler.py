@@ -331,6 +331,83 @@ def test_l2_identity_taylor_green_refinement():
         assert fine <= floor or coarse / fine >= 3.5
 
 
+def oracle_l2_identity(u0, v0, cfg, t, checkpoints):
+    """The step loop the identity check ran before it used the march: one
+    workspace RK4 step of the pair at a time, velocities and both sides of
+    the identity evaluated between steps."""
+    n_steps = EU._steps_for(cfg, t)
+    g = cfg.grid
+    ws = EU._Workspace(2, g.n)
+    pair = EU.vorticity_hat(E.Ensemble(g, np.stack([u0.values, v0.values])))
+    vel = np.empty((2, 2, g.n, g.n))
+    half_sq = np.empty(n_steps + 1)
+    rhs_vals = np.empty(n_steps + 1)
+    for s in range(n_steps + 1):
+        ua, vb = EU._velocity_into(pair, ws, vel)
+        wdiff = ua - vb
+        half_sq[s] = 0.5 * g.cell_volume * np.sum(wdiff**2)
+        S = EU.strain(F.GridField(g, vb))
+        wsx = wdiff[0]
+        wsy = wdiff[1]
+        quad = (S.tensor[0, 0] * wsx * wsx + 2 * S.tensor[0, 1] * wsx * wsy
+                + S.tensor[1, 1] * wsy * wsy)
+        rhs_vals[s] = -g.cell_volume * np.sum(quad)
+        if s < n_steps:
+            speeds, tripped = EU._rk4(pair, cfg, ws)
+            if tripped:
+                limit = EU._cfl_limit(speeds, cfg)
+                if limit is None:
+                    raise RuntimeError("NaN detected in Euler step")
+                raise RuntimeError(f"CFL violation: dt={cfg.dt} > {limit:.3e}")
+    idx = np.linspace(2, n_steps - 2, checkpoints).astype(int)
+    deriv = (half_sq[idx - 2] - 8 * half_sq[idx - 1]
+             + 8 * half_sq[idx + 1] - half_sq[idx + 2]) / (12.0 * cfg.dt)
+    scale = max(np.abs(rhs_vals[idx]).max(), np.abs(deriv).max(), 1e-300)
+    resid = np.abs(deriv - rhs_vals[idx]) / scale
+    return {"max_relative_residual": float(resid.max()),
+            "times": (idx * cfg.dt).tolist(), "scale": float(scale)}
+
+
+@pytest.mark.parametrize("count", [1, 4])
+def test_l2_identity_matches_step_loop_oracle(threads, monkeypatch, count):
+    threads(count)
+    tg = EU.taylor_green(GRID)
+    u0 = F.GridField(GRID, tg.values + 1e-2 * unit_grf(7, k_max=8).values)
+    for dt, t in ((0.02, 0.2), (0.01, 0.1)):
+        cfg = EU.EulerConfig(GRID, dt=dt)
+        assert (EU.l2_difference_identity_check(u0, tg, cfg, t, checkpoints=8)
+                == oracle_l2_identity(u0, tg, cfg, t, 8))
+    # one member per block: the pair marches as two blocks
+    monkeypatch.setattr(EU, "_CHUNK_BYTES", 4 * GRID.n**2 * 8)
+    assert (EU.l2_difference_identity_check(u0, tg, cfg, 0.1, checkpoints=4)
+            == oracle_l2_identity(u0, tg, cfg, 0.1, 4))
+    fast = F.GridField(GRID, 40.0 * u0.values)
+    cfg = EU.EulerConfig(GRID, dt=0.025)
+    with pytest.raises(RuntimeError, match="CFL") as oracle:
+        oracle_l2_identity(fast, tg, cfg, 0.25, 8)
+    with pytest.raises(RuntimeError) as got:
+        EU.l2_difference_identity_check(fast, tg, cfg, 0.25, checkpoints=8)
+    assert str(got.value) == str(oracle.value)
+
+
+def test_mean_flow_is_rejected_before_any_step():
+    a, _ = grf_pair_ensembles(3, amp=0.0, seed0=40)
+    cfg = EU.EulerConfig(GRID, dt=0.0125)
+    values = a.values.copy()
+    values[2, 0] += 0.5
+    moving = E.Ensemble(GRID, values)
+    with pytest.raises(ValueError, match="member 2 has a mean velocity"):
+        EU.evolve(moving, cfg, 4 * cfg.dt, checkpoints=2)
+    with pytest.raises(ValueError, match="member 0 has a mean velocity"):
+        EU.step(moving.member(2), cfg)
+    with pytest.raises(ValueError, match="mean velocity"):
+        EU.l2_difference_identity_check(a.member(0), moving.member(2), cfg,
+                                        t=0.1, checkpoints=4)
+    # a mean of roundoff size is not a mean flow
+    values[2, 0] -= values[2, 0].mean()
+    EU.step(E.Ensemble(GRID, values), cfg)
+
+
 def test_antisymmetric_part_invisible():
     # (w x w) : grad v equals (w x w) : S(v) because w x w is symmetric
     v = unit_grf(8)

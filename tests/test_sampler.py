@@ -365,6 +365,8 @@ def oracle_rollout_states(e, spec, ref, n_steps, seed):
 
 
 def oracle_continuity_curves(e, spec, ref, obs, tau_grid, seed, substeps):
+    """Per-member realizations, each state and drift paired with the test
+    fields through `fields.inner`, one member at a time."""
     reals, states = member_route(e, spec, ref, tau_grid, seed,
                                  substeps=substeps)
     vals = np.zeros(len(tau_grid))
@@ -372,9 +374,11 @@ def oracle_continuity_curves(e, spec, ref, obs, tau_grid, seed, substeps):
     for i, real in enumerate(reals):
         for c, tau in enumerate(tau_grid):
             x = F.GridField(e.grid, states[i, c])
-            vals[c] += obs.value(x)
-            rhs[c] += obs.derivative_pairing(
-                x, F.GridField(e.grid, real.drift(states[i, c], tau)))
+            w = F.GridField(e.grid, real.drift(states[i, c], tau))
+            p = [F.inner(x, f) for f in obs.test_fields]
+            vals[c] += float(obs.fn(*p))
+            rhs[c] += float(sum(gj * F.inner(w, fj) for gj, fj
+                                in zip(obs.partials(*p), obs.test_fields)))
     return vals / e.size, rhs / e.size
 
 

@@ -87,6 +87,21 @@ def test_energy_below_2w1_vector_case():
         assert es <= 2.0 * w1 + 1e-12
 
 
+def test_w1_assignment_certifies_the_solve(monkeypatch):
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((8, 3))
+    y = rng.standard_normal((8, 3)) + 0.5
+    solve = S.solve_assignment
+
+    def corrupted(cost):
+        perm, u, v = solve(cost)
+        return np.roll(perm, 1), u, v
+
+    monkeypatch.setattr(S, "solve_assignment", corrupted)
+    with pytest.raises(RuntimeError, match="assignment"):
+        S.w1_assignment(x, y)
+
+
 def test_w1_sorted_matches_assignment_1d():
     rng = np.random.default_rng(6)
     x = rng.standard_normal(24)

@@ -352,11 +352,17 @@ def test_capacity_random_pairs_never_violated():
 
 # ------------------------------------------------------------------ defect
 
+def batched(member_map):
+    """An Ensemble -> Ensemble map from a per-member map (GridField, i)."""
+    return lambda e: E.Ensemble(e.grid, np.stack(
+        [member_map(e.member(i), i).values for i in range(e.size)]))
+
+
 def test_one_step_defect_zero_for_matching_kernel():
     rng = np.random.default_rng(18)
     rho = rand_ensemble(GRID, 5, 2, rng)
-    ref = lambda u: F.GridField(u.grid, 2.0 * u.values)
-    model = lambda u, i: F.GridField(u.grid, 2.0 * u.values)
+    ref = batched(lambda u, i: F.GridField(u.grid, 2.0 * u.values))
+    model = batched(lambda u, i: F.GridField(u.grid, 2.0 * u.values))
     assert T.one_step_defect(rho, ref, model) < 1e-12
 
 
@@ -364,8 +370,8 @@ def test_one_step_defect_constant_shift():
     rng = np.random.default_rng(19)
     rho = rand_ensemble(GRID, 5, 2, rng)
     c = 0.37
-    ref = lambda u: u
-    model = lambda u, i: F.GridField(u.grid, u.values + c)
+    ref = batched(lambda u, i: u)
+    model = batched(lambda u, i: F.GridField(u.grid, u.values + c))
     shift_norm = F.l2_norm(F.GridField(GRID, np.full((2,) + GRID.shape, c)))
     val = T.one_step_defect(rho, ref, model)
     assert abs(val - shift_norm) <= 1e-10 * shift_norm
@@ -376,8 +382,9 @@ def test_one_step_defect_perturbation_scale():
     rho = rand_ensemble(GRID, 6, 2, rng)
     eps = 1e-2
     noise = [rng.standard_normal((2,) + GRID.shape) for _ in range(6)]
-    ref = lambda u: u
-    model = lambda u, i: F.GridField(u.grid, u.values + eps * noise[i])
+    ref = batched(lambda u, i: u)
+    model = batched(lambda u, i: F.GridField(u.grid,
+                                             u.values + eps * noise[i]))
     # identity coupling is an upper bound; actual defect within 10% of it
     upper = np.sqrt(np.mean([
         F.l2_norm(F.GridField(GRID, eps * noise[i])) ** 2 for i in range(6)
