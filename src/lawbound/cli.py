@@ -36,7 +36,6 @@ from .reporting import (
     write_csv,
     write_ensemble,
     write_lawcurve,
-    write_lbf,
 )
 
 __all__ = ["main"]
@@ -203,17 +202,10 @@ def cmd_sample(args) -> int:
         # the path array (N, C, m, *shape) is built only when it is stored
         bundle, curve = SA.rollout_paths(e, spec, ref, cfg["dt_phys"],
                                          cfg["n_steps"], int(args.seed))
-        pdir = out / "paths"
-        pdir.mkdir(exist_ok=True)
-        index = {"times": bundle.times.tolist(), "members": []}
-        for i in range(bundle.size):
-            names = []
-            for c in range(bundle.states.shape[1]):
-                name = f"path_{i:03d}_{c:05d}.lbf"
-                write_lbf(pdir / name, F.GridField(e.grid, bundle.states[i, c]))
-                names.append(name)
-            index["members"].append(names)
-        (pdir / "index.json").write_text(json.dumps(index, sort_keys=True))
+        # the path marginals: one ensemble file per checkpoint
+        write_lawcurve(out / "paths", E.LawCurve(
+            bundle.times, [E.Ensemble(e.grid, bundle.states[:, c])
+                           for c in range(len(bundle.times))]))
     else:
         ensembles = [e]
         for n in range(cfg["n_steps"]):

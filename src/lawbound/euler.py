@@ -26,9 +26,9 @@ from .fields import (
     Grid,
     GridField,
     _deriv_modes,
+    _gradient,
     _half,
     _half_spectrum,
-    _half_synthesize,
     _mode_magnitude,
     _modes,
     _parseval_sq,
@@ -53,12 +53,14 @@ __all__ = [
 ]
 
 
+DEALIAS_FRACTION = 2.0 / 3.0  # modes |k_x|, |k_y| <= DEALIAS_FRACTION n/2
+CFL = 0.5  # the step guard's dt <= CFL h / max|u|
+
+
 @dataclass(frozen=True)
 class EulerConfig:
     grid: Grid
     dt: float
-    dealias_fraction: float = 2.0 / 3.0
-    cfl: float = 0.5
 
     def __post_init__(self):
         if self.grid.d != 2:
@@ -68,7 +70,7 @@ class EulerConfig:
 
 
 @lru_cache(maxsize=None)
-def _solver_arrays(n: int, dealias_fraction: float = 2.0 / 3.0):
+def _solver_arrays(n: int):
     """Half-spectrum (rfft2 layout, shape (n, n//2+1)) operators: i*k for
     odd derivatives with the Nyquist rows zeroed, 1/|k|^2 (0 at k=0) and
     the dealiasing mask."""
@@ -76,7 +78,7 @@ def _solver_arrays(n: int, dealias_fraction: float = 2.0 / 3.0):
     kx, ky = _half(_modes(2, n), g)
     k2 = kx**2 + ky**2
     inv_k2 = np.where(k2 == 0, 0.0, 1.0 / np.where(k2 == 0, 1.0, k2))
-    cut = dealias_fraction * (n / 2.0)
+    cut = DEALIAS_FRACTION * (n / 2.0)
     mask = (np.abs(kx) <= cut) & (np.abs(ky) <= cut)
     ikd = 1j * _half(_deriv_modes(2, n), g)
     for arr in (ikd, inv_k2, mask):
@@ -256,10 +258,10 @@ def velocity_from_vorticity(grid: Grid, w_hat: np.ndarray) -> GridField:
 
 
 def _cfl_limit(speeds, cfg: EulerConfig):
-    """The admissible step cfl*h/max|u| when the k1 speeds (max|u|, max|v|)
+    """The admissible step CFL*h/max|u| when the k1 speeds (max|u|, max|v|)
     make cfg.dt exceed it, else None."""
     umax = max(speeds)
-    limit = cfg.cfl * cfg.grid.spacing
+    limit = CFL * cfg.grid.spacing
     if umax > 0 and cfg.dt > limit / umax:
         return limit / umax
     return None
@@ -299,7 +301,7 @@ def _rk4(w, cfg: EulerConfig, ws):
     Returns the k1 speeds (max|u|, max|v|) and whether a guard tripped:
     the CFL guard stops before k2 and leaves w as it was, the NaN guard
     checks the new state."""
-    mask = _solver_arrays(cfg.grid.n, cfg.dealias_fraction)[2]
+    mask = _solver_arrays(cfg.grid.n)[2]
     u, v = _advection(w, ws, mask, ws.k1)
     speeds = (np.abs(u, out=ws.prod).max(), np.abs(v, out=ws.prod).max())
     if _cfl_limit(speeds, cfg) is not None:
@@ -476,12 +478,8 @@ def strain(v) -> StrainField:
     g = v.grid
     if g.d != 2 or v.m != 2:
         raise ValueError("strain needs a 2D velocity field")
-    ikd = _solver_arrays(g.n)[0]
-    vh = _half_spectrum(v.values, g)
-    uh, wh = vh[..., 0, :, :], vh[..., 1, :, :]
-    spec = np.stack([ikd[0] * uh, ikd[1] * uh, ikd[0] * wh, ikd[1] * wh],
-                    axis=-3)
-    dudx, dudy, dvdx, dvdy = np.moveaxis(_half_synthesize(spec, g), -3, 0)
+    (dudx, dudy), (dvdx, dvdy) = np.moveaxis(_gradient(v.values, g),
+                                             (-4, -3), (0, 1))
     sxy = 0.5 * (dudy + dvdx)
     tensor = np.stack([np.stack([dudx, sxy], axis=-3),
                        np.stack([sxy, dvdy], axis=-3)], axis=-4)
@@ -498,11 +496,8 @@ def _weighted_strain_integral(w_values: np.ndarray, s: StrainField) -> float:
 
 def lambda_pointwise(u: GridField, v: GridField) -> float:
     """Distance-weighted strain ratio for one pair; zero when u == v."""
-    w = u.values - v.values
-    denom = float(u.grid.cell_volume * np.sum(w**2))
-    if denom == 0.0:
-        return 0.0
-    return _weighted_strain_integral(w, strain(v)) / denom
+    return _coupled_strain(Ensemble(u.grid, u.values[None]),
+                           Ensemble(v.grid, v.values[None]))[0]
 
 
 def _coupled_strain(pairs_u: Ensemble, pairs_v: Ensemble):
@@ -540,27 +535,31 @@ def l2_difference_identity_check(u0: GridField, v0: GridField, cfg: EulerConfig,
                                  t: float, checkpoints: int = 16) -> dict:
     """Compare d/dt (1/2)||w||^2 with -int (w x w) : S(v) along two solutions.
 
-    The time derivative uses a 4th order central stencil on ||w||^2 stored at
-    every solver step; the comparison is made at `checkpoints` interior
-    times.  Returns the max relative residual and the curves.
+    The comparison is made at `checkpoints` interior times, the derivative
+    by a 4th order central stencil on ||w||^2 at the five steps around each,
+    the only steps kept from the march.  Returns the max relative residual
+    and the curves.
     """
     n_steps = _steps_for(cfg, t)
     g = cfg.grid
     pair = np.stack([u0.values, v0.values])
-    path = np.empty((n_steps + 1,) + pair.shape)  # velocities at every step
-    _march(pair, cfg, n_steps, dict(enumerate(path)))
+    idx = np.linspace(2, n_steps - 2, checkpoints).astype(int)
+    marks = np.unique(idx[:, None] + np.arange(-2, 3))
+    path = np.empty((len(marks),) + pair.shape)  # velocities at the marks
+    _march(pair, cfg, n_steps, dict(zip(marks.tolist(), path)))
     w = path[:, 0] - path[:, 1]
-    S = strain(Ensemble(g, path[:, 1])).tensor
     half_sq = 0.5 * g.cell_volume * np.sum(w**2, axis=(1, 2, 3))
+    at = np.searchsorted(marks, idx)
+    S = strain(Ensemble(g, path[at, 1])).tensor
+    w = w[at]
     quad = (S[:, 0, 0] * w[:, 0] * w[:, 0] + 2 * S[:, 0, 1] * w[:, 0] * w[:, 1]
             + S[:, 1, 1] * w[:, 1] * w[:, 1])
     rhs_vals = -g.cell_volume * np.sum(quad, axis=(1, 2))
     # 4th order central difference, interior nodes only
-    idx = np.linspace(2, n_steps - 2, checkpoints).astype(int)
-    deriv = (half_sq[idx - 2] - 8 * half_sq[idx - 1]
-             + 8 * half_sq[idx + 1] - half_sq[idx + 2]) / (12.0 * cfg.dt)
-    scale = max(np.abs(rhs_vals[idx]).max(), np.abs(deriv).max(), 1e-300)
-    resid = np.abs(deriv - rhs_vals[idx]) / scale
+    deriv = (half_sq[at - 2] - 8 * half_sq[at - 1]
+             + 8 * half_sq[at + 1] - half_sq[at + 2]) / (12.0 * cfg.dt)
+    scale = max(np.abs(rhs_vals).max(), np.abs(deriv).max(), 1e-300)
+    resid = np.abs(deriv - rhs_vals) / scale
     return {
         "max_relative_residual": float(resid.max()),
         "times": (idx * cfg.dt).tolist(),

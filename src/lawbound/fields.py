@@ -373,20 +373,18 @@ def sobolev_norm(f: GridField, s: float) -> float:
                                            * _power(coef, g))))
 
 
-def _spectral_jacobian(F: SpecField) -> np.ndarray:
-    """Physical-space partial derivatives, shape (m, d, *shape)."""
-    g = F.grid
-    kk = _deriv_modes(g.d, g.n)
-    parts = []
-    for a in range(g.d):
-        da = _synthesize(1j * kk[a] * F.coef, g)
-        parts.append(da)
-    return np.stack(parts, axis=1)
+def _gradient(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Physical partial derivatives (..., m, d, *shape) of real fields
+    (..., m, *shape): one half spectrum and one stacked synthesis, entry
+    [c, a] being the synthesis of i k_a times the spectrum of component c."""
+    ik = 1j * _half(_deriv_modes(grid.d, grid.n), grid)
+    coef = np.expand_dims(_half_spectrum(values, grid), -grid.d - 1)
+    return _half_synthesize(coef * ik, grid)
 
 
 def grad_sup(f: GridField) -> float:
     """sup_x of the Frobenius norm of the Jacobian, evaluated on the lattice."""
-    jac = _spectral_jacobian(forward(f))
+    jac = _gradient(f.values, f.grid)
     pointwise = np.sqrt((jac**2).sum(axis=(0, 1)))
     return float(pointwise.max())
 

@@ -20,7 +20,7 @@ batch a member travels in or on the worker count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -260,13 +260,30 @@ class PathBundle:
     def size(self) -> int:
         return self.states.shape[0]
 
+    @cached_property
+    def speeds(self) -> np.ndarray:
+        """Discrete speeds ||x_(c+1) - x_c||_2 / (t_(c+1) - t_c), (N, C-1)."""
+        inc = self.states[:, 1:] - self.states[:, :-1]
+        return _l2_norms(self.grid, inc) / np.diff(self.times)[None, :]
+
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
+        return _half_spectrum(self.states, self.grid)
+
     def hminus1_pair_norms(self):
-        """Half spectra of all states and the Parseval weight of the H^-1
-        norm, for H^-1 increment queries."""
+        """Half spectra of all states, transformed once per bundle, and the
+        Parseval weight of the H^-1 norm."""
         g = self.grid
-        coef = _half_spectrum(self.states, g)
         mag = _half(_mode_magnitude(g.d, g.n), g)
-        return coef, _half_weight(g.n) / (1.0 + mag**2)
+        return self._spectrum, _half_weight(g.n) / (1.0 + mag**2)
+
+    def hminus1_increments(self, c1: int, c2: int, member=slice(None)):
+        """||x_c2 - x_c1||_{H^-1} of every member, or of one member index."""
+        coef, weight = self.hminus1_pair_norms()
+        d = self.grid.d
+        power = (np.abs(coef[member, c2] - coef[member, c1]) ** 2).sum(-d - 1)
+        sq = (weight * power).sum(axis=tuple(range(-d, 0)))
+        return np.sqrt(self.grid.volume * sq)
 
 
 def rollout_paths(e: Ensemble, spec: KernelSpec, reference_map, dt_phys: float,
@@ -427,14 +444,10 @@ def time_regularity_report(bundle: PathBundle, pair_samples: int, seed,
     g = bundle.grid
     times = bundle.times
     states = bundle.states
-    N, C = states.shape[0], states.shape[1]
+    C = states.shape[1]
     if C < 9:
         raise ValueError("need at least 8 internal checkpoints")
-    dt_c = np.diff(times)
-    inc = states[:, 1:] - states[:, :-1]
-    speeds = _l2_norms(g, inc) / dt_c[None, :]        # (N, C-1)
-    mean_speed = speeds.mean(axis=0)
-    c_spd = float(mean_speed.max())
+    c_spd = float(bundle.speeds.mean(axis=0).max())
 
     # chords per physical step
     b = bundle.step_boundaries
@@ -456,14 +469,10 @@ def time_regularity_report(bundle: PathBundle, pair_samples: int, seed,
     chain_ok = c_spd <= (c_ch + np.sqrt(c_str)) * (1 + tol) + 1e-15
 
     rng = np.random.default_rng(seed)
-    coef, weight = bundle.hminus1_pair_norms()
     worst = -np.inf
     for _ in range(pair_samples):
         c1, c2 = sorted(rng.choice(C, size=2, replace=False))
-        diff = coef[:, c2] - coef[:, c1]
-        sq = (weight * (np.abs(diff) ** 2).sum(axis=1)).sum(
-            axis=tuple(range(1, 1 + g.d)))
-        mean_inc = float(np.mean(np.sqrt(g.volume * sq)))
+        mean_inc = float(np.mean(bundle.hminus1_increments(c1, c2)))
         bound = c_spd * (times[c2] - times[c1])
         worst = max(worst, mean_inc - bound * (1 + tol))
     increments_ok = worst <= 1e-15
@@ -482,22 +491,16 @@ def holder_from_action_check(bundle: PathBundle, p: float, pair_samples: int,
     discrete speeds."""
     if p <= 1:
         raise ValueError("p must exceed 1")
-    g = bundle.grid
     times = bundle.times
-    states = bundle.states
-    N, C = states.shape[0], states.shape[1]
+    N, C = bundle.states.shape[:2]
     dt_c = np.diff(times)
-    speeds = _l2_norms(g, states[:, 1:] - states[:, :-1]) / dt_c[None, :]
-    coef, weight = bundle.hminus1_pair_norms()
     rng = np.random.default_rng(seed)
     worst = -np.inf
     for _ in range(pair_samples):
         i = int(rng.integers(0, N))
         c1, c2 = sorted(rng.choice(C, size=2, replace=False))
-        diff = coef[i, c2] - coef[i, c1]
-        sq = (weight * (np.abs(diff) ** 2).sum(axis=0)).sum()
-        lhs = float(np.sqrt(g.volume * sq))
-        action = float(np.sum(dt_c[c1:c2] * speeds[i, c1:c2] ** p))
+        lhs = float(bundle.hminus1_increments(c1, c2, i))
+        action = float(np.sum(dt_c[c1:c2] * bundle.speeds[i, c1:c2] ** p))
         rhs = (times[c2] - times[c1]) ** (1.0 - 1.0 / p) * action ** (1.0 / p)
         worst = max(worst, lhs - rhs * (1 + tol))
     return {"worst_gap": float(worst), "ok": bool(worst <= 1e-15),

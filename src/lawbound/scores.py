@@ -17,7 +17,7 @@ import numpy as np
 
 from .ensemble import Ensemble, LawCurve
 from .fields import Grid, GridField, inner, l2_norm
-from .transport import _certify_duals, solve_assignment, wasserstein_exact
+from .transport import _exact_from_distances, time_integrated_w1
 
 __all__ = [
     "crps",
@@ -113,10 +113,7 @@ def w1_assignment(p_samples, q_samples) -> float:
     if x.shape != y.shape:
         raise ValueError("assignment W1 needs equal shapes")
     diff = x[:, None, :] - y[None, :, :]
-    cost = np.sqrt((diff**2).sum(axis=2))
-    perm, u, v = solve_assignment(cost)
-    _certify_duals(cost, perm, u, v)
-    return float(cost[np.arange(len(perm)), perm].mean())
+    return _exact_from_distances(np.sqrt((diff**2).sum(axis=2)), 1)[0]
 
 
 # ---------------------------------------------------- resolved observables
@@ -186,29 +183,26 @@ def mollified_point_observable(grid: Grid, location, component: int,
 def crps_dT_check(a: LawCurve, b: LawCurve, obs: ResolvedObservable,
                   slack: float = 1e-9) -> dict:
     """Per-time pushforward CRPS against the 2 Lip(l) W1 chain and its
-    time integral against 2 Lip(l) d_T."""
-    if len(a.times) != len(b.times) or np.max(np.abs(a.times - b.times)) > 0:
-        raise ValueError("law curves must share the time grid")
+    time integral against 2 Lip(l) d_T, with d_T and the per-time field W1
+    from `transport.time_integrated_w1`."""
+    d_t, w1_t = time_integrated_w1(a, b)
     lip = obs.lipschitz
     rows = []
     crps_t = np.empty(len(a.times))
-    w1_t = np.empty(len(a.times))
     per_time_ok = True
-    for s, (ea, eb) in enumerate(zip(a.ensembles, b.ensembles)):
+    for s, (ea, eb, w_field) in enumerate(zip(a.ensembles, b.ensembles,
+                                              w1_t.tolist())):
         pa = obs.apply_ensemble(ea)
         pb = obs.apply_ensemble(eb)
         c = crps_between(pa, pb)
         w_push = w1_sorted(pa, pb)
-        w_field = wasserstein_exact(ea, eb, p=1)[0]
         ok = (c <= 2.0 * w_push + slack
               and w_push <= lip * w_field + slack)
         per_time_ok = per_time_ok and ok
         crps_t[s] = c
-        w1_t[s] = w_field
         rows.append({"t": float(a.times[s]), "crps": c,
                      "w1_pushforward": w_push, "w1_field": w_field,
                      "bound": 2.0 * lip * w_field, "ok": bool(ok)})
-    d_t = float(np.trapezoid(w1_t, a.times))  # time_integrated_w1 without re-solving
     integral = float(np.trapezoid(crps_t, a.times))
     return {
         "rows": rows,

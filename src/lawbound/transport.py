@@ -115,7 +115,9 @@ def pairwise_distances(a: Ensemble, b: Ensemble) -> np.ndarray:
     is differenced against them; each row sum is the same contiguous
     reduction as over the whole of b, so the result does not depend on the
     tile size.  The rows of a are split into one block per `parallel_map`
-    worker, each with its own tile buffer; one block runs inline.
+    worker, each with its own tile buffer; one block runs inline.  Squares
+    beyond the float range become inf without a warning; the exact and
+    entropic solvers reject them.
     """
     if a.grid != b.grid or a.m != b.m:
         raise ValueError("ensembles must share grid and component count")
@@ -125,13 +127,14 @@ def pairwise_distances(a: Ensemble, b: Ensemble) -> np.ndarray:
 
     def run(item):
         block, work = item
-        for j in range(0, Y.shape[0], rows):
-            tile = Y[j:j + rows]
-            d = work[:len(tile)]
-            for i in range(block.start, block.stop):
-                np.subtract(tile, X[i], out=d)
-                np.multiply(d, d, out=d)
-                d.sum(axis=1, out=sq[i, j:j + len(tile)])
+        with np.errstate(over="ignore"):
+            for j in range(0, Y.shape[0], rows):
+                tile = Y[j:j + rows]
+                d = work[:len(tile)]
+                for i in range(block.start, block.stop):
+                    np.subtract(tile, X[i], out=d)
+                    np.multiply(d, d, out=d)
+                    d.sum(axis=1, out=sq[i, j:j + len(tile)])
 
     workers = min(worker_count(), X.shape[0])
     items = [(slice(X.shape[0] * k // workers, X.shape[0] * (k + 1) // workers),
@@ -149,7 +152,8 @@ def solve_assignment(cost: np.ndarray):
 
     Returns (row_to_col, u, v) where u, v are feasible dual potentials with
     u_i + v_j <= c_ij and equality on assigned pairs.  Ties are broken toward
-    the lowest column index for reproducibility.
+    the lowest column index for reproducibility.  A row's search raises a
+    RuntimeError at a non-finite reduced cost or after n+1 column scans.
     """
     cost = np.asarray(cost, dtype=np.float64)
     n, m = cost.shape
@@ -165,10 +169,9 @@ def solve_assignment(cost: np.ndarray):
         j0 = n
         minv = np.full(n + 1, INF)
         used = np.zeros(n + 1, dtype=bool)
-        while True:
+        for _ in range(n + 1):
             used[j0] = True
             i0 = p[j0]
-            j1 = -1
             cur = cost[i0, :] - u[i0] - v[:n]
             better = ~used[:n] & (cur < minv[:n])
             minv[:n] = np.where(better, cur, minv[:n])
@@ -180,6 +183,8 @@ def solve_assignment(cost: np.ndarray):
             else:
                 j1 = free[np.argmin(minv[free])]
                 delta = minv[j1]
+            if not delta < INF:
+                break
             upd = used[: n + 1]
             u[p[upd]] += delta
             v[upd] -= delta
@@ -187,6 +192,9 @@ def solve_assignment(cost: np.ndarray):
             j0 = j1
             if p[j0] == n:
                 break
+        if p[j0] != n:
+            raise RuntimeError(f"assignment search for row {i} found no "
+                               f"finite augmenting path")
         while j0 != n:
             j1 = way[j0]
             p[j0] = p[j1]
@@ -229,7 +237,10 @@ def _exact_from_distances(dist: np.ndarray, p: int):
     """wasserstein_exact on a precomputed distance matrix."""
     _check_exact(p, *dist.shape)
     n = dist.shape[0]
-    cost = dist if p == 1 else dist**2
+    with np.errstate(over="ignore"):
+        cost = dist if p == 1 else dist**2
+    if not np.isfinite(cost).all():
+        raise ValueError("transport costs overflow the float range")
     perm, u, v = solve_assignment(cost)
     _certify_duals(cost, perm, u, v)
     total = cost[np.arange(n), perm].mean()
@@ -250,12 +261,15 @@ def sinkhorn(a: Ensemble, b: Ensemble, epsilon: float, p: int = 2,
         raise ValueError("epsilon must be positive")
     if p != 2:
         raise ValueError("sinkhorn surrogate is provided for p=2")
-    return _sinkhorn_from_cost(pairwise_distances(a, b) ** 2, epsilon,
-                               max_iter)
+    with np.errstate(over="ignore"):
+        C = pairwise_distances(a, b) ** 2
+    return _sinkhorn_from_cost(C, epsilon, max_iter)
 
 
 def _sinkhorn_from_cost(C: np.ndarray, epsilon: float, max_iter: int):
     """sinkhorn (p=2) on a precomputed squared-distance matrix."""
+    if not np.isfinite(C).all():
+        raise ValueError("transport costs overflow the float range")
     n, m = C.shape
     log_mu = -np.log(n)
     log_nu = -np.log(m)
@@ -346,13 +360,10 @@ def capacity_sweep(a: Ensemble, b: Ensemble, Ks,
     that spectrum, and each K adds the projected mismatch Train_K.
     """
     Ks = list(Ks)
+    w1, w2, _ = pair_costs(a, b)
     spec_a = _half_spectrum(a.values, a.grid)
     spec_b = _half_spectrum(b.values, b.grid)
     tails_a, tails_b = _tails(spec_a, a.grid, Ks), _tails(spec_b, b.grid, Ks)
-    _check_exact(2, a.size, b.size)
-    dist = pairwise_distances(a, b)
-    w2, _ = _exact_from_distances(dist, 2)
-    w1, _ = _exact_from_distances(dist, 1)
     reports = []
     for K, ta, tb, pa, pb in zip(Ks, tails_a.tolist(), tails_b.tolist(),
                                  _projections(spec_a, a.grid, Ks),

@@ -264,13 +264,43 @@ def test_cli_sample_store_paths(tmp_path):
     assert main(["sample", "--seed", "4", "--out", str(tmp_path / "s"),
                  "--ensemble", str(tmp_path / "e" / "ensemble.json"),
                  "--config", str(scfg)]) == 0
-    index = json.loads((tmp_path / "s" / "paths" / "index.json").read_text())
-    assert len(index["members"]) == 2
-    assert len(index["times"]) == 2 * 4 + 1
-    first = RP.read_lbf(tmp_path / "s" / "paths" / index["members"][0][0])
-    assert first.grid.n == 16
+    paths = RP.read_lawcurve(tmp_path / "s" / "paths" / "lawcurve.json")
+    assert all(e.size == 2 for e in paths.ensembles)
+    assert len(paths.times) == 2 * 4 + 1
+    assert paths.grid.n == 16
     curve = RP.read_lawcurve(tmp_path / "s" / "curve" / "lawcurve.json")
     assert len(curve.times) == 3
+
+
+def test_cli_sample_store_paths_is_one_law_curve(tmp_path):
+    # one ensemble file per checkpoint, whatever the member count, holding
+    # the states of rollout_paths bit for bit
+    from lawbound import euler as EU
+
+    kernel = {"kind": "rectified-flow", "internal_steps": 4,
+              "perturbation": 0.3}
+    scfg = tmp_path / "s.json"
+    scfg.write_text(json.dumps({"n_steps": 2, "store_paths": True,
+                                "reference_dt": 0.0125, "kernel": kernel}))
+    counts = []
+    for members in (2, 5):
+        run = tmp_path / f"N{members}"
+        run.mkdir()
+        _gen_pair(run, members=members)
+        assert main(["sample", "--seed", "4", "--out", str(run / "s"),
+                     "--ensemble", str(run / "a" / "ensemble.json"),
+                     "--config", str(scfg)]) == 0
+        files = (run / "s" / "paths").rglob("*")
+        counts.append(sum(p.is_file() for p in files))
+        stored = RP.read_lawcurve(run / "s" / "paths" / "lawcurve.json")
+        e, _ = RP.read_ensemble(run / "a" / "ensemble.json")
+        ref = EU.reference_step_map(EU.EulerConfig(e.grid, dt=0.0125), 0.05)
+        bundle, _ = SA.rollout_paths(e, SA.KernelSpec(**kernel), ref, 0.05,
+                                     2, 4)
+        assert np.array_equal(stored.times, bundle.times)
+        assert np.array_equal(np.stack([x.values for x in stored.ensembles],
+                                       axis=1), bundle.states)
+    assert counts[0] == counts[1] == 1 + 2 * (2 * 4 + 1)
 
 
 def test_cli_sample_gaussian_init_endpoints(tmp_path):

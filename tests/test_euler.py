@@ -109,29 +109,29 @@ def _vorticity_of(values, n):
     return ikd[0] * uh[..., 1, :, :] - ikd[1] * uh[..., 0, :, :]
 
 
-def _tendency(w_hat, n, dealias_fraction):
-    return _advection(w_hat, n, EU._solver_arrays(n, dealias_fraction)[2])
+def _tendency(w_hat, n):
+    return _advection(w_hat, n, EU._solver_arrays(n)[2])
 
 
-def _rhs(w_hat, n, dealias_fraction):
-    return _tendency(w_hat, n, dealias_fraction)[0]
+def _rhs(w_hat, n):
+    return _tendency(w_hat, n)[0]
 
 
 def _check_cfl(u, v, cfg):
     umax = max(np.abs(u).max(), np.abs(v).max())
-    if umax > 0 and cfg.dt > cfg.cfl * cfg.grid.spacing / umax:
+    if umax > 0 and cfg.dt > EU.CFL * cfg.grid.spacing / umax:
         raise RuntimeError(
-            f"CFL violation: dt={cfg.dt} > {cfg.cfl * cfg.grid.spacing / umax:.3e}"
+            f"CFL violation: dt={cfg.dt} > {EU.CFL * cfg.grid.spacing / umax:.3e}"
         )
 
 
 def _rk4_step(w_hat, cfg):
-    n, frac, dt = cfg.grid.n, cfg.dealias_fraction, cfg.dt
-    k1, (u, v) = _tendency(w_hat, n, frac)
+    n, dt = cfg.grid.n, cfg.dt
+    k1, (u, v) = _tendency(w_hat, n)
     _check_cfl(u, v, cfg)
-    k2 = _rhs(w_hat + 0.5 * dt * k1, n, frac)
-    k3 = _rhs(w_hat + 0.5 * dt * k2, n, frac)
-    k4 = _rhs(w_hat + dt * k3, n, frac)
+    k2 = _rhs(w_hat + 0.5 * dt * k1, n)
+    k3 = _rhs(w_hat + 0.5 * dt * k2, n)
+    k4 = _rhs(w_hat + dt * k3, n)
     out = w_hat + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     if not np.all(np.isfinite(out)):
         raise RuntimeError("NaN detected in Euler step")
@@ -270,7 +270,7 @@ def test_taylor_green_is_steady():
     # of the vorticity equation at t=0, then integrated for t <= 1
     tg = EU.taylor_green(GRID)
     w_hat = EU.vorticity_hat(tg)
-    rhs = _rhs(w_hat, GRID.n, 2.0 / 3.0)
+    rhs = _rhs(w_hat, GRID.n)
     assert np.max(np.abs(rhs)) < 1e-14
     cfg = EU.EulerConfig(GRID, dt=0.01)
     out = EU.evolve(tg, cfg, 1.0)
@@ -455,6 +455,67 @@ def test_lambda_zero_branches():
     # w supported where S(v) = 0: shear-free v (constant field is divergence
     # free with zero strain)
     assert EU.lambda_pointwise(zero, zero) == 0.0
+
+
+def lambda_pointwise_oracle(u, v):
+    """lambda_pointwise's own body before it became the one-member case of
+    the coupled strain ratio."""
+    w = u.values - v.values
+    denom = float(u.grid.cell_volume * np.sum(w**2))
+    if denom == 0.0:
+        return 0.0
+    return EU._weighted_strain_integral(w, EU.strain(v)) / denom
+
+
+def test_lambda_pointwise_matches_its_old_body_bitwise():
+    for k in range(10):
+        u = unit_grf(100 + k)
+        v = F.GridField(GRID, u.values + 0.1 * unit_grf(200 + k).values)
+        assert EU.lambda_pointwise(u, v) == lambda_pointwise_oracle(u, v)
+    assert EU.lambda_pointwise(u, u) == lambda_pointwise_oracle(u, u) == 0.0
+
+
+def strain_stack_oracle(v):
+    """The strain's own four-derivative stack before the shared gradient:
+    (du/dx, du/dy, dv/dx, dv/dy) of (..., 2, n, n) velocities."""
+    g = v.grid
+    ikd = EU._solver_arrays(g.n)[0]
+    vh = np.fft.rfftn(v.values, axes=(-2, -1), norm="forward")
+    uh, wh = vh[..., 0, :, :], vh[..., 1, :, :]
+    spec = np.stack([ikd[0] * uh, ikd[1] * uh, ikd[0] * wh, ikd[1] * wh],
+                    axis=-3)
+    return np.moveaxis(np.fft.irfftn(spec, s=g.shape, axes=(-2, -1),
+                                     norm="forward"), -3, 0)
+
+
+@pytest.mark.parametrize("members", [0, 1, 3, 8])
+def test_strain_gradient_matches_its_old_stack_bitwise(members):
+    if members:
+        v, _ = grf_pair_ensembles(members, amp=0.0, seed0=80)
+    else:
+        v = unit_grf(80)
+    dudx, dudy, dvdx, dvdy = strain_stack_oracle(v)
+    t = EU.strain(v).tensor
+    assert np.array_equal(t[..., 0, 0, :, :], dudx)
+    assert np.array_equal(t[..., 1, 1, :, :], dvdy)
+    assert np.array_equal(t[..., 0, 1, :, :], 0.5 * (dudy + dvdx))
+
+
+def test_l2_identity_snapshots_do_not_grow_with_steps(monkeypatch):
+    march = EU._march
+    counts = []
+
+    def counted(values, cfg, n_steps, snaps):
+        counts.append(len(snaps))
+        return march(values, cfg, n_steps, snaps)
+
+    monkeypatch.setattr(EU, "_march", counted)
+    tg = EU.taylor_green(GRID)
+    u0 = F.GridField(GRID, tg.values + 1e-2 * unit_grf(7, k_max=8).values)
+    for dt in (0.005, 0.0025):
+        EU.l2_difference_identity_check(u0, tg, EU.EulerConfig(GRID, dt=dt),
+                                        0.2, checkpoints=4)
+    assert counts[0] == counts[1] <= 5 * 4
 
 
 def test_pointwise_stability_exponent_bound():

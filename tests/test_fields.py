@@ -270,6 +270,27 @@ def test_grad_sup_single_mode():
     assert abs(F.grad_sup(f) - K) < 1e-10  # K * ||f||_inf with ||f||_inf = 1
 
 
+def spectral_jacobian(F_):
+    """The full-layout route grad_sup used before the half-layout gradient:
+    physical-space partial derivatives (m, d, *shape), one synthesis per
+    direction."""
+    g = F_.grid
+    kk = F._deriv_modes(g.d, g.n)
+    return np.stack([F._synthesize(1j * kk[a] * F_.coef, g)
+                     for a in range(g.d)], axis=1)
+
+
+@pytest.mark.parametrize("d,m", [(1, 1), (2, 1), (2, 2)])
+def test_grad_sup_matches_full_layout_oracle(d, m):
+    g = F.Grid(d, 32)
+    rng = np.random.default_rng(20 + d + m)
+    for _ in range(5):
+        f = random_field(g, m, rng)
+        jac = spectral_jacobian(F.forward(f))
+        want = float(np.sqrt((jac**2).sum(axis=(0, 1))).max())
+        assert abs(F.grad_sup(f) - want) <= 1e-13 * want
+
+
 def test_bernstein_constant_field_zero():
     g = F.Grid(2, 32)
     f = F.GridField(g, np.ones((1,) + g.shape))

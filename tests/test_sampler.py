@@ -278,6 +278,82 @@ def test_hminus1_pair_norms_match_full_complex_oracle():
         assert np.all(np.abs(half - full) <= 1e-13 * full)
 
 
+def time_regularity_loop(bundle, pair_samples, seed, tol=1e-2):
+    """The per-report route the bundle's shared speeds and spectrum
+    replaced: c_spd and the increment loop of time_regularity_report."""
+    g, times, states = bundle.grid, bundle.times, bundle.states
+    C = states.shape[1]
+    speeds = SA._l2_norms(g, states[:, 1:] - states[:, :-1]) / np.diff(times)
+    c_spd = float(speeds.mean(axis=0).max())
+    rng = np.random.default_rng(seed)
+    coef = np.fft.rfftn(states, axes=(-2, -1), norm="forward")
+    weight = F._half_weight(g.n) / (
+        1.0 + F._half(F._mode_magnitude(g.d, g.n), g) ** 2)
+    worst = -np.inf
+    for _ in range(pair_samples):
+        c1, c2 = sorted(rng.choice(C, size=2, replace=False))
+        diff = coef[:, c2] - coef[:, c1]
+        sq = (weight * (np.abs(diff) ** 2).sum(axis=1)).sum(axis=(1, 2))
+        mean_inc = float(np.mean(np.sqrt(g.volume * sq)))
+        bound = c_spd * (times[c2] - times[c1])
+        worst = max(worst, mean_inc - bound * (1 + tol))
+    return c_spd, worst
+
+
+def holder_loop(bundle, p, pair_samples, seed, tol=1e-2):
+    """The per-report route of holder_from_action_check's worst gap."""
+    g, times, states = bundle.grid, bundle.times, bundle.states
+    N, C = states.shape[:2]
+    dt_c = np.diff(times)
+    speeds = SA._l2_norms(g, states[:, 1:] - states[:, :-1]) / dt_c[None, :]
+    coef = np.fft.rfftn(states, axes=(-2, -1), norm="forward")
+    weight = F._half_weight(g.n) / (
+        1.0 + F._half(F._mode_magnitude(g.d, g.n), g) ** 2)
+    rng = np.random.default_rng(seed)
+    worst = -np.inf
+    for _ in range(pair_samples):
+        i = int(rng.integers(0, N))
+        c1, c2 = sorted(rng.choice(C, size=2, replace=False))
+        diff = coef[i, c2] - coef[i, c1]
+        sq = (weight * (np.abs(diff) ** 2).sum(axis=0)).sum()
+        lhs = float(np.sqrt(g.volume * sq))
+        action = float(np.sum(dt_c[c1:c2] * speeds[i, c1:c2] ** p))
+        rhs = (times[c2] - times[c1]) ** (1.0 - 1.0 / p) * action ** (1.0 / p)
+        worst = max(worst, lhs - rhs * (1 + tol))
+    return worst
+
+
+@pytest.mark.parametrize("spec", [
+    SA.KernelSpec("rectified-flow", internal_steps=8, perturbation=0.3),
+    SA.KernelSpec("perturbed-reference", internal_steps=8, noise_scale=0.01),
+])
+def test_path_reports_match_their_per_report_loops_bitwise(spec):
+    bundle = make_bundle(spec, n_steps=2)
+    rep = SA.time_regularity_report(bundle, 40, seed=3)
+    assert (rep.c_spd, rep.worst_increment_gap) == time_regularity_loop(
+        bundle, 40, seed=3)
+    for p in (2.0, 3.0):
+        gap = SA.holder_from_action_check(bundle, p, 40, seed=4)["worst_gap"]
+        assert gap == holder_loop(bundle, p, 40, seed=4)
+
+
+def test_path_reports_transform_the_bundle_once(monkeypatch):
+    calls = []
+    half_spectrum = SA._half_spectrum
+
+    def counted(values, grid):
+        calls.append(values.shape)
+        return half_spectrum(values, grid)
+
+    monkeypatch.setattr(SA, "_half_spectrum", counted)
+    spec = SA.KernelSpec("rectified-flow", internal_steps=8, perturbation=0.3)
+    bundle = make_bundle(spec, n_steps=1)
+    SA.time_regularity_report(bundle, 20, seed=1)
+    for p in (2.0, 3.0):
+        SA.holder_from_action_check(bundle, p, 20, seed=2)
+    assert calls == [bundle.states.shape]
+
+
 # ------------------------------------------- per-member oracle of the batch
 
 class MemberRealization:

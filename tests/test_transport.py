@@ -1,8 +1,13 @@
+import contextlib
 import itertools
 import json
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from lawbound import ensemble as E
@@ -497,3 +502,126 @@ def test_project_ensemble_matches_full_complex_oracle(K):
     stacked = T._projections(F._half_spectrum(e.values, GRID), GRID,
                              [1, K, 8])
     assert np.array_equal(stacked[1].values, proj)
+
+
+# --------------------------------------------------- non-finite cost matrices
+
+def _run_python(args, timeout=60):
+    """A child interpreter, so that a hang fails the test at its timeout."""
+    return subprocess.run([sys.executable] + args, capture_output=True,
+                          text=True, timeout=timeout)
+
+
+@pytest.mark.parametrize("command", ["transport", "metrics"])
+def test_cli_exits_1_on_distances_beyond_the_float_range(tmp_path, command):
+    # finite members of about 1e160 square to inf in the distance kernel
+    rng = np.random.default_rng(31)
+    paths = []
+    for name in ("a", "b"):
+        v = rng.standard_normal((4, 2) + GRID.shape)
+        RP.write_ensemble(tmp_path / name,
+                          E.Ensemble(GRID, 1e160 * v / np.abs(v).max()))
+        paths.append(str(tmp_path / name / "ensemble.json"))
+    proc = _run_python(["-m", "lawbound.cli", command, "--a", paths[0],
+                        "--b", paths[1], "--out", str(tmp_path / "out")])
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert "overflow the float range" in proc.stderr
+
+
+def test_solve_assignment_raises_on_non_finite_costs():
+    code = ("import numpy as np\n"
+            "from lawbound.transport import solve_assignment\n"
+            "for cost in (np.full((3, 3), np.inf), np.full((4, 4), np.nan),\n"
+            "             np.array([[np.inf, np.inf], [1.0, 2.0]])):\n"
+            "    try:\n"
+            "        solve_assignment(cost)\n"
+            "    except RuntimeError as exc:\n"
+            "        print('raised:', exc)\n")
+    proc = _run_python(["-c", code])
+    assert proc.stdout.count("raised: assignment search") == 3, proc.stderr
+
+
+def test_entropic_solve_rejects_non_finite_costs():
+    a = rand_ensemble(GRID, 3, 2, np.random.default_rng(32), scale=1e160)
+    b = rand_ensemble(GRID, 3, 2, np.random.default_rng(33), scale=1e160)
+    with pytest.raises(ValueError, match="overflow the float range"):
+        T.sinkhorn(a, b, 0.1, max_iter=50)
+
+
+# ---------------------------------------------------- fuzz of the exact core
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in the main thread once `seconds` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"exact solve still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+FUZZ_GRID = F.Grid(2, 8)
+
+
+@st.composite
+def exact_pairs(draw):
+    """Two N-member ensembles on an 8x8 grid whose members are random,
+    band-limited, zero, constant or duplicates of earlier ones, each scaled
+    by 10^e with |e| <= 160; and a member permutation."""
+    N = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    members = []
+    for _ in range(2 * N):
+        kind = draw(st.sampled_from(["random", "band", "zero", "constant",
+                                     "duplicate"]))
+        scale = 10.0 ** draw(st.integers(-160, 160))
+        if kind == "duplicate" and members:
+            v = members[draw(st.integers(0, len(members) - 1))]
+        elif kind == "band":
+            v = F.random_divfree(FUZZ_GRID, 4.0, 2, seed=rng).values
+            v = scale * v / np.abs(v).max()
+        elif kind == "zero":
+            v = np.zeros((2,) + FUZZ_GRID.shape)
+        elif kind == "constant":
+            v = scale * rng.standard_normal((2, 1, 1)) + np.zeros((2, 8, 8))
+        else:
+            v = scale * rng.standard_normal((2,) + FUZZ_GRID.shape)
+        members.append(v)
+    values = np.stack(members)
+    perm = np.array(draw(st.permutations(range(N))))
+    return (E.Ensemble(FUZZ_GRID, values[:N]),
+            E.Ensemble(FUZZ_GRID, values[N:]), perm)
+
+
+def _solve_or_none(a, b, p):
+    """W_p of the pair (every solve certified by _certify_duals), or None
+    when the cost matrix is rejected with a one-line ValueError."""
+    try:
+        return T.wasserstein_exact(a, b, p)[0]
+    except ValueError as exc:
+        assert "\n" not in str(exc) and "overflow" in str(exc)
+        return None
+
+
+def _close(x, y):
+    return abs(x - y) <= 1e-12 * max(abs(x), abs(y))
+
+
+@settings(max_examples=150, deadline=None)
+@given(exact_pairs(), st.sampled_from([1, 2]))
+def test_exact_core_fuzz(pair, p):
+    a, b, perm = pair
+    with _time_limit(10):
+        aa = _solve_or_none(a, a, p)
+        ab = _solve_or_none(a, b, p)
+        ba = _solve_or_none(b, a, p)
+        pb = _solve_or_none(E.Ensemble(a.grid, a.values[perm]), b, p)
+    assert aa is None or aa == 0.0
+    assert (ab is None) == (ba is None) == (pb is None)
+    if ab is not None:
+        assert _close(ab, ba) and _close(ab, pb)
