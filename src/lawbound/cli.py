@@ -36,6 +36,7 @@ from .reporting import (
     write_csv,
     write_ensemble,
     write_lawcurve,
+    write_lawcurve_slices,
 )
 
 __all__ = ["main"]
@@ -130,7 +131,8 @@ def cmd_gen(args) -> int:
 
 
 def _read_initial_ensemble(path):
-    """Accept an ensemble manifest or a law-curve manifest (final slice)."""
+    """Accept an ensemble manifest or a law-curve manifest, of which only
+    the final slice's payload is read."""
     if manifest_kind(path) == "lawcurve":
         curve = read_lawcurve(path)
         return curve.ensembles[-1], float(curve.times[-1])
@@ -206,14 +208,18 @@ def cmd_sample(args) -> int:
         write_lawcurve(out / "paths", E.LawCurve(
             bundle.times, [E.Ensemble(e.grid, bundle.states[:, c])
                            for c in range(len(bundle.times))]))
+        write_lawcurve(out / "curve", curve)
     else:
-        ensembles = [e]
-        for n in range(cfg["n_steps"]):
-            ensembles.append(SA._step_endpoints(ensembles[-1], spec, ref,
-                                                int(args.seed), n))
-        curve = E.LawCurve(np.arange(cfg["n_steps"] + 1) * cfg["dt_phys"],
-                           ensembles)
-    write_lawcurve(out / "curve", curve)
+        def endpoints():
+            # each step's ensemble is written before the next is drawn
+            u = e
+            yield u
+            for n in range(cfg["n_steps"]):
+                u = SA._step_endpoints(u, spec, ref, int(args.seed), n)
+                yield u
+
+        write_lawcurve_slices(out / "curve", np.arange(cfg["n_steps"] + 1)
+                              * cfg["dt_phys"], endpoints())
     report.extra = {"n_steps": cfg["n_steps"], "members": e.size}
     return _finish(report, out, started)
 
@@ -421,7 +427,7 @@ def cmd_scores(args) -> int:
         raise _UsageError(f"scores: unknown observable kind {obs_cfg['kind']!r}")
     obs = SC.mollified_point_observable(
         ca.grid, obs_cfg["location"], obs_cfg["component"], obs_cfg["width"],
-        m=ca.ensembles[0].m)
+        m=ca.m)
     rep = SC.crps_dT_check(ca, cb, obs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -8,7 +8,8 @@ the k-point marginalization consistency check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .fields import (
 __all__ = [
     "Ensemble",
     "LawCurve",
+    "LazyEnsembles",
     "StructureCurve",
     "moment",
     "tail",
@@ -90,29 +92,65 @@ class Ensemble:
             (-1,) + (1,) * (self.values.ndim - 1)))
 
 
+class LazyEnsembles(Sequence):
+    """A read-only sequence of ensembles held elsewhere (on disk, say).
+
+    `headers[i]` carries slice i's `grid`, `m` and `size` without its
+    values; item i returns `headers[i].load()`, afresh on every access, so
+    nothing is cached and a loop holds one slice at a time."""
+
+    def __init__(self, headers):
+        self.headers = tuple(headers)
+
+    def __len__(self) -> int:
+        return len(self.headers)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return LazyEnsembles(self.headers[i])
+        return self.headers[i].load()
+
+
+def _check_times(times, count: int) -> None:
+    """The time grid of a law curve of `count` ensembles."""
+    if len(times) != count or len(times) < 2:
+        raise ValueError("need matching times/ensembles with at least 2 entries")
+    if times[0] != 0.0:
+        raise ValueError("law curve must start at t=0")
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("times must be strictly increasing")
+
+
 @dataclass
 class LawCurve:
-    """Time-indexed ensembles on a shared grid; times[0] = 0."""
+    """Time-indexed ensembles on a shared grid; times[0] = 0.
+
+    `ensembles` is a list, or a LazyEnsembles whose headers give the grid
+    and component count without reading any values."""
 
     times: np.ndarray
-    ensembles: list
+    ensembles: Sequence
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=np.float64)
-        if len(self.times) != len(self.ensembles) or len(self.times) < 2:
-            raise ValueError("need matching times/ensembles with at least 2 entries")
-        if self.times[0] != 0.0:
-            raise ValueError("law curve must start at t=0")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
-        g = self.ensembles[0].grid
-        for e in self.ensembles:
+        _check_times(self.times, len(self.ensembles))
+        g = self.grid
+        for e in self._headers:
             if e.grid != g:
                 raise ValueError("law curve ensembles must share the grid")
 
     @property
+    def _headers(self) -> Sequence:
+        return getattr(self.ensembles, "headers", self.ensembles)
+
+    @property
     def grid(self) -> Grid:
-        return self.ensembles[0].grid
+        return self._headers[0].grid
+
+    @property
+    def m(self) -> int:
+        """Component count of the first ensemble."""
+        return self._headers[0].m
 
     @property
     def horizon(self) -> float:

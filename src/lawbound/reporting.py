@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ensemble import Ensemble, LawCurve
+from .ensemble import Ensemble, LawCurve, LazyEnsembles, _check_times
 from .fields import Grid, GridField
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "read_ensemble",
     "manifest_kind",
     "write_lawcurve",
+    "write_lawcurve_slices",
     "read_lawcurve",
     "Check",
     "Report",
@@ -208,14 +209,31 @@ def _is_name(v) -> bool:
     return isinstance(v, str) and v != ""
 
 
-def read_ensemble(manifest_path) -> tuple:
-    """Returns (Ensemble, time).
+@dataclass(frozen=True)
+class _EnsembleFiles:
+    """An ensemble on disk whose manifest, headers and file lengths are
+    checked: `files` holds (path, payload offset, member count) per file.
+    `load` reads the payloads, each with its finite-value check."""
 
-    `members` names one version-2 file holding `size` members, or lists
-    one version-1 file per member.  Every file must carry the manifest's
-    grid, component count and member count; the members are read straight
-    into one (N, m, *shape) array."""
-    path = Path(manifest_path)
+    grid: Grid
+    m: int
+    size: int
+    files: tuple
+
+    def load(self) -> Ensemble:
+        values = np.empty((self.size, self.m) + self.grid.shape, dtype="<f8")
+        start = 0
+        for member, offset, size in self.files:
+            with open(member, "rb") as fh:
+                fh.seek(offset)
+                _read_payload(fh, member, values[start:start + size])
+            start += size
+        return Ensemble(self.grid, values)
+
+
+def _open_ensemble(path: Path) -> tuple:
+    """Check an ensemble manifest and the headers and exact lengths of its
+    files; returns (_EnsembleFiles, time) without reading any payload."""
     doc = _load_manifest(path, "ensemble")
     spec = _field(doc, "grid", lambda v: isinstance(v, dict)
                   and _is_int(v.get("d")) and _is_int(v.get("n")),
@@ -232,7 +250,7 @@ def read_ensemble(manifest_path) -> tuple:
         names = [names]
     else:
         sizes = [1] * len(names)
-    values, start = None, 0
+    files = []
     for name, size in zip(names, sizes):
         member = path.parent / name
         try:
@@ -249,21 +267,49 @@ def read_ensemble(manifest_path) -> tuple:
                     f"n={spec['n']}, m={m}, size={size}) disagree with "
                     f"{member} (d={grid.d}, n={grid.n}, m={m_file}, "
                     f"size={size_file})")
-            if values is None:
-                values = np.empty((sum(sizes), m) + grid.shape, dtype="<f8")
-            _read_payload(fh, member, values[start:start + size])
-            start += size
-    return Ensemble(grid, values), time
+            files.append((member, fh.tell(), size))
+    return _EnsembleFiles(grid, m, sum(sizes), tuple(files)), time
+
+
+def read_ensemble(manifest_path) -> tuple:
+    """Returns (Ensemble, time).
+
+    `members` names one version-2 file holding `size` members, or lists
+    one version-1 file per member.  Every file must carry the manifest's
+    grid, component count and member count; all headers and lengths are
+    checked before the members are read into one (N, m, *shape) array."""
+    on_disk, time = _open_ensemble(Path(manifest_path))
+    return on_disk.load(), time
 
 
 def write_lawcurve(directory, curve: LawCurve) -> Path:
+    """Write a law curve with `write_lawcurve_slices`."""
+    return write_lawcurve_slices(directory, curve.times, curve.ensembles)
+
+
+def write_lawcurve_slices(directory, times, ensembles) -> Path:
+    """Write a law curve one slice at a time: slice s goes to `t_ssss/` by
+    `write_ensemble` as soon as the iterable `ensembles` yields it, and
+    `lawcurve.json` lists the slices at the end.  The times are checked as
+    LawCurve checks them before anything is written."""
+    times = np.asarray(times, dtype=np.float64)
+    _check_times(times, len(times))
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for s, (t, e) in enumerate(zip(curve.times, curve.ensembles)):
-        sub = directory / f"t_{s:04d}"
-        write_ensemble(sub, e, time=float(t))
-        entries.append({"time": float(t), "ensemble": f"t_{s:04d}/ensemble.json"})
+    entries, grid = [], None
+    # no zip over `ensembles`: its cached result tuple would keep a
+    # finished slice alive while the next one is drawn
+    for s, e in enumerate(ensembles):
+        if s == len(times):
+            raise ValueError("more law curve ensembles than times")
+        if grid is None:
+            grid = e.grid
+        elif e.grid != grid:
+            raise ValueError("law curve ensembles must share the grid")
+        t = float(times[s])
+        write_ensemble(directory / f"t_{s:04d}", e, time=t)
+        entries.append({"time": t, "ensemble": f"t_{s:04d}/ensemble.json"})
+    _check_times(times, len(entries))
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "kind": "lawcurve",
@@ -275,22 +321,27 @@ def write_lawcurve(directory, curve: LawCurve) -> Path:
 
 
 def read_lawcurve(manifest_path) -> LawCurve:
+    """Check the curve manifest, every ensemble manifest and entry time,
+    and every LBF header and file length; returns a LawCurve whose
+    `ensembles` is a LazyEnsembles, reading slice i's payload (with its
+    finite-value check) each time item i is accessed."""
     path = Path(manifest_path)
     doc = _load_manifest(path, "lawcurve")
     entries = _field(doc, "entries", _is_list_of(
         lambda v: isinstance(v, dict) and _is_time(v.get("time"))
         and _is_name(v.get("ensemble"))),
         "a non-empty list of {time, ensemble} objects", path)
-    times, ensembles = [], []
+    times, slices = [], []
     for entry in entries:
-        e, t_stored = read_ensemble(path.parent / entry["ensemble"])
+        on_disk, t_stored = _open_ensemble(path.parent / entry["ensemble"])
         if abs(t_stored - entry["time"]) > 1e-12:
             raise ValueError(f"{path}: entry time {entry['time']!r} disagrees "
                              f"with ensemble manifest {entry['ensemble']}")
         times.append(entry["time"])
-        ensembles.append(e)
+        slices.append(on_disk)
     try:
-        return LawCurve(np.array(times, dtype=np.float64), ensembles)
+        return LawCurve(np.array(times, dtype=np.float64),
+                        LazyEnsembles(slices))
     except ValueError as exc:
         raise ValueError(f"{path}: field entries: {exc}") from None
 

@@ -203,14 +203,12 @@ class _KernelStep:
         np.copyto(out, self.aux)
         return out
 
-    def integrate(self, tau_nodes, substeps: int = 1, out=None) -> np.ndarray:
-        """The batch state at each tau node, written into `out`
-        (N, len(tau_nodes), m, *shape), a fresh array when None."""
+    def march(self, tau_nodes, substeps: int = 1):
+        """Yield the batch state at each tau node: one array, stepped in
+        place between yields."""
         x = self.start.copy()
         bufs = [np.empty_like(x) for _ in range(5)]
-        if out is None:
-            out = np.empty((len(x), len(tau_nodes)) + x.shape[1:])
-        out[:, 0] = x
+        yield x
         for c in range(len(tau_nodes) - 1):
             h = (tau_nodes[c + 1] - tau_nodes[c]) / substeps
             tau = tau_nodes[c]
@@ -219,17 +217,27 @@ class _KernelStep:
                 tau += h
             if not np.all(np.isfinite(x)):
                 raise RuntimeError("NaN in sampler path integration")
-            out[:, c + 1] = x
+            yield x
+
+    def integrate(self, tau_nodes, substeps: int = 1, out=None) -> np.ndarray:
+        """The batch state at each tau node, written into `out`
+        (N, len(tau_nodes), m, *shape), a fresh array when None."""
+        if out is None:
+            out = np.empty((len(self.start), len(tau_nodes))
+                           + self.start.shape[1:])
+        for c, x in enumerate(self.march(tau_nodes, substeps)):
+            out[:, c] = x
         return out
 
 
 def _step_endpoints(e: Ensemble, spec: KernelSpec, reference_map, master_seed,
                     step: int) -> Ensemble:
-    """The kernel's output ensemble for input e at physical step `step`."""
+    """The kernel's output ensemble for input e at physical step `step`;
+    only the endpoint of the internal march is kept."""
     taus = np.linspace(0.0, 1.0, spec.internal_steps + 1)
-    real = _KernelStep(e, spec, reference_map, master_seed, step)
-    states = real.integrate(taus)
-    return Ensemble(e.grid, states[:, -1].copy())
+    for x in _KernelStep(e, spec, reference_map, master_seed, step).march(taus):
+        pass
+    return Ensemble(e.grid, x)
 
 
 def sample_step(u: GridField, spec: KernelSpec, reference_map, master_seed,

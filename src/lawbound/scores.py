@@ -17,7 +17,7 @@ import numpy as np
 
 from .ensemble import Ensemble, LawCurve
 from .fields import Grid, GridField, inner, l2_norm
-from .transport import _exact_from_distances, time_integrated_w1
+from .transport import _exact_from_distances, _w1_per_time
 
 __all__ = [
     "crps",
@@ -183,34 +183,35 @@ def mollified_point_observable(grid: Grid, location, component: int,
 def crps_dT_check(a: LawCurve, b: LawCurve, obs: ResolvedObservable,
                   slack: float = 1e-9) -> dict:
     """Per-time pushforward CRPS against the 2 Lip(l) W1 chain and its
-    time integral against 2 Lip(l) d_T, with d_T and the per-time field W1
-    from `transport.time_integrated_w1`."""
-    d_t, w1_t = time_integrated_w1(a, b)
+    time integral against 2 Lip(l) d_T.
+
+    One pass over time: each slice pair gives its exact field W1, as in
+    `transport.time_integrated_w1`, and both pushforwards, so each slice
+    of each curve is taken once; d_T and the per-time W1 are bitwise
+    those of `time_integrated_w1`."""
     lip = obs.lipschitz
-    rows = []
-    crps_t = np.empty(len(a.times))
-    per_time_ok = True
-    for s, (ea, eb, w_field) in enumerate(zip(a.ensembles, b.ensembles,
-                                              w1_t.tolist())):
+    rows, w1_t = [], []
+    for t, (ea, eb, w_field) in zip(a.times.tolist(), _w1_per_time(a, b)):
         pa = obs.apply_ensemble(ea)
         pb = obs.apply_ensemble(eb)
         c = crps_between(pa, pb)
         w_push = w1_sorted(pa, pb)
         ok = (c <= 2.0 * w_push + slack
               and w_push <= lip * w_field + slack)
-        per_time_ok = per_time_ok and ok
-        crps_t[s] = c
-        rows.append({"t": float(a.times[s]), "crps": c,
+        w1_t.append(w_field)
+        rows.append({"t": t, "crps": c,
                      "w1_pushforward": w_push, "w1_field": w_field,
                      "bound": 2.0 * lip * w_field, "ok": bool(ok)})
-    integral = float(np.trapezoid(crps_t, a.times))
+    d_t = float(np.trapezoid(np.array(w1_t), a.times))
+    integral = float(np.trapezoid(np.array([r["crps"] for r in rows]),
+                                  a.times))
     return {
         "rows": rows,
         "crps_integral": integral,
         "d_T": d_t,
         "lipschitz": lip,
         "integral_ok": bool(integral <= 2.0 * lip * d_t + slack),
-        "per_time_ok": bool(per_time_ok),
+        "per_time_ok": all(r["ok"] for r in rows),
     }
 
 

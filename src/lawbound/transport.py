@@ -317,14 +317,20 @@ def _logsumexp_rows(M):
     return mx + np.log(np.exp(M - mx[:, None]).sum(axis=1))
 
 
+def _w1_per_time(a: LawCurve, b: LawCurve):
+    """Yield (a_t, b_t, exact W1(a_t, b_t)) for each time of two curves on
+    one time grid, taking each slice of each curve once, in time order."""
+    if len(a.times) != len(b.times) or np.max(np.abs(a.times - b.times)) > 0:
+        raise ValueError("law curves must share the time grid")
+    for ea, eb in zip(a.ensembles, b.ensembles):
+        yield ea, eb, wasserstein_exact(ea, eb, p=1)[0]
+
+
 def time_integrated_w1(a: LawCurve, b: LawCurve):
     """Trapezoidal time integral of the per-time exact W1 distance.
 
     Returns (value, per_time_w1)."""
-    if len(a.times) != len(b.times) or np.max(np.abs(a.times - b.times)) > 0:
-        raise ValueError("law curves must share the time grid")
-    w1s = np.array([wasserstein_exact(ea, eb, p=1)[0]
-                    for ea, eb in zip(a.ensembles, b.ensembles)])
+    w1s = np.array([w for _, _, w in _w1_per_time(a, b)])
     return float(np.trapezoid(w1s, a.times)), w1s
 
 

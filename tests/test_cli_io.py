@@ -1034,3 +1034,203 @@ def test_fuzz_cli_evolve_config_runs_or_names_the_field(data):
         assert any(key in lines[0] for key in _EVOLVE_VALUES), lines
     else:
         assert code == 3 and "CFL" in lines[0], lines
+
+
+# ------------------------------------------------ law curves slice by slice
+
+import tracemalloc  # noqa: E402
+
+from lawbound import scores as SC  # noqa: E402
+from lawbound import transport as T  # noqa: E402
+
+
+def _count_payload_reads(monkeypatch):
+    reads = []
+    read = RP._read_payload
+
+    def counted(fh, path, out):
+        reads.append(Path(path))
+        return read(fh, path, out)
+
+    monkeypatch.setattr(RP, "_read_payload", counted)
+    return reads
+
+
+def _random_curve(times, members=4, grid=GRID, seed=0):
+    rng = np.random.default_rng(seed)
+    return E.LawCurve(times, [E.Ensemble(grid, rng.standard_normal(
+        (members, 2) + grid.shape)) for _ in times])
+
+
+def test_read_lawcurve_reads_payloads_on_access_only(tmp_path, monkeypatch):
+    curve = _random_curve([0.0, 0.2, 0.5])
+    manifest = RP.write_lawcurve(tmp_path / "c", curve)
+    reads = _count_payload_reads(monkeypatch)
+    back = RP.read_lawcurve(manifest)
+    # the grid and the component count come from the headers
+    assert (back.grid, back.m, len(back.ensembles)) == (GRID, 2, 3)
+    assert reads == []
+    assert np.array_equal(back.ensembles[1].values, curve.ensembles[1].values)
+    assert reads == [tmp_path / "c" / "t_0001" / "ensemble.lbf"]
+    # nothing is cached: a second access reads the file again
+    back.ensembles[1]
+    assert len(reads) == 2
+    assert [e.size for e in back.ensembles[1:]] == [4, 4]
+    assert len(reads) == 4
+
+
+def test_write_lawcurve_slices_matches_write_lawcurve_bytes(tmp_path):
+    curve = _random_curve([0.0, 0.1, 0.3, 0.6])
+    RP.write_lawcurve(tmp_path / "whole", curve)
+    RP.write_lawcurve_slices(tmp_path / "sliced", curve.times,
+                             (e for e in curve.ensembles))
+    whole = sorted(p.relative_to(tmp_path / "whole")
+                   for p in (tmp_path / "whole").rglob("*") if p.is_file())
+    sliced = sorted(p.relative_to(tmp_path / "sliced")
+                    for p in (tmp_path / "sliced").rglob("*") if p.is_file())
+    assert whole == sliced and len(whole) == 1 + 2 * 4
+    for rel in whole:
+        assert ((tmp_path / "whole" / rel).read_bytes()
+                == (tmp_path / "sliced" / rel).read_bytes())
+
+
+@pytest.mark.parametrize("times, count, message", [
+    ([0.0], 1, "at least 2 entries"), ([0.1, 0.2], 2, "start at t=0"),
+    ([0.0, 0.0], 2, "strictly increasing"), ([0.0, 0.5], 1, "at least 2"),
+    ([0.0, 0.5], 3, "more law curve ensembles")])
+def test_write_lawcurve_slices_checks_the_time_grid(tmp_path, times, count,
+                                                     message):
+    e = _random_curve([0.0, 1.0]).ensembles[0]
+    with pytest.raises(ValueError, match=message):
+        RP.write_lawcurve_slices(tmp_path / "c", times, [e] * count)
+    assert not (tmp_path / "c" / "lawcurve.json").exists()
+
+
+def test_cli_sample_stepwise_curve_is_the_chained_endpoints(tmp_path):
+    from lawbound import euler as EU
+
+    _gen_pair(tmp_path, members=3)
+    kernel = {"kind": "perturbed-reference", "internal_steps": 4,
+              "noise_scale": 0.1}
+    scfg = tmp_path / "s.json"
+    scfg.write_text(json.dumps({"n_steps": 3, "reference_dt": 0.0125,
+                                "kernel": kernel}))
+    assert main(["sample", "--seed", "9", "--out", str(tmp_path / "s"),
+                 "--ensemble", str(tmp_path / "a" / "ensemble.json"),
+                 "--config", str(scfg)]) == 0
+    e, _ = RP.read_ensemble(tmp_path / "a" / "ensemble.json")
+    ref = EU.reference_step_map(EU.EulerConfig(e.grid, dt=0.0125), 0.05)
+    ensembles = [e]
+    for n in range(3):
+        ensembles.append(SA._step_endpoints(ensembles[-1],
+                                            SA.KernelSpec(**kernel), ref, 9, n))
+    RP.write_lawcurve(tmp_path / "oracle",
+                      E.LawCurve(np.arange(4) * 0.05, ensembles))
+    oracle = sorted(p.relative_to(tmp_path / "oracle")
+                    for p in (tmp_path / "oracle").rglob("*"))
+    for rel in oracle:
+        if (tmp_path / "oracle" / rel).is_file():
+            assert ((tmp_path / "s" / "curve" / rel).read_bytes()
+                    == (tmp_path / "oracle" / rel).read_bytes())
+
+
+def test_cli_sample_stepwise_memory_does_not_grow_with_steps(tmp_path):
+    _gen_pair(tmp_path, members=16, n=32)
+    e, _ = RP.read_ensemble(tmp_path / "a" / "ensemble.json")
+    peaks = {}
+    for n_steps in (2, 2, 8):  # the first run warms the caches
+        scfg = tmp_path / f"s{n_steps}.json"
+        scfg.write_text(json.dumps({
+            "n_steps": n_steps, "reference_dt": 0.0125,
+            "kernel": {"kind": "rectified-flow", "internal_steps": 4}}))
+        tracemalloc.start()
+        assert main(["sample", "--seed", "4",
+                     "--out", str(tmp_path / f"s{n_steps}"),
+                     "--ensemble", str(tmp_path / "a" / "ensemble.json"),
+                     "--config", str(scfg)]) == 0
+        peaks[n_steps] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert abs(peaks[8] - peaks[2]) < e.values.nbytes
+
+
+def test_cli_evolve_from_lawcurve_reads_only_the_final_slice(tmp_path,
+                                                             monkeypatch):
+    ca, _ = _curve_pair(tmp_path)
+    reads = _count_payload_reads(monkeypatch)
+    assert main(["evolve", "--ensemble", ca, "--out", str(tmp_path / "ev"),
+                 "--config", str(tmp_path / "e.json")]) == 0
+    assert reads == [Path(ca).parent / "t_0002" / "ensemble.lbf"]
+
+
+def _damage_last_slice(curve_manifest, damage):
+    lbf = Path(curve_manifest).parent / "t_0002" / "ensemble.lbf"
+    data = bytearray(lbf.read_bytes())
+    if damage == "non-finite":
+        data[-8:] = np.array([np.nan], dtype="<f8").tobytes()
+    else:
+        del data[-8:]
+    lbf.write_bytes(bytes(data))
+    return lbf
+
+
+@pytest.mark.parametrize("damage", ["non-finite", "truncated"])
+@pytest.mark.parametrize("command", ["scores", "transport"])
+def test_cli_curve_commands_name_a_damaged_last_slice(tmp_path, capsys,
+                                                      monkeypatch, command,
+                                                      damage):
+    ca, cb = _curve_pair(tmp_path)
+    lbf = _damage_last_slice(ca, damage)
+    solves = []
+    solve = T.solve_assignment
+
+    def counted(cost):
+        solves.append(len(cost))
+        return solve(cost)
+
+    monkeypatch.setattr(T, "solve_assignment", counted)
+    capsys.readouterr()
+    assert main([command, "--a", ca, "--b", cb,
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and str(lbf) in err
+    # a bad file length is found with the headers, before any solve; a bad
+    # value only when its slice is read, after the earlier slices' solves
+    assert solves == ([] if damage == "truncated" else [2, 2])
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def _curve_peak(fn, slices, tmp_path):
+    grid = F.Grid(2, 32)
+    times = np.linspace(0.0, 1.0, slices)
+    paths = [RP.write_lawcurve(tmp_path / f"{name}{slices}",
+                               _random_curve(times, 16, grid, seed))
+             for name, seed in (("a", 1), ("b", 2))]
+    fn(*map(RP.read_lawcurve, paths))  # warm the caches
+    tracemalloc.start()
+    fn(*map(RP.read_lawcurve, paths))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return peak, 2 * 16 * 2 * grid.n**2 * 8
+
+
+@pytest.mark.parametrize("check", ["crps_dT_check", "time_integrated_w1"])
+def test_file_backed_curve_memory_does_not_grow_with_length(tmp_path, check):
+    psi = F.random_divfree(F.Grid(2, 32), 3.0, 4, seed=4)
+    fn = {"crps_dT_check": lambda a, b: SC.crps_dT_check(
+        a, b, SC.inner_product_observable(psi)),
+          "time_integrated_w1": T.time_integrated_w1}[check]
+    short, pair_bytes = _curve_peak(fn, 3, tmp_path)
+    long, _ = _curve_peak(fn, 9, tmp_path)
+    assert abs(long - short) < pair_bytes
+
+
+def test_crps_dT_check_reads_each_slice_once(tmp_path, monkeypatch):
+    ca, cb = _curve_pair(tmp_path)
+    a, b = RP.read_lawcurve(ca), RP.read_lawcurve(cb)
+    reads = _count_payload_reads(monkeypatch)
+    rep = SC.crps_dT_check(a, b, SC.inner_product_observable(
+        F.random_divfree(GRID, 3.0, 4, seed=4)))
+    assert len(reads) == len(set(reads)) == 2 * len(a.times)
+    d_t, w1s = T.time_integrated_w1(a, b)
+    assert rep["d_T"] == d_t
+    assert [r["w1_field"] for r in rep["rows"]] == w1s.tolist()

@@ -545,3 +545,33 @@ def test_rollout_paths_make_one_evolve_call_per_step(monkeypatch):
     SA.rollout_paths(ENS, spec, EU.reference_step_map(CFG, DT), DT, 3,
                      master_seed=2)
     assert calls == [ENS.size] * 3
+
+
+@pytest.mark.parametrize("kind,init", SPECS)
+def test_step_endpoints_equal_the_integrated_endpoint(kind, init):
+    # the route that integrated every internal state and kept the last
+    spec = oracle_spec(kind, init)
+    taus = np.linspace(0.0, 1.0, spec.internal_steps + 1)
+    expected = SA._KernelStep(ENS, spec, REF, 6, 3).integrate(taus)[:, -1]
+    out = SA._step_endpoints(ENS, spec, REF, 6, 3)
+    assert out.values.tobytes() == expected.tobytes()
+
+
+def test_step_endpoints_memory_does_not_grow_with_internal_steps():
+    import tracemalloc
+    e = unit_members(16)
+    ens_bytes = e.values.nbytes
+    ident = lambda u: u  # noqa: E731  (no Euler workspace in the peak)
+    peaks = {}
+    for steps in (2, 4, 32):
+        spec = SA.KernelSpec("perturbed-reference", internal_steps=steps,
+                             noise_scale=0.1)
+        SA._step_endpoints(e, spec, ident, 1, 0)  # warm the caches
+        tracemalloc.start()
+        SA._step_endpoints(e, spec, ident, 1, 0)
+        peaks[steps] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    # start, chord, state and the five RK4 stage buffers, not one state
+    # per internal step
+    assert max(peaks.values()) < 10 * ens_bytes
+    assert abs(peaks[32] - peaks[4]) < ens_bytes
