@@ -243,6 +243,21 @@ def certification_report(grid: Grid, members: int, k: int, K: float,
     if members < 1:
         raise ValueError(f"certification needs at least one member, "
                          f"got {members}")
+    n = grid.n
+    if n_steps < 1:
+        raise ValueError(f"certification: n_steps must be a positive "
+                         f"integer, got {n_steps}")
+    # the resolved drift is alias-free only up to n/3, and the initial
+    # ensemble and the perturbation are band-limited to K
+    if not 1 <= K <= n / 3.0:
+        raise ValueError(f"certification: K must lie in [1, n/3] = "
+                         f"[1, {n / 3.0:.6g}], got {K}")
+    if not 1 <= k_test <= n // 2 - 1:
+        raise ValueError(f"certification: k_test must lie in [1, n/2-1] = "
+                         f"[1, {n // 2 - 1}], got {k_test}")
+    if rel_tol < 0:
+        raise ValueError(f"certification: rel_tol must be non-negative, "
+                         f"got {rel_tol}")
     rng = np.random.default_rng(seed)
     e0 = Ensemble(grid, random_divfree_batch(grid, 3.5, int(K),
                                              [rng] * members)).normalized()

@@ -113,16 +113,18 @@ class _Workspace:
 
     The caller allocates a workspace for one march and one thread; nothing
     is cached at module level.  `view(m)` gives the buffers of the first m
-    members."""
+    members.  The 2-D transforms run their inner pass in place (on their
+    output going forward, on the spectrum going back), so there is no pass
+    buffer, and an inverse transform leaves `spec` overwritten: each stage
+    rebuilds the spectra it reads."""
 
-    _BUFFERS = ("spec", "half", "phys", "prod", "k1", "k2", "k3", "k4",
-                "stage", "finite", "drift")
+    _BUFFERS = ("spec", "phys", "prod", "k1", "k2", "k3", "k4", "stage",
+                "finite", "drift")
 
     def __init__(self, members: int, n: int):
         h = n // 2 + 1
         self.n = n
         self.spec = np.empty((members, 4, n, h), complex)  # stacked spectra
-        self.half = np.empty((members, 4, n, h), complex)  # pass intermediate
         self.phys = np.empty((members, 4, n, n))           # u, v, wx, wy
         self.prod = np.empty((members, n, n))
         self.k1, self.k2, self.k3, self.k4, self.stage = (
@@ -140,15 +142,18 @@ class _Workspace:
 
 # numpy's rfft2/irfft2 allocate their intermediate pass even when given
 # `out=`; these are the same two 1-D passes, so they are bitwise equal.
+# The complex pass runs in place: the forward one on `out`, the inverse one
+# on `spec`, which is therefore overwritten.  Each 1-D line is read whole
+# before it is written, so a pass run in place gives the same bits.
 
-def _rfft2_into(x, tmp, out):
-    np.fft.rfft(x, axis=-1, norm="forward", out=tmp)
-    return np.fft.fft(tmp, axis=-2, norm="forward", out=out)
+def _rfft2_into(x, out):
+    np.fft.rfft(x, axis=-1, norm="forward", out=out)
+    return np.fft.fft(out, axis=-2, norm="forward", out=out)
 
 
-def _irfft2_into(spec, tmp, out):
-    np.fft.ifft(spec, axis=-2, norm="forward", out=tmp)
-    return np.fft.irfft(tmp, out.shape[-1], axis=-1, norm="forward", out=out)
+def _irfft2_into(spec, out):
+    np.fft.ifft(spec, axis=-2, norm="forward", out=spec)
+    return np.fft.irfft(spec, out.shape[-1], axis=-1, norm="forward", out=out)
 
 
 def _velocity_hat_into(w, psi, out):
@@ -165,14 +170,14 @@ def _velocity_hat_into(w, psi, out):
 def _velocity_into(w, ws, out):
     """Physical velocity (m, 2, n, n) of the vorticity block w into out."""
     spec = _velocity_hat_into(w, ws.spec[:, 2], ws.spec[:, :2])
-    return _irfft2_into(spec, ws.half[:, :2], out)
+    return _irfft2_into(spec, out)
 
 
 def _vorticity_into(values, ws, out):
     """Half-spectrum vorticity dv/dx - du/dy of velocities (m, 2, n, n)
     into out (m, n, h)."""
     ikd = _solver_arrays(ws.n)[0]
-    uh = _rfft2_into(values, ws.half[:, :2], ws.spec[:, :2])
+    uh = _rfft2_into(values, ws.spec[:, :2])
     np.multiply(ikd[0], uh[:, 1], out=out)
     return np.subtract(out, np.multiply(ikd[1], uh[:, 0], out=ws.spec[:, 2]),
                        out=out)
@@ -193,14 +198,13 @@ def _advection(w, ws, mask, out, vel=None):
         # out holds the streamfunction until the product's transform lands
         # there, so it must not alias w
         _velocity_hat_into(w, out, ws.spec[:, :2])
-        u, v, wx, wy = _irfft2_into(ws.spec, ws.half, ws.phys).swapaxes(0, 1)
+        u, v, wx, wy = _irfft2_into(ws.spec, ws.phys).swapaxes(0, 1)
     else:
         u, v = vel[:, 0], vel[:, 1]
-        wx, wy = _irfft2_into(ws.spec[:, 2:], ws.half[:, 2:],
-                              ws.phys[:, 2:]).swapaxes(0, 1)
+        wx, wy = _irfft2_into(ws.spec[:, 2:], ws.phys[:, 2:]).swapaxes(0, 1)
     prod = np.multiply(u, wx, out=ws.prod)
     np.add(prod, np.multiply(v, wy, out=wx), out=prod)
-    _rfft2_into(prod, ws.half[:, 0], out)
+    _rfft2_into(prod, out)
     np.multiply(np.negative(out, out=out), mask, out=out)
     return u, v
 

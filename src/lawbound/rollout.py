@@ -159,11 +159,15 @@ def run_rollout_experiment(a: Ensemble, b: Ensemble, cfg: EulerConfig,
         # the model kernel acts on mu_hat's members in their own order
         ref_push_hat = Ensemble(grid,
                                 ref_b[-1].values[np.argsort(plan.permutation)])
+        # nothing but the window-end laws is read again: free the paths
+        # before the kernel step and the next window's push
+        ref_end = ref_a[-1]
+        del ref_a, ref_b
         model_out = _step_endpoints(mu_hat, model_spec, lambda e: ref_push_hat,
                                     master_seed, n)
         defects.append(wasserstein_exact(ref_push_hat, model_out, p=2)[0])
 
-        mu, mu_hat = ref_a[-1], model_out
+        mu, mu_hat = ref_end, model_out
         delta, plan = wasserstein_exact(mu, mu_hat, p=2)
         deltas.append(delta)
 

@@ -6,12 +6,20 @@ seed draws of a sampler step, the pair of ensembles that
 member blocks of one Euler march, and the row blocks of a distance
 matrix.  Each item is computed independently and results are
 gathered in input order, so outputs do not depend on the worker count.
+
+One pool per worker count is created on first use and kept for the life
+of the process.  A pool made per call starts fresh threads each time, and
+glibc gives a thread that starts before its predecessors have finished
+exiting a malloc arena of its own; every such arena keeps part of what is
+freed in it, so each one more raised peak RSS (by about 17 MB when the
+two ensembles of a 16-member coupling at n=64 are pushed side by side).
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 __all__ = ["worker_count", "parallel_map"]
 
@@ -26,10 +34,28 @@ def worker_count() -> int:
     return min(4, os.cpu_count() or 1)
 
 
+_pools = {}                   # worker count -> its executor
+_in_pool = threading.local()
+
+
+def _mark_pool_thread():
+    _in_pool.active = True
+
+
 def parallel_map(fn, items):
+    """[fn(x) for x in items], the items spread over the shared pool.
+
+    Every item finishes before the first exception, in input order, is
+    raised.  A call made from a pool thread runs inline: its items would
+    otherwise wait for threads that are busy with the outer call."""
     items = list(items)
     workers = worker_count()
-    if workers <= 1 or len(items) <= 1:
+    if workers <= 1 or len(items) <= 1 or getattr(_in_pool, "active", False):
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    pool = _pools.get(workers)
+    if pool is None:
+        pool = _pools.setdefault(workers, ThreadPoolExecutor(
+            max_workers=workers, initializer=_mark_pool_thread))
+    futures = [pool.submit(fn, x) for x in items]
+    wait(futures)
+    return [f.result() for f in futures]

@@ -587,6 +587,35 @@ def test_cli_negative_seed_rejected_by_parser(tmp_path, capsys, command):
     assert not (tmp_path / "x").exists()
 
 
+_CERTIFY_SMALL = {"n": 32, "members": 2, "n_steps": 4}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_steps", 0), ("n_steps", -4), ("K", 0.5), ("K", 12.0), ("K", 15.0),
+    ("k_test", 0), ("k_test", 40), ("rel_tol", -1.0)])
+def test_cli_certify_rejects_bad_field_naming_it(tmp_path, capsys, field,
+                                                 value):
+    # K above n/3 is not alias-free for the resolved drift, k_test is a
+    # band limit in [1, n/2-1], and a negative rel_tol could never hold
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(_CERTIFY_SMALL | {field: value}))
+    capsys.readouterr()
+    assert main(["certify", "--seed", "1", "--out", str(tmp_path / "c"),
+                 "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and f"{field} must" in err
+
+
+@pytest.mark.parametrize("fields", [{"K": 8.0, "k_test": 4},
+                                    {"K": 32 / 3.0, "k_test": 15},
+                                    {"K": 1.0, "k_test": 1, "rel_tol": 0.0}])
+def test_cli_certify_accepts_edge_values(tmp_path, fields):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(_CERTIFY_SMALL | fields))
+    assert main(["certify", "--seed", "1", "--out", str(tmp_path / "c"),
+                 "--config", str(cfg)]) in (0, 2)
+
+
 def _gen_pair(tmp_path, members=2, n=16):
     cfg = tmp_path / "gen.json"
     cfg.write_text(json.dumps({"n": n, "members": members, "k_max": 4}))

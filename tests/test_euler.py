@@ -235,6 +235,31 @@ def test_workspace_drift_matches_allocating_drift():
         assert shared.tobytes() == _resolved_drift(vals, K).tobytes()
 
 
+@pytest.mark.parametrize("lanes", [slice(None), slice(0, 2), slice(2, 4)])
+def test_in_place_transforms_match_numpy_pair(lanes):
+    # the complex pass runs in place on the output (forward) or on the
+    # spectrum (inverse), on the whole stacked batch and on the strided
+    # halves the velocity and gradient transforms use
+    m, n = 3, 32
+    ws = EU._Workspace(m, n)
+    x = np.random.default_rng(7).standard_normal((m, 4, n, n))[:, lanes]
+    got = EU._rfft2_into(x, ws.spec[:, lanes])
+    want = np.fft.rfft2(x, norm="forward")
+    assert got.tobytes() == want.tobytes()
+    phys = ws.phys[:, lanes]
+    EU._irfft2_into(ws.spec[:, lanes], phys)
+    assert phys.tobytes() == np.fft.irfft2(want, s=(n, n),
+                                           norm="forward").tobytes()
+
+
+def test_workspace_holds_no_pass_buffer():
+    # the in-place transforms need no (m, 4, n, h) pass intermediate; pin
+    # the workspace of one 16-member block at n=64 at its size without one
+    ws = EU._Workspace(16, 64)
+    held = sum(a.nbytes for a in vars(ws).values() if isinstance(a, np.ndarray))
+    assert held <= 8_569_856
+
+
 def test_batched_solver_matches_member_reference():
     a, _ = grf_pair_ensembles(4, amp=0.0, seed0=90)
     cfg = EU.EulerConfig(GRID, dt=0.015625)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -244,6 +246,30 @@ def test_experiment_matches_member_oracle():
     assert ledger.alphas.tobytes() == alphas.tobytes()
     assert ledger.defects.tobytes() == defects.tobytes()
     assert ledger.deltas.tobytes() == deltas.tobytes()
+
+
+def test_experiment_peak_does_not_grow_with_windows():
+    # a window's checkpoint paths are dropped once alpha_n is taken, so a
+    # longer rollout must not hold one window's paths into the next
+    a = unit_ensemble(4, 20)
+    b = E.Ensemble(GRID, a.values + 0.02 * unit_ensemble(4, 60).values)
+    spec = SA.KernelSpec("perturbed-reference", internal_steps=4,
+                         noise_scale=2e-3)
+    k = 8
+
+    def peak(n_steps):
+        tracemalloc.start()
+        try:
+            R.run_rollout_experiment(a, b, CFG, spec, n_steps=n_steps,
+                                     dt_phys=DT, master_seed=7,
+                                     checkpoints_per_window=k)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)   # fill the solver's operator caches outside the comparison
+    paths = 2 * (k + 1) * a.values.nbytes
+    assert peak(3) - peak(1) < paths
 
 
 def test_experiment_makes_two_evolve_calls_per_window(monkeypatch):
