@@ -1,3 +1,4 @@
+import sys
 import threading
 import time
 
@@ -57,3 +58,32 @@ def test_every_item_finishes_before_an_exception_is_raised(threads):
     with pytest.raises(ValueError, match="item 0"):
         parallel_map(item, range(2))
     assert finished == [1]
+
+
+def test_concurrent_first_calls_share_one_pool(threads):
+    # callers racing to create the pool of a worker count must end up on
+    # the same one: more pool threads than workers means a second pool
+    threads(5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    results, used = [None] * 8, set()
+    start = threading.Barrier(8, timeout=10)
+    try:
+        def caller(c):
+            start.wait()
+            out = parallel_map(lambda x: (c * x, threading.current_thread()),
+                               range(16))
+            results[c] = [v for v, _ in out]
+            used.update(t for _, t in out)
+
+        callers = [threading.Thread(target=caller, args=(c,), daemon=True)
+                   for c in range(8)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in callers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [[c * x for x in range(16)] for c in range(8)]
+    assert len(used) <= 5
