@@ -7,6 +7,12 @@ pairing with the drift defect.  For curves generated by a known drift the
 two routes agree up to quadrature error, the defect route is bounded by an
 L2 drift-regression loss, and for Gaussian diffusions the probability-flow
 construction converts score error into drift error exactly.
+
+A drift-driven curve is marched as the Euler solver's half-spectrum
+vorticity plus the members' mean flow, on the solver's RK4 step and
+workspace.  Certification streams each stored time, its velocities and
+their resolved drift, straight into one residual pass, so no curve is
+held and the pass evaluates no drift of its own.
 """
 
 from __future__ import annotations
@@ -16,7 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import Ensemble, LawCurve
-from .euler import _resolved_drift, _rk4_step, _Workspace
+from .euler import (
+    _advection,
+    _disk_mask,
+    _resolved_drift,
+    _rk4_step,
+    _velocity_into,
+    _vorticity_into,
+    _Workspace,
+    vorticity_hat,
+)
 from .fields import (
     Grid,
     GridField,
@@ -96,25 +111,32 @@ def random_test_tuple(grid: Grid, k: int, k_test: int, horizon: float,
 
 # ------------------------------------------------------------ Euler drift
 
+def _check_resolvable(u: GridField, name: str) -> None:
+    """Reject a velocity the vorticity form would misread: one with modes
+    beyond n/3, where the quadratic product aliases, or a gradient part,
+    which the vorticity does not see (both relative to 1e-10)."""
+    uh = forward(u)
+    total = spec_l2_norm(uh)
+    if spec_l2_norm(project_gt(uh, u.grid.n / 3.0)) > 1e-10 * total:
+        raise ValueError(f"{name} must be band-limited to n/3")
+    if divergence_norm(uh) > 1e-10 * u.grid.n * total:
+        raise ValueError(f"{name} must be divergence-free")
+
+
 def euler_drift_resolved(u: GridField, K: float) -> GridField:
     """Resolved Euler tendency: P_{<=K} Leray(-div(u x u)), dealiased.
 
-    The N=1 view of the batched drift that `drift_driven_curve` and the
-    certification pass run on the Euler solver's half-spectrum core.  The
-    input must be divergence-free and band-limited to n/3 so the quadratic
-    product is alias-free after truncation.
+    The N=1 view of the drift that the certification march evaluates on
+    the Euler solver's half-spectrum core.  The input must be
+    divergence-free and band-limited to n/3 so the quadratic product is
+    alias-free after truncation.
     """
     g = u.grid
     if g.d != 2 or u.m != 2:
         raise ValueError("resolved Euler drift needs a 2D velocity field")
     if K < 1 or K > g.n / 3.0:
         raise ValueError(f"resolution K must lie in [1, n/3], got {K}")
-    uh = forward(u)
-    total = spec_l2_norm(uh)
-    if spec_l2_norm(project_gt(uh, g.n / 3.0)) > 1e-10 * total:
-        raise ValueError("input field must be band-limited to n/3")
-    if divergence_norm(uh) > 1e-10 * g.n * total:
-        raise ValueError("input field must be divergence-free")
+    _check_resolvable(u, "input field")
     return GridField(g, _resolved_drift(u.values[None], K)[0])
 
 
@@ -142,27 +164,72 @@ class DriftSpec:
             raise ValueError("perturbation must be divergence-free")
 
 
+def _drift_march(e0: Ensemble, drift: DriftSpec, horizon: float,
+                 n_steps: int):
+    """The stored states of du/dt = B(t, u) from e0, one at a time.
+
+    Yields (t, u, b) at the n_steps+1 equispaced times: the velocities u
+    and their resolved drift b = B*_K(u), both (N, 2, n, n) views of the
+    march's buffers, overwritten once the march resumes.  All members march
+    as one half-spectrum vorticity (N, n, n//2+1) with the solver's RK4 in
+    one workspace; the curl of epsilon*g is taken once.  The mean flow,
+    which the vorticity cannot carry, moves only with the mean of epsilon*g
+    and enters the advecting velocity before the product.  Each stored
+    time's first RK4 stage also gives u (its inverse-transformed velocity
+    plus the mean) and b (the Biot-Savart velocity of its masked tendency).
+
+    Every member of e0 must be divergence-free and band-limited to n/3:
+    the vorticity drops a gradient part, and the product aliases modes
+    beyond n/3.  Non-finite values raise a
+    RuntimeError at the first stored time that has them; callers march
+    under np.errstate(over="ignore", invalid="ignore").
+    """
+    grid = e0.grid
+    if grid.d != 2 or e0.m != 2:
+        raise ValueError("the drift-driven curve needs 2D velocity fields")
+    for i in range(e0.size):
+        _check_resolvable(e0.member(i), f"member {i} of the initial ensemble")
+    times = np.linspace(0.0, horizon, n_steps + 1)
+    dt = horizon / n_steps
+    mask = _disk_mask(grid.n, drift.resolution)
+    forcing = drift.epsilon * vorticity_hat(drift.perturbation)
+    rate = drift.epsilon * drift.perturbation.values.mean(axis=(1, 2))
+    mean0 = e0.values.mean(axis=(2, 3))
+    ws = _Workspace(e0.size, grid.n)
+    w = _vorticity_into(e0.values, ws, np.empty_like(ws.stage))
+    bufs = (ws.k1, ws.k2, ws.k3, ws.k4, ws.stage)
+    vel = ws.phys[:, :2]
+    base = np.empty_like(e0.values)
+
+    def tendency(y, t, out):
+        _advection(y, ws, mask, out, mean=mean0 + t * rate)
+        return np.add(out, forcing, out=out)
+
+    for s, t in enumerate(times):
+        _advection(w, ws, mask, ws.k1, mean=mean0 + t * rate)
+        _velocity_into(ws.k1, ws, base)
+        if not (np.isfinite(vel).all() and np.isfinite(base).all()):
+            raise RuntimeError("NaN in drift-driven curve")
+        yield t, vel, base
+        if s < n_steps:
+            np.add(ws.k1, forcing, out=ws.k1)
+            _rk4_step(tendency, w, t, dt, bufs, w, k1_done=True)
+
+
 def drift_driven_curve(e0: Ensemble, drift: DriftSpec, horizon: float,
                        n_steps: int) -> LawCurve:
-    """RK4 integration of du/dt = B(t, u), all members marched as a batch
-    through one solver workspace."""
-    dt = horizon / n_steps
-    times = np.linspace(0.0, horizon, n_steps + 1)
-    K = drift.resolution
-    pert = drift.epsilon * drift.perturbation.values
-    states = np.empty((n_steps + 1,) + e0.values.shape)
-    states[0] = e0.values
-    ws = _Workspace(e0.size, e0.grid.n)
-    bufs = [np.empty_like(e0.values) for _ in range(5)]
+    """RK4 integration of du/dt = B(t, u) over [0, horizon] in n_steps
+    steps, every step stored.
 
-    def vel(y, _, out):
-        return np.add(_resolved_drift(y, K, ws), pert, out=out)
-
-    for s in range(n_steps):
-        _rk4_step(vel, states[s], 0.0, dt, bufs, states[s + 1])
-    if not np.all(np.isfinite(states[-1])):
-        raise RuntimeError("NaN in drift-driven curve")
-    return LawCurve(times, [Ensemble(e0.grid, s) for s in states])
+    All members march as one half-spectrum vorticity plus their mean flow
+    (see `_drift_march`), so every member of e0 must be divergence-free
+    and band-limited to n/3 (a ValueError names the first that is not).
+    A non-finite state raises a RuntimeError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        stored = [(t, u.copy()) for t, u, _ in
+                  _drift_march(e0, drift, horizon, n_steps)]
+    return LawCurve(np.array([t for t, _ in stored]),
+                    [Ensemble(e0.grid, u) for _, u in stored])
 
 
 # -------------------------------------------------------------- residuals
@@ -180,28 +247,22 @@ def _slot_sum(th_p: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fused_certification_pass(curve: LawCurve, tt: TestTuple, K: float,
-                              drift: DriftSpec) -> dict:
-    """One batched sweep gathering every residual integrand.
+def _fused_certification_pass(stream, tt: TestTuple, drift: DriftSpec) -> dict:
+    """One sweep over a curve's stored times gathering every residual
+    integrand.
 
-    Returns the direct and defect residuals, the drift-regression pieces,
-    and the magnitude of the integrands cancelled by the cross-route
-    identity (used to normalize the gap)."""
-    grid = curve.grid
-    cell = grid.cell_volume
+    `stream` yields (t, u, b) per stored time in order: the velocities u
+    and their resolved drift b = B*_K(u), both (N, 2, n, n), read before
+    the next item is drawn.  Returns the direct and defect residuals, the
+    drift-regression pieces, and the magnitude of the integrands cancelled
+    by the cross-route identity (used to normalize the gap)."""
+    cell = tt.fields[0].grid.cell_volume
     phis = np.stack([f.values for f in tt.fields])
     pert = drift.epsilon * drift.perturbation.values
     k = tt.k
-    n_t = len(curve.times)
-    direct = np.empty(n_t)
-    defq = np.empty(n_t)
-    dsq = np.empty(n_t)
-    model_route = np.empty(n_t)
+    times, direct, defq, dsq, model_route = [], [], [], [], []
     m2k = 0.0
-    ws = _Workspace(curve.ensembles[0].size, grid.n)
-    for s, (t, e) in enumerate(zip(curve.times, curve.ensembles)):
-        vals = e.values
-        base = _resolved_drift(vals, K, ws)
+    for t, vals, base in stream:
         model = base + pert if drift.epsilon else base
         defect = base - model
         p = cell * np.einsum("ncxy,kcxy->nk", vals, phis)
@@ -211,21 +272,21 @@ def _fused_certification_pass(curve: LawCurve, tt: TestTuple, K: float,
         th, dth = tt.theta(t), tt.dtheta(t)
         th_p = th * p
         dtF = _slot_sum(th_p, dth * p)
-        direct[s] = (dtF + _slot_sum(th_p, th * pb)).mean()
-        defq[s] = _slot_sum(th_p, th * pd).mean()
-        model_route[s] = (dtF + _slot_sum(th_p, th * pm)).mean()
-        dsq[s] = np.mean(cell * (defect**2).sum(axis=(1, 2, 3)))
+        if not times:
+            f0 = (tt.theta(0.0) ** k) * np.prod(p, axis=1)
+        times.append(t)
+        direct.append((dtF + _slot_sum(th_p, th * pb)).mean())
+        defq.append(_slot_sum(th_p, th * pd).mean())
+        model_route.append((dtF + _slot_sum(th_p, th * pm)).mean())
+        dsq.append(np.mean(cell * (defect**2).sum(axis=(1, 2, 3))))
         norms_sq = cell * (vals**2).sum(axis=(1, 2, 3))
         m2k = max(m2k, float(np.mean(norms_sq**k)))
-    e0 = curve.ensembles[0]
-    p0 = cell * np.einsum("ncxy,kcxy->nk", e0.values, phis)
-    f0 = (tt.theta(0.0) ** k) * np.prod(p0, axis=1)
     return {
-        "direct": float(np.trapezoid(direct, curve.times) + f0.mean()),
-        "defect": float(np.trapezoid(defq, curve.times)),
-        "l_drift": float(np.trapezoid(dsq, curve.times)),
+        "direct": float(np.trapezoid(direct, times) + f0.mean()),
+        "defect": float(np.trapezoid(defq, times)),
+        "l_drift": float(np.trapezoid(dsq, times)),
         "m_2k": float(m2k),
-        "scale": float(np.trapezoid(np.abs(model_route), curve.times)
+        "scale": float(np.trapezoid(np.abs(model_route), times)
                        + np.abs(f0).mean()),
     }
 
@@ -236,9 +297,10 @@ def certification_report(grid: Grid, members: int, k: int, K: float,
                          slack: float = 1e-9) -> dict:
     """End-to-end residual certification for one configuration.
 
-    Builds a band-limited divergence-free initial ensemble, the perturbed
-    drift, the drift-driven curve, and reports both residual routes, their
-    relative gap, and the regression bound.
+    Builds a band-limited divergence-free initial ensemble and the
+    perturbed drift, streams the drift-driven curve into the residual pass,
+    and reports both residual routes, their relative gap, and the
+    regression bound.
     """
     if members < 1:
         raise ValueError(f"certification needs at least one member, "
@@ -265,8 +327,9 @@ def certification_report(grid: Grid, members: int, k: int, K: float,
     g_pert = Ensemble(grid, random_divfree_batch(grid, 3.0, int(K), [rng]))
     g_pert = g_pert.normalized().member(0)
     drift = DriftSpec(resolution=K, epsilon=epsilon, perturbation=g_pert)
-    curve = drift_driven_curve(e0, drift, horizon, n_steps)
-    sweep = _fused_certification_pass(curve, tt, K, drift)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sweep = _fused_certification_pass(
+            _drift_march(e0, drift, horizon, n_steps), tt, drift)
     direct, defect = sweep["direct"], sweep["defect"]
     gap = abs(direct - defect)
     rel_gap = gap / max(abs(direct), abs(defect), sweep["scale"], 1e-300)

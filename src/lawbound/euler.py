@@ -119,7 +119,7 @@ class _Workspace:
     rebuilds the spectra it reads."""
 
     _BUFFERS = ("spec", "phys", "prod", "k1", "k2", "k3", "k4", "stage",
-                "finite", "drift")
+                "finite")
 
     def __init__(self, members: int, n: int):
         h = n // 2 + 1
@@ -130,7 +130,6 @@ class _Workspace:
         self.k1, self.k2, self.k3, self.k4, self.stage = (
             np.empty((members, n, h), complex) for _ in range(5))
         self.finite = np.empty((members, n, h), bool)
-        self.drift = np.empty((members, 2, n, n))          # drift output
 
     def view(self, m: int) -> "_Workspace":
         ws = object.__new__(_Workspace)
@@ -183,13 +182,14 @@ def _vorticity_into(values, ws, out):
                        out=out)
 
 
-def _advection(w, ws, mask, out, vel=None):
+def _advection(w, ws, mask, out, vel=None, mean=None):
     """Masked -u.grad(w) of the vorticity block w (m, n, h) into out, every
     intermediate in ws; returns the physical velocity (u, v).
 
     The advecting velocity is `vel` (m, 2, n, n) when given, otherwise the
     Biot-Savart velocity of w, inverse-transformed together with the
-    vorticity gradient in one stacked pass.  This is the package's one
+    vorticity gradient in one stacked pass, plus the constant flow `mean`
+    (m, 2) when given, which w cannot carry.  This is the package's one
     pseudo-spectral Euler nonlinearity."""
     ikd = _solver_arrays(ws.n)[0]
     np.multiply(ikd[0], w, out=ws.spec[:, 2])
@@ -199,6 +199,8 @@ def _advection(w, ws, mask, out, vel=None):
         # there, so it must not alias w
         _velocity_hat_into(w, out, ws.spec[:, :2])
         u, v, wx, wy = _irfft2_into(ws.spec, ws.phys).swapaxes(0, 1)
+        if mean is not None:
+            np.add(ws.phys[:, :2], mean[:, :, None, None], out=ws.phys[:, :2])
     else:
         u, v = vel[:, 0], vel[:, 1]
         wx, wy = _irfft2_into(ws.spec[:, 2:], ws.phys[:, 2:]).swapaxes(0, 1)
@@ -233,7 +235,7 @@ def _disk_mask(n: int, K: float) -> np.ndarray:
     return mask
 
 
-def _resolved_drift(vel: np.ndarray, K: float, ws=None) -> np.ndarray:
+def _resolved_drift(vel: np.ndarray, K: float) -> np.ndarray:
     """Resolved Euler tendency P_{<=K} Leray(-div(u x u)) of velocities
     (N, 2, n, n), divergence-free and band-limited to n/3.
 
@@ -241,15 +243,12 @@ def _resolved_drift(vel: np.ndarray, K: float, ws=None) -> np.ndarray:
     the drift is the Biot-Savart velocity of the vorticity tendency, masked
     to the disk |k| <= min(K, n/3) where the quadratic product is
     alias-free.  The advecting velocity is `vel` itself: one rebuilt from
-    w would drop a mean flow.  The result lives in the workspace `ws`,
-    sized for vel's members (a fresh one when None), and is overwritten by
-    the next call on it."""
+    w would drop a mean flow."""
     n = vel.shape[-1]
-    if ws is None:
-        ws = _Workspace(len(vel), n)
+    ws = _Workspace(len(vel), n)
     w = _vorticity_into(vel, ws, ws.stage)
     _advection(w, ws, _disk_mask(n, K), ws.k1, vel=vel)
-    return _velocity_into(ws.k1, ws, ws.drift)
+    return _velocity_into(ws.k1, ws, np.empty_like(vel))
 
 
 def velocity_from_vorticity(grid: Grid, w_hat: np.ndarray) -> GridField:

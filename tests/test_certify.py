@@ -184,6 +184,70 @@ def residual_bound_check(curve, tt, K, drift, slack=1e-9):
     }
 
 
+def oracle_drift_driven_curve(e0, drift, horizon, n_steps):
+    """Reference curve held whole: RK4 on the velocities, every stage's
+    drift the resolved drift of the velocity itself plus epsilon*g."""
+    dt = horizon / n_steps
+    times = np.linspace(0.0, horizon, n_steps + 1)
+    K = drift.resolution
+    pert = drift.epsilon * drift.perturbation.values
+    states = np.empty((n_steps + 1,) + e0.values.shape)
+    states[0] = e0.values
+    bufs = [np.empty_like(e0.values) for _ in range(5)]
+
+    def vel(y, _, out):
+        return np.add(EU._resolved_drift(y, K), pert, out=out)
+
+    for s in range(n_steps):
+        EU._rk4_step(vel, states[s], 0.0, dt, bufs, states[s + 1])
+    return E.LawCurve(times, [E.Ensemble(e0.grid, s) for s in states])
+
+
+def oracle_certification_pass(curve, tt, K, drift):
+    """Reference residual pass over a held curve, evaluating the resolved
+    drift of every stored state itself."""
+    grid = curve.grid
+    cell = grid.cell_volume
+    phis = np.stack([f.values for f in tt.fields])
+    pert = drift.epsilon * drift.perturbation.values
+    k = tt.k
+    n_t = len(curve.times)
+    direct = np.empty(n_t)
+    defq = np.empty(n_t)
+    dsq = np.empty(n_t)
+    model_route = np.empty(n_t)
+    m2k = 0.0
+    for s, (t, e) in enumerate(zip(curve.times, curve.ensembles)):
+        vals = e.values
+        base = EU._resolved_drift(vals, K)
+        model = base + pert if drift.epsilon else base
+        defect = base - model
+        p = cell * np.einsum("ncxy,kcxy->nk", vals, phis)
+        pb = cell * np.einsum("ncxy,kcxy->nk", base, phis)
+        pm = cell * np.einsum("ncxy,kcxy->nk", model, phis)
+        pd = pb - pm
+        th, dth = tt.theta(t), tt.dtheta(t)
+        th_p = th * p
+        dtF = C._slot_sum(th_p, dth * p)
+        direct[s] = (dtF + C._slot_sum(th_p, th * pb)).mean()
+        defq[s] = C._slot_sum(th_p, th * pd).mean()
+        model_route[s] = (dtF + C._slot_sum(th_p, th * pm)).mean()
+        dsq[s] = np.mean(cell * (defect**2).sum(axis=(1, 2, 3)))
+        norms_sq = cell * (vals**2).sum(axis=(1, 2, 3))
+        m2k = max(m2k, float(np.mean(norms_sq**k)))
+    e0 = curve.ensembles[0]
+    p0 = cell * np.einsum("ncxy,kcxy->nk", e0.values, phis)
+    f0 = (tt.theta(0.0) ** k) * np.prod(p0, axis=1)
+    return {
+        "direct": float(np.trapezoid(direct, curve.times) + f0.mean()),
+        "defect": float(np.trapezoid(defq, curve.times)),
+        "l_drift": float(np.trapezoid(dsq, curve.times)),
+        "m_2k": float(m2k),
+        "scale": float(np.trapezoid(np.abs(model_route), curve.times)
+                       + np.abs(f0).mean()),
+    }
+
+
 # ------------------------------------------------------------ Euler drift
 
 def test_drift_zero_field():
@@ -374,14 +438,112 @@ def test_certification_rejects_bad_member_and_test_counts(members, k, match):
 
 
 def test_fused_pass_matches_public_routes():
-    # the batched pass against the per-member oracle routes above
+    # the batched pass, fed the stored states and their resolved drift,
+    # against the per-member oracle routes above
     _, tt, drift, curve = small_setup(k=2, eps=1e-2, n_steps=32)
-    sweep = C._fused_certification_pass(curve, tt, 8, drift)
+    sweep = C._fused_certification_pass(
+        ((t, e.values, EU._resolved_drift(e.values, 8))
+         for t, e in zip(curve.times, curve.ensembles)), tt, drift)
     assert abs(sweep["direct"] - residual_direct(curve, tt, 8)) < 1e-12
     assert abs(sweep["defect"] - residual_via_defect(curve, tt, 8, drift)) < 1e-12
     bound_rep = residual_bound_check(curve, tt, 8, drift)
     assert abs(sweep["l_drift"] - bound_rep["l_drift"]) < 1e-12
     assert abs(sweep["m_2k"] - bound_rep["m_2k"]) <= 1e-12 * bound_rep["m_2k"]
+
+
+@pytest.mark.parametrize("N", [1, 3])
+@pytest.mark.parametrize("eps", [0.0, 1e-2])
+@pytest.mark.parametrize("mean_flow", [False, True])
+def test_vorticity_march_matches_velocity_form_curve(N, eps, mean_flow):
+    # the vorticity march plus its mean flow against the velocity RK4; in
+    # the mean-flow case the perturbation has a mean too, so the mean moves
+    rng = np.random.default_rng(60 + N)
+    vals = np.stack([bandlimited_unit(int(rng.integers(1 << 30))).values
+                     for _ in range(N)])
+    g = bandlimited_unit(int(rng.integers(1 << 30))).values
+    if mean_flow:
+        vals = vals + np.array([0.3, -0.2])[None, :, None, None]
+        g = g + np.array([0.1, 0.4])[:, None, None]
+    drift = C.DriftSpec(resolution=8, epsilon=eps,
+                        perturbation=F.GridField(GRID, g))
+    e0 = E.Ensemble(GRID, vals)
+    got = C.drift_driven_curve(e0, drift, 0.25, 32)
+    want = oracle_drift_driven_curve(e0, drift, 0.25, 32)
+    assert got.times.tobytes() == want.times.tobytes()
+    for a, b in zip(got.ensembles, want.ensembles):
+        scale = np.abs(b.values).max()
+        assert np.abs(a.values - b.values).max() <= 1e-13 * scale
+    if mean_flow and eps:
+        moved = want.ensembles[-1].values.mean(axis=(2, 3)) - vals.mean(axis=(2, 3))
+        assert np.abs(moved).max() > 1e-4
+
+
+@pytest.mark.parametrize("k, eps", [(1, 0.0), (2, 1e-2), (3, 1e-3)])
+def test_certification_report_matches_oracle_route(k, eps):
+    # the streamed march and pass against the held velocity-form curve and
+    # the pass that evaluates its own drifts, on certification_report's draws
+    grid, members, K, k_test, T, n_steps, seed = GRID, 3, 8, 6, 0.25, 64, 22
+    rep = C.certification_report(grid, members=members, k=k, K=K,
+                                 k_test=k_test, epsilon=eps, n_steps=n_steps,
+                                 horizon=T, seed=seed)
+    rng = np.random.default_rng(seed)
+    e0 = E.Ensemble(grid, F.random_divfree_batch(grid, 3.5, K,
+                                                 [rng] * members)).normalized()
+    tt = C.random_test_tuple(grid, k, k_test, T, seed=rng)
+    g = E.Ensemble(grid, F.random_divfree_batch(grid, 3.0, K, [rng]))
+    drift = C.DriftSpec(resolution=K, epsilon=eps,
+                        perturbation=g.normalized().member(0))
+    curve = oracle_drift_driven_curve(e0, drift, T, n_steps)
+    sweep = oracle_certification_pass(curve, tt, K, drift)
+    bound = float(np.sqrt(T) * sweep["m_2k"] ** ((k - 1) / (2.0 * k))
+                  * tt.norm_factor() * np.sqrt(sweep["l_drift"]))
+    for got, want in ((rep["residual_defect"], sweep["defect"]),
+                      (rep["l_drift"], sweep["l_drift"]),
+                      (rep["m_2k"], sweep["m_2k"]),
+                      (rep["bound"], bound),
+                      (rep["cross_route_scale"], sweep["scale"])):
+        assert abs(got - want) <= 1e-13 * abs(want)
+    scale = sweep["scale"]
+    assert abs(rep["residual_direct"] - sweep["direct"]) <= 1e-13 * scale
+    gap = abs(sweep["direct"] - sweep["defect"])
+    assert abs(rep["cross_route_gap"] - gap) <= 1e-13 * scale
+
+
+def test_certification_fft_calls_per_step(monkeypatch):
+    # each march step takes four transforms per RK4 stage and two for the
+    # stored state's drift velocity; the pass takes none
+    counts = {}
+    for n_steps in (8, 16):
+        calls = []
+        for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft",
+                     "rfftn", "irfftn", "fft2", "ifft2", "rfft2", "irfft2"):
+            def counted(*args, _f=getattr(np.fft, name), **kw):
+                calls.append(1)
+                return _f(*args, **kw)
+            monkeypatch.setattr(np.fft, name, counted)
+        C.certification_report(GRID, members=2, k=2, K=8, k_test=4,
+                               epsilon=1e-2, n_steps=n_steps, horizon=0.5,
+                               seed=3)
+        monkeypatch.undo()
+        counts[n_steps] = len(calls)
+    assert (counts[16] - counts[8]) / 8 <= 18
+
+
+@pytest.mark.parametrize("broken, match", [
+    ("divergent", "member 1 of the initial ensemble must be divergence-free"),
+    ("unbanded", "member 1 of the initial ensemble must be band-limited")])
+def test_drift_driven_curve_rejects_unresolvable_member(broken, match):
+    # the vorticity march would drop a gradient part and alias modes
+    # beyond n/3 without a word
+    x = GRID.coordinates()
+    bad = (np.stack([np.cos(x[0]), np.zeros(GRID.shape)]) if broken == "divergent"
+           else np.stack([np.cos(15 * x[1]), np.zeros(GRID.shape)]))
+    e0 = E.Ensemble(GRID, np.stack([bandlimited_unit(70).values,
+                                    0.1 * bandlimited_unit(71).values + bad]))
+    drift = C.DriftSpec(resolution=8, epsilon=0.0,
+                        perturbation=bandlimited_unit(72))
+    with pytest.raises(ValueError, match=match):
+        C.drift_driven_curve(e0, drift, 0.25, 4)
 
 
 def test_single_mode_closed_form():

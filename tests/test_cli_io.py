@@ -616,6 +616,20 @@ def test_cli_certify_accepts_edge_values(tmp_path, fields):
                  "--config", str(cfg)]) in (0, 2)
 
 
+def test_cli_certify_overflow_exit_3_one_line(tmp_path):
+    # the march overflows within its first step; the warnings numpy would
+    # print on the way stay silent and the NaN guard's message is the only
+    # line (a child interpreter, so stderr is what a user sees)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"members": 2, "k": 2, "epsilon": 1e300}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lawbound.cli", "certify", "--seed", "1",
+         "--out", str(tmp_path / "c"), "--config", str(cfg)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.splitlines() == ["error: NaN in drift-driven curve"]
+
+
 def _gen_pair(tmp_path, members=2, n=16):
     cfg = tmp_path / "gen.json"
     cfg.write_text(json.dumps({"n": n, "members": members, "k_max": 4}))
