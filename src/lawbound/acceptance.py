@@ -47,7 +47,7 @@ def crit01_spectral(quick: bool, seed: int):
                  + F.spec_l2_norm(F.project_gt(Fh, K)) ** 2)
         worst_split = max(worst_split, abs(total - split) / total)
     part = F.DEFAULT_CUTOFFS.partition_values(g)
-    mag = F._mode_magnitude(g.d, g.n)
+    mag = F._half(F._mode_magnitude(g.d, g.n), g)
     worst_part = float(np.max(np.abs(part[mag > 0] - 1.0)))
     return [
         Check("spectral.round_trip", worst_rt, 1e-12, worst_rt <= 1e-12, 1e-12),

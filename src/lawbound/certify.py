@@ -24,11 +24,12 @@ import numpy as np
 from .ensemble import Ensemble, LawCurve
 from .euler import (
     _advection,
+    _curl_hat,
     _disk_mask,
     _resolved_drift,
+    _rfft2_into,
     _rk4_step,
     _velocity_into,
-    _vorticity_into,
     _Workspace,
     vorticity_hat,
 )
@@ -196,7 +197,8 @@ def _drift_march(e0: Ensemble, drift: DriftSpec, horizon: float,
     rate = drift.epsilon * drift.perturbation.values.mean(axis=(1, 2))
     mean0 = e0.values.mean(axis=(2, 3))
     ws = _Workspace(e0.size, grid.n)
-    w = _vorticity_into(e0.values, ws, np.empty_like(ws.stage))
+    w = _curl_hat(_rfft2_into(e0.values, ws.spec[:, :2]),
+                  np.empty_like(ws.stage), ws.spec[:, 2])
     bufs = (ws.k1, ws.k2, ws.k3, ws.k4, ws.stage)
     vel = ws.phys[:, :2]
     base = np.empty_like(e0.values)
@@ -419,6 +421,10 @@ def pf_identities(gd: GaussianDiffusion, taus, c: float, mc_size: int = 4096,
     mean and covariance within 3 sigma Monte Carlo error.
     """
     taus = np.asarray(taus, dtype=np.float64)
+    if len(taus) < 2:
+        raise ValueError(f"tau_nodes must be at least 2, got {len(taus)}")
+    if mc_size < 2:
+        raise ValueError(f"mc_size must be at least 2, got {mc_size}")
     lhs = np.empty(len(taus))
     rhs = np.empty(len(taus))
     for s, tau in enumerate(taus):

@@ -390,6 +390,8 @@ def cmd_pfode(args) -> int:
     }, "pfode")
     rng = np.random.default_rng(int(args.seed))
     q = cfg["dim"]
+    if q < 1:
+        raise ValueError(f"pfode: dim must be a positive integer, got {q}")
     A = rng.standard_normal((q, q)) * 0.3
     gd = C.GaussianDiffusion(mean=rng.standard_normal(q),
                              cov=A @ A.T + np.eye(q),

@@ -172,50 +172,38 @@ def _velocity_into(w, ws, out):
     return _irfft2_into(spec, out)
 
 
-def _vorticity_into(values, ws, out):
-    """Half-spectrum vorticity dv/dx - du/dy of velocities (m, 2, n, n)
-    into out (m, n, h)."""
-    ikd = _solver_arrays(ws.n)[0]
-    uh = _rfft2_into(values, ws.spec[:, :2])
-    np.multiply(ikd[0], uh[:, 1], out=out)
-    return np.subtract(out, np.multiply(ikd[1], uh[:, 0], out=ws.spec[:, 2]),
+def _curl_hat(uh, out=None, tmp=None):
+    """Vorticity i*kx*vhat - i*ky*uhat of half-layout velocity spectra
+    (..., 2, n, n//2+1), written into out with tmp as a work buffer when
+    given (neither may alias uh), else allocated.  The package's one curl."""
+    ikd = _solver_arrays(uh.shape[-2])[0]
+    out = np.multiply(ikd[0], uh[..., 1, :, :], out=out)
+    return np.subtract(out, np.multiply(ikd[1], uh[..., 0, :, :], out=tmp),
                        out=out)
 
 
-def _advection(w, ws, mask, out, vel=None, mean=None):
+def _advection(w, ws, mask, out, mean=None):
     """Masked -u.grad(w) of the vorticity block w (m, n, h) into out, every
     intermediate in ws; returns the physical velocity (u, v).
 
-    The advecting velocity is `vel` (m, 2, n, n) when given, otherwise the
-    Biot-Savart velocity of w, inverse-transformed together with the
-    vorticity gradient in one stacked pass, plus the constant flow `mean`
-    (m, 2) when given, which w cannot carry.  This is the package's one
-    pseudo-spectral Euler nonlinearity."""
+    The advecting velocity is the Biot-Savart velocity of w,
+    inverse-transformed together with the vorticity gradient in one stacked
+    pass, plus the constant flow `mean` (m, 2) when given, which w cannot
+    carry.  This is the package's one pseudo-spectral Euler nonlinearity."""
     ikd = _solver_arrays(ws.n)[0]
     np.multiply(ikd[0], w, out=ws.spec[:, 2])
     np.multiply(ikd[1], w, out=ws.spec[:, 3])
-    if vel is None:
-        # out holds the streamfunction until the product's transform lands
-        # there, so it must not alias w
-        _velocity_hat_into(w, out, ws.spec[:, :2])
-        u, v, wx, wy = _irfft2_into(ws.spec, ws.phys).swapaxes(0, 1)
-        if mean is not None:
-            np.add(ws.phys[:, :2], mean[:, :, None, None], out=ws.phys[:, :2])
-    else:
-        u, v = vel[:, 0], vel[:, 1]
-        wx, wy = _irfft2_into(ws.spec[:, 2:], ws.phys[:, 2:]).swapaxes(0, 1)
+    # out holds the streamfunction until the product's transform lands
+    # there, so it must not alias w
+    _velocity_hat_into(w, out, ws.spec[:, :2])
+    u, v, wx, wy = _irfft2_into(ws.spec, ws.phys).swapaxes(0, 1)
+    if mean is not None:
+        np.add(ws.phys[:, :2], mean[:, :, None, None], out=ws.phys[:, :2])
     prod = np.multiply(u, wx, out=ws.prod)
     np.add(prod, np.multiply(v, wy, out=wx), out=prod)
     _rfft2_into(prod, out)
     np.multiply(np.negative(out, out=out), mask, out=out)
     return u, v
-
-
-def _curl_hat(uh: np.ndarray) -> np.ndarray:
-    """Vorticity i*kx*vhat - i*ky*uhat of half-layout velocity spectra
-    (..., 2, n, n//2+1)."""
-    ikd = _solver_arrays(uh.shape[-2])[0]
-    return ikd[0] * uh[..., 1, :, :] - ikd[1] * uh[..., 0, :, :]
 
 
 def vorticity_hat(u) -> np.ndarray:
@@ -242,12 +230,13 @@ def _resolved_drift(vel: np.ndarray, K: float) -> np.ndarray:
     In 2D the curl of -div(u x u) is -u.grad(w) and both are mean-free, so
     the drift is the Biot-Savart velocity of the vorticity tendency, masked
     to the disk |k| <= min(K, n/3) where the quadratic product is
-    alias-free.  The advecting velocity is `vel` itself: one rebuilt from
-    w would drop a mean flow."""
+    alias-free.  The advecting velocity is the Biot-Savart velocity of w
+    plus the mean of `vel`, which w cannot carry; for such input it equals
+    `vel` up to roundoff."""
     n = vel.shape[-1]
     ws = _Workspace(len(vel), n)
-    w = _vorticity_into(vel, ws, ws.stage)
-    _advection(w, ws, _disk_mask(n, K), ws.k1, vel=vel)
+    w = _curl_hat(_rfft2_into(vel, ws.spec[:, :2]), ws.stage, ws.spec[:, 2])
+    _advection(w, ws, _disk_mask(n, K), ws.k1, mean=vel.mean(axis=(2, 3)))
     return _velocity_into(ws.k1, ws, np.empty_like(vel))
 
 
@@ -353,7 +342,9 @@ def _march(values, cfg: EulerConfig, n_steps: int, snaps: dict) -> None:
         group, ws = item
         views = {b: ws.view(blocks[b].stop - blocks[b].start) for b in group}
         for b in group:
-            _vorticity_into(values[blocks[b]], views[b], w[blocks[b]])
+            spec = views[b].spec
+            _curl_hat(_rfft2_into(values[blocks[b]], spec[:, :2]),
+                      w[blocks[b]], spec[:, 2])
             if 0 in snaps:
                 _velocity_into(w[blocks[b]], views[b], snaps[0][blocks[b]])
         live = list(group)
@@ -423,15 +414,19 @@ def evolve(u, cfg: EulerConfig, t: float, checkpoints: int = 0):
     one.  With
     checkpoints == 0 returns the final state (same type as `u`); otherwise
     returns (times, states) at `checkpoints`+1 equispaced times including
-    both ends, states[0] being `u` itself.
+    both ends, states[0] being `u` itself, which needs a positive horizon.
     """
+    if checkpoints < 0:
+        raise ValueError(f"checkpoints must be non-negative, got {checkpoints}")
     n_steps = _steps_for(cfg, t)
     if not checkpoints:
         return type(u)(u.grid, _push(u, cfg, n_steps, [n_steps])[0])
+    if n_steps == 0:
+        raise ValueError(f"horizon must be positive to checkpoint, got {t}")
     if n_steps % checkpoints != 0:
         raise ValueError("checkpoints must divide the step count")
     stride = n_steps // checkpoints
-    marks = [stride * (c + 1) for c in range(checkpoints)] if stride else []
+    marks = [stride * (c + 1) for c in range(checkpoints)]
     states = _push(u, cfg, n_steps, marks)
     return (np.array([0.0] + [s * cfg.dt for s in marks]),
             [u] + [type(u)(u.grid, x) for x in states])

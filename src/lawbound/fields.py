@@ -8,10 +8,10 @@ lattice with n points per dimension.  Transforms use the convention
 so Parseval reads ||u||_2^2 = (2pi)^d * sum_k |uhat(k)|^2 and the grid
 quadrature L2 norm is ||u||_2^2 = (2pi/n)^d * sum_x |u(x)|^2.
 
-Single fields (`SpecField`, `forward`, `inverse`) carry the full
-Hermitian-symmetric layout.  Ensemble-level spectra carry the half layout
-of `numpy.fft.rfftn` (last axis n//2+1), where every Parseval sum weights
-each coefficient by `_half_weight`.
+Every spectrum, of a single field (`SpecField`, `forward`, `inverse`) or
+of an ensemble, carries the half layout of `numpy.fft.rfftn` (last axis
+n//2+1), where every Parseval sum weights each coefficient by
+`_half_weight`.
 """
 
 from __future__ import annotations
@@ -80,21 +80,14 @@ class Grid:
     def coordinates(self):
         """Arrays of physical coordinates, shape (d, *shape)."""
         x1 = np.arange(self.n) * self.spacing
-        if self.d == 1:
-            return x1[None, :]
-        xx, yy = np.meshgrid(x1, x1, indexing="ij")
-        return np.stack([xx, yy])
+        return np.stack(np.meshgrid(*[x1] * self.d, indexing="ij"))
 
 
 @lru_cache(maxsize=None)
 def _modes(d: int, n: int):
     """Integer wavevectors, shape (d, *shape), numpy FFT layout."""
     k1 = np.fft.fftfreq(n, d=1.0 / n)
-    if d == 1:
-        kk = k1[None, :]
-    else:
-        kx, ky = np.meshgrid(k1, k1, indexing="ij")
-        kk = np.stack([kx, ky])
+    kk = np.stack(np.meshgrid(*[k1] * d, indexing="ij"))
     kk.setflags(write=False)
     return kk
 
@@ -147,14 +140,16 @@ class GridField:
 
 @dataclass
 class SpecField:
-    """Fourier coefficients of a real field; Hermitian-symmetric layout."""
+    """Fourier coefficients of a real field, half layout: coef has shape
+    (m, *grid.shape[:-1], n//2+1)."""
 
     grid: Grid
     coef: np.ndarray
 
     def __post_init__(self):
         self.coef = np.asarray(self.coef, dtype=np.complex128)
-        expected = (self.coef.shape[0],) + self.grid.shape
+        expected = ((self.coef.shape[0],) + self.grid.shape[:-1]
+                    + (self.grid.n // 2 + 1,))
         if self.coef.shape != expected:
             raise ValueError(
                 f"coef shape {self.coef.shape} incompatible with grid {self.grid}"
@@ -171,16 +166,6 @@ class SpecField:
 # The array-level transforms act on the trailing d (spatial) axes, so any
 # leading component or member axes ride along in one call.
 
-def _spectrum(values: np.ndarray, grid: Grid) -> np.ndarray:
-    axes = tuple(range(-grid.d, 0))
-    return np.fft.fftn(values, axes=axes, norm="forward")
-
-
-def _synthesize(coef: np.ndarray, grid: Grid) -> np.ndarray:
-    axes = tuple(range(-grid.d, 0))
-    return np.fft.ifftn(coef, axes=axes, norm="forward").real
-
-
 def _half_spectrum(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Half-layout coefficients of real fields, trailing d axes."""
     axes = tuple(range(-grid.d, 0))
@@ -193,10 +178,12 @@ def _half_synthesize(coef: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def _half(arr: np.ndarray, grid: Grid) -> np.ndarray:
-    """Half-layout view of a full-layout mode array (last axis n//2+1).
+    """Half-layout view of a full-layout mode array (last axis n//2+1),
+    the one place where the layout is decided.
 
     Column n/2 holds the wavenumber -n/2 of the full layout; magnitudes,
-    cosines and the Nyquist-zeroed derivative modes do not see the sign."""
+    cosines, k k^T, divergence norms and the Nyquist-zeroed derivative
+    modes do not see the sign."""
     return arr[..., : grid.n // 2 + 1]
 
 
@@ -211,9 +198,8 @@ def _half_weight(n: int) -> np.ndarray:
 
 
 def _power(coef: np.ndarray, grid: Grid) -> np.ndarray:
-    """Parseval-weighted |coef|^2 in either layout (weight 1 on the full)."""
-    weight = 1.0 if coef.shape[-1] == grid.n else _half_weight(grid.n)
-    return weight * (coef.real**2 + coef.imag**2)
+    """Parseval-weighted |coef|^2 of half-layout coefficients."""
+    return _half_weight(grid.n) * (coef.real**2 + coef.imag**2)
 
 
 def _parseval_sq(coef: np.ndarray, grid: Grid) -> np.ndarray:
@@ -223,19 +209,19 @@ def _parseval_sq(coef: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def _leq_coef(coef: np.ndarray, grid: Grid, K: float) -> np.ndarray:
-    """P_{<=K} of coefficients in either layout."""
+    """P_{<=K} of half-layout coefficients."""
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    mag = _mode_magnitude(grid.d, grid.n)[..., : coef.shape[-1]]
+    mag = _half(_mode_magnitude(grid.d, grid.n), grid)
     return np.where(mag <= K, coef, 0.0)
 
 
 def forward(f: GridField) -> SpecField:
-    return SpecField(f.grid, _spectrum(f.values, f.grid))
+    return SpecField(f.grid, _half_spectrum(f.values, f.grid))
 
 
 def inverse(F: SpecField) -> GridField:
-    return GridField(F.grid, _synthesize(F.coef, F.grid))
+    return GridField(F.grid, _half_synthesize(F.coef, F.grid))
 
 
 def l2_norm(f: GridField) -> float:
@@ -249,7 +235,7 @@ def inner(f: GridField, g: GridField) -> float:
 
 
 def spec_l2_norm(F: SpecField) -> float:
-    return float(np.sqrt(F.grid.volume * np.sum(np.abs(F.coef) ** 2)))
+    return float(np.sqrt(F.grid.volume * np.sum(_power(F.coef, F.grid))))
 
 
 def project_leq(F: SpecField, K: float) -> SpecField:
@@ -291,7 +277,7 @@ class DyadicCutoffs:
         return int(np.floor(np.log2(kmax))) + 1
 
     def block_multiplier(self, grid: Grid, j: int) -> np.ndarray:
-        mag = _mode_magnitude(grid.d, grid.n)
+        mag = _half(_mode_magnitude(grid.d, grid.n), grid)
         if j == -1:
             # low block: remainder of the dyadic partition; on the integer
             # lattice this is exactly the mean mode
@@ -301,8 +287,9 @@ class DyadicCutoffs:
         return self.phi(mag / 2.0**j)
 
     def partition_values(self, grid: Grid) -> np.ndarray:
-        """sum_{j>=0} phi(2^-j k) on every lattice mode (1 except at k=0)."""
-        mag = _mode_magnitude(grid.d, grid.n)
+        """sum_{j>=0} phi(2^-j k) on every half-layout lattice mode (1
+        except at k=0)."""
+        mag = _half(_mode_magnitude(grid.d, grid.n), grid)
         total = np.zeros_like(mag)
         for j in range(self.max_block_index(grid) + 1):
             total += self.phi(mag / 2.0**j)
@@ -310,7 +297,7 @@ class DyadicCutoffs:
 
     def overlap_constants(self, grid: Grid) -> tuple:
         """(c*, C*): min and max of sum_j phi(2^-j k)^2 over lattice k != 0."""
-        mag = _mode_magnitude(grid.d, grid.n)
+        mag = _half(_mode_magnitude(grid.d, grid.n), grid)
         total = np.zeros_like(mag)
         for j in range(self.max_block_index(grid) + 1):
             total += self.phi(mag / 2.0**j) ** 2
@@ -337,11 +324,8 @@ def lattice_offsets_in_ball(grid: Grid, r: float) -> np.ndarray:
     lo, hi = -half + 1, min(jmax, half)
     rng = np.arange(lo, hi + 1)
     rng = rng[np.abs(rng) <= jmax]
-    if grid.d == 1:
-        offs = rng[:, None]
-    else:
-        a, b = np.meshgrid(rng, rng, indexing="ij")
-        offs = np.stack([a.ravel(), b.ravel()], axis=1)
+    offs = np.stack([a.ravel() for a in
+                     np.meshgrid(*[rng] * grid.d, indexing="ij")], axis=1)
     norms = np.sqrt((offs**2).sum(axis=1)) * grid.spacing
     keep = (norms > 0) & (norms <= r)
     return offs[keep]
@@ -407,7 +391,7 @@ def leray_project(F: SpecField) -> SpecField:
     g = F.grid
     if F.m != g.d:
         raise ValueError(f"Leray projection needs m == d, got m={F.m}, d={g.d}")
-    kk = _modes(g.d, g.n)
+    kk = _half(_modes(g.d, g.n), g)
     mag2 = (kk**2).sum(axis=0)
     safe = np.where(mag2 == 0, 1.0, mag2)
     kdotu = sum(kk[a] * F.coef[a] for a in range(g.d))
@@ -417,10 +401,9 @@ def leray_project(F: SpecField) -> SpecField:
 
 
 def _divergence_norms(coef: np.ndarray, grid: Grid) -> np.ndarray:
-    """L2 norms of the spectral divergence of velocity coefficients
-    (..., d, *layout), one per leading index.  The layouts agree on fields
-    without Nyquist content; there the full layout's i*k is not odd."""
-    kk = _modes(grid.d, grid.n)[..., : coef.shape[-1]]
+    """L2 norms of the spectral divergence of half-layout velocity
+    coefficients (..., d, *shape[:-1], n//2+1), one per leading index."""
+    kk = _half(_modes(grid.d, grid.n), grid)
     div = 1j * np.sum(kk * coef, axis=-grid.d - 1)
     return np.sqrt(_parseval_sq(div, grid))
 

@@ -109,6 +109,8 @@ def push_coupling(a: Ensemble, b_aligned: Ensemble, cfg: EulerConfig,
     Returns (times, path_a, path_b, lambda, max|S|, squared distances
     (checkpoints+1, N)) at the checkpoints+1 times of `evolve`, from one
     strain evaluation per checkpoint."""
+    if checkpoints < 1:
+        raise ValueError(f"checkpoints must be positive, got {checkpoints}")
     (times, path_a), (_, path_b) = parallel_map(
         lambda e: evolve(e, cfg, t, checkpoints=checkpoints), [a, b_aligned])
     lam, sup_strain, sq = zip(*(_coupled_strain(ua, vb)
@@ -134,6 +136,10 @@ def run_rollout_experiment(a: Ensemble, b: Ensemble, cfg: EulerConfig,
     """
     if a.size != b.size:
         raise ValueError("ensembles must have equal member counts")
+    for name, value in (("n_steps", n_steps), ("dt_phys", dt_phys),
+                        ("checkpoints_per_window", checkpoints_per_window)):
+        if not value > 0:
+            raise ValueError(f"{name} must be positive, got {value}")
     grid = a.grid
     mu, mu_hat = a, b
     delta_0, plan = wasserstein_exact(mu, mu_hat, p=2)

@@ -134,10 +134,9 @@ class ResolvedObservable:
         return inner(u, self.psi)
 
     def apply_ensemble(self, e: Ensemble) -> np.ndarray:
-        cell = e.grid.cell_volume
-        return cell * np.einsum("ncxy,cxy->n", e.values, self.psi.values) \
-            if e.grid.d == 2 else \
-            cell * np.einsum("ncx,cx->n", e.values, self.psi.values)
+        """l(u) of every member, one pairing over the flattened values."""
+        return e.grid.cell_volume * np.einsum(
+            "nk,k->n", e.values.reshape(e.size, -1), self.psi.values.ravel())
 
 
 def inner_product_observable(psi: GridField) -> ResolvedObservable:

@@ -259,6 +259,8 @@ def sinkhorn(a: Ensemble, b: Ensemble, epsilon: float, p: int = 2,
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be a positive integer, got {max_iter}")
     if p != 2:
         raise ValueError("sinkhorn surrogate is provided for p=2")
     with np.errstate(over="ignore"):
@@ -294,6 +296,10 @@ def pair_costs(a: Ensemble, b: Ensemble, epsilon: float = 0.0,
 
     Returns (w1, w2, sinkhorn value or None).
     """
+    if not epsilon >= 0:
+        raise ValueError(f"epsilon must be non-negative, got {epsilon}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be a positive integer, got {max_iter}")
     _check_exact(1, a.size, b.size)
     dist = pairwise_distances(a, b)
     w1, _ = _exact_from_distances(dist, 1)

@@ -5,6 +5,7 @@ from lawbound import certify as C
 from lawbound import ensemble as E
 from lawbound import euler as EU
 from lawbound import fields as F
+from spectral_oracle import full_spectrum
 
 GRID = F.Grid(2, 32)
 
@@ -54,7 +55,7 @@ def drift_test_pairing_oracle(u, phi):
     """
     g = u.grid
     kd = F._deriv_modes(g.d, g.n)
-    ph = F.forward(phi).coef
+    ph = full_spectrum(phi.values, g)
     scale = g.n**g.d
     total = 0.0
     for i in range(2):
@@ -581,7 +582,7 @@ def test_gradient_drifts_invisible():
     rng = np.random.default_rng(34)
     scalar = rng.standard_normal((1,) + GRID.shape)
     Shat = F.project_leq(F.forward(F.GridField(GRID, scalar)), 8)
-    kd = F._deriv_modes(2, GRID.n)
+    kd = F._half(F._deriv_modes(2, GRID.n), GRID)
     grad = F.inverse(F.SpecField(GRID, np.stack([
         1j * kd[0] * Shat.coef[0], 1j * kd[1] * Shat.coef[0]])))
     val = product_observable_du(tt, 0.2, u, grad)

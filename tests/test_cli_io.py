@@ -652,6 +652,57 @@ def test_cli_transport_rejects_bad_lbf_length(tmp_path, capsys, damage):
     assert len(err.splitlines()) == 1 and str(member) in err
 
 
+@pytest.mark.parametrize("command, field, value", [
+    ("stability", "checkpoints", 0), ("stability", "checkpoints", -1),
+    ("stability", "horizon", 0.0), ("rollout", "n_steps", 0),
+    ("rollout", "checkpoints_per_window", 0), ("rollout", "dt_phys", 0.0)])
+def test_cli_flow_commands_reject_empty_marches_naming_the_field(
+        tmp_path, capsys, command, field, value):
+    # no step or no checkpoint leaves nothing to check: a usage error, not a
+    # PASS on nothing marched and not a traceback
+    _gen_pair(tmp_path)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({field: value}))
+    capsys.readouterr()
+    argv = [command, "--a", str(tmp_path / "a" / "ensemble.json"),
+            "--b", str(tmp_path / "b" / "ensemble.json"),
+            "--out", str(tmp_path / "out"), "--config", str(cfg)]
+    assert main(argv + (["--seed", "1"] if command == "rollout" else [])) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and f"{field} must" in err
+
+
+@pytest.mark.parametrize("config, field", [
+    ({"epsilon": 0.05, "max_iter": 0}, "max_iter"),
+    ({"max_iter": -3}, "max_iter"), ({"epsilon": -1.0}, "epsilon")])
+def test_cli_transport_rejects_bad_sinkhorn_fields(tmp_path, capsys, config,
+                                                  field):
+    # a usage error, not an internal failure (exit 3) and not a Sinkhorn
+    # cost silently dropped
+    _gen_pair(tmp_path)
+    cfg = tmp_path / "t.json"
+    cfg.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(["transport", "--a", str(tmp_path / "a" / "ensemble.json"),
+                 "--b", str(tmp_path / "b" / "ensemble.json"),
+                 "--out", str(tmp_path / "tr"), "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and f"{field} must" in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("mc_size", 1), ("mc_size", 0), ("dim", 0), ("dim", -2),
+    ("tau_nodes", 1), ("tau_nodes", 0)])
+def test_cli_pfode_rejects_bad_field_naming_it(tmp_path, capsys, field, value):
+    cfg = tmp_path / "p.json"
+    cfg.write_text(json.dumps({"mc_size": 64, field: value}))
+    capsys.readouterr()
+    assert main(["pfode", "--seed", "1", "--out", str(tmp_path / "p"),
+                 "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and f"{field} must" in err
+
+
 def _curve_pair(tmp_path):
     _gen_pair(tmp_path)
     evo_cfg = tmp_path / "e.json"

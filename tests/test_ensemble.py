@@ -3,6 +3,7 @@ import pytest
 
 from lawbound import fields as F
 from lawbound import ensemble as E
+from spectral_oracle import full_spectrum
 
 
 def grf_ensemble(grid, n_members, s, k_max, seed0):
@@ -265,12 +266,9 @@ def test_tail_bounded_by_structure_modulus_scaling():
 # The full-complex routes that the half-spectrum (rfftn) layout replaced
 # stay here as oracles.
 
-def full_spectra(e):
-    return F._spectrum(e.values, e.grid)
-
-
 def full_tail_energies(e, Ks):
-    power = (np.abs(full_spectra(e)) ** 2).sum(axis=1)  # (N, *shape)
+    coef = full_spectrum(e.values, e.grid)
+    power = (np.abs(coef) ** 2).sum(axis=1)  # (N, *shape)
     mag = F._mode_magnitude(e.grid.d, e.grid.n)
     return np.array([e.grid.volume * power[:, mag > K].sum() / e.size
                      for K in Ks])
@@ -278,7 +276,8 @@ def full_tail_energies(e, Ks):
 
 def full_mean_increment_energy(e, offsets):
     g = e.grid
-    power = (np.abs(full_spectra(e)) ** 2).sum(axis=(0, 1)) / e.size
+    coef = full_spectrum(e.values, e.grid)
+    power = (np.abs(coef) ** 2).sum(axis=(0, 1)) / e.size
     kk = F._modes(g.d, g.n)
     total = 0.0
     for h in offsets:

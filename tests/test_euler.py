@@ -7,6 +7,7 @@ from lawbound import ensemble as E
 from lawbound import euler as EU
 from lawbound import fields as F
 from lawbound import transport as T
+from spectral_oracle import full_spectrum, full_synthesize
 
 GRID = F.Grid(2, 64)
 
@@ -56,7 +57,7 @@ def ref_rhs(w_hat, n):
 def ref_evolve(u, dt, n_steps):
     n = u.grid.n
     kd = F._deriv_modes(2, n)
-    uh = F.forward(u).coef
+    uh = full_spectrum(u.values, u.grid)
     w = 1j * kd[0] * uh[1] - 1j * kd[1] * uh[0]
     for _ in range(n_steps):
         k1 = ref_rhs(w, n)
@@ -64,7 +65,7 @@ def ref_evolve(u, dt, n_steps):
         k3 = ref_rhs(w + 0.5 * dt * k2, n)
         k4 = ref_rhs(w + dt * k3, n)
         w = w + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return F.inverse(F.SpecField(u.grid, ref_velocity_hat(w, n))).values
+    return full_synthesize(ref_velocity_hat(w, n), u.grid)
 
 
 # ------------------------------------ allocating half-spectrum oracle
@@ -91,11 +92,15 @@ def _gradient_hat(w_hat, n):
     return np.stack([ikd[0] * w_hat, ikd[1] * w_hat], axis=-3)
 
 
-def _advection(w_hat, n, mask, vel=None):
+def _advection(w_hat, n, mask, vel=None, mean=None):
+    """Advected by the Biot-Savart velocity of w_hat plus `mean` (N, 2),
+    or by the velocity `vel` (N, 2, n, n) when given."""
     if vel is None:
         spec = np.concatenate([_velocity_hat(w_hat, n), _gradient_hat(w_hat, n)],
                               axis=-3)
         u, v, wx, wy = np.moveaxis(_irfft2(spec, n), -3, 0)
+        if mean is not None:
+            u, v = u + mean[:, 0, None, None], v + mean[:, 1, None, None]
     else:
         u, v = np.moveaxis(vel, -3, 0)
         wx, wy = np.moveaxis(_irfft2(_gradient_hat(w_hat, n), n), -3, 0)
@@ -138,10 +143,15 @@ def _rk4_step(w_hat, cfg):
     return out
 
 
-def _resolved_drift(vel, K):
+def _resolved_drift(vel, K, velocity_form=False):
+    """Advected by the Biot-Savart velocity of the vorticity plus the mean
+    flow, or by `vel` itself in the velocity form (equal up to roundoff for
+    divergence-free input band-limited to n/3)."""
     n = vel.shape[-1]
+    flow = ({"vel": vel} if velocity_form
+            else {"mean": vel.mean(axis=(-2, -1))})
     adv_hat, _ = _advection(_vorticity_of(vel, n), n, EU._disk_mask(n, K),
-                            vel=vel)
+                            **flow)
     return _velocity(adv_hat, n)
 
 
@@ -223,15 +233,31 @@ def test_many_blocks_on_more_workers_than_cores(threads, monkeypatch):
         sys.setswitchinterval(interval)
 
 
+@pytest.mark.parametrize("t, checkpoints, name", [
+    (0.04, -1, "checkpoints"), (0.0, 2, "horizon")])
+def test_evolve_rejects_checkpoints_that_march_nothing(t, checkpoints, name):
+    # both used to return ([0.], [u]): one state where checkpoints+1 are due
+    grid = F.Grid(2, 16)
+    u = F.GridField(grid, unit_batch(grid, 1)[0])
+    with pytest.raises(ValueError, match=name):
+        EU.evolve(u, EU.EulerConfig(grid, dt=0.02), t, checkpoints=checkpoints)
+
+
 def test_workspace_drift_matches_allocating_drift():
     grid = F.Grid(2, 32)
-    for N, K, seed0 in ((3, 8, 10), (2, grid.n / 3.0, 20), (3, 4, 30)):
+    for N, K, seed0, flow in ((3, 8, 10, 0.0), (2, grid.n / 3.0, 20, 0.0),
+                              (3, 4, 30, 0.05)):
         vals = 0.1 * unit_batch(grid, N, seed0=seed0)
         vals = np.stack([F.inverse(F.project_leq(F.forward(F.GridField(grid, v)),
                                                  grid.n / 3.0)).values
                          for v in vals])
+        vals[:, 0] += flow   # a mean flow, which the vorticity cannot carry
+        vals[:, 1] -= 0.5 * flow
         shared = EU._resolved_drift(vals, K)
         assert shared.tobytes() == _resolved_drift(vals, K).tobytes()
+        velocity_form = _resolved_drift(vals, K, velocity_form=True)
+        assert (np.abs(shared - velocity_form).max()
+                <= 1e-13 * np.abs(velocity_form).max())
 
 
 @pytest.mark.parametrize("lanes", [slice(None), slice(0, 2), slice(2, 4)])
@@ -440,7 +466,7 @@ def test_antisymmetric_part_invisible():
     S = EU.strain(v)
     g = GRID
     kd = F._deriv_modes(2, g.n)
-    vh = F.forward(v).coef
+    vh = full_spectrum(v.values, g)
     scale = g.n**2
     grad = np.stack([
         np.stack([np.fft.ifft2(1j * kd[0] * vh[0] * scale).real,

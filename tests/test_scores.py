@@ -124,6 +124,19 @@ def test_inner_product_observable_lipschitz():
     assert gap <= obs.lipschitz * dist + 1e-12
 
 
+@pytest.mark.parametrize("grid, m", [(F.Grid(1, 32), 1), (F.Grid(1, 16), 2),
+                                     (GRID, 2), (F.Grid(2, 32), 1)])
+def test_apply_ensemble_matches_member_apply(grid, m):
+    rng = np.random.default_rng(8 + grid.d + m)
+    obs = S.inner_product_observable(
+        F.GridField(grid, rng.standard_normal((m,) + grid.shape)))
+    e = rand_ensemble(5, rng, m=m, grid=grid)
+    batch = obs.apply_ensemble(e)
+    loop = np.array([obs.apply(e.member(i)) for i in range(e.size)])
+    assert batch.shape == (5,)
+    assert np.abs(batch - loop).max() <= 1e-13 * np.abs(loop).max()
+
+
 def test_mollified_observable_unit_mass_and_lip():
     obs = S.mollified_point_observable(GRID, (np.pi, np.pi), 0, width=0.5)
     mass = GRID.cell_volume * obs.psi.values[0].sum()

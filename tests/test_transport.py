@@ -15,6 +15,7 @@ from lawbound import fields as F
 from lawbound import reporting as RP
 from lawbound import transport as T
 from lawbound.cli import main
+from spectral_oracle import full_spectrum, full_synthesize
 
 
 def rand_ensemble(grid, N, m, rng, scale=1.0):
@@ -487,8 +488,9 @@ def test_cli_metrics_fft_calls_do_not_grow_with_K_list(tmp_path, monkeypatch,
 
 def full_project_ensemble(e, K):
     """The full-complex projection that the half-spectrum route replaced."""
-    coef = F._leq_coef(F._spectrum(e.values, e.grid), e.grid, K)
-    return E.Ensemble(e.grid, F._synthesize(coef, e.grid))
+    mag = F._mode_magnitude(e.grid.d, e.grid.n)
+    coef = np.where(mag <= K, full_spectrum(e.values, e.grid), 0.0)
+    return E.Ensemble(e.grid, full_synthesize(coef, e.grid))
 
 
 @pytest.mark.parametrize("K", [1, 2.5, 4, 7])
