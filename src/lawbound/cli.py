@@ -292,6 +292,9 @@ def cmd_stability(args) -> int:
         "checkpoints": (int, 8),
         "tol": (float, 1e-3),
     }, "stability")
+    if cfg["tol"] < 0:
+        raise ValueError(f"stability: field tol must be non-negative, "
+                         f"got {cfg['tol']}")
     a, _ = read_ensemble(args.a)
     b, _ = read_ensemble(args.b)
     euler_cfg = EU.EulerConfig(a.grid, dt=cfg["dt"])
@@ -322,6 +325,9 @@ def cmd_rollout(args) -> int:
         "checkpoints_per_window": (int, 8),
         "slack": (float, 5e-2),
     }, "rollout")
+    if cfg["slack"] < 0:
+        raise ValueError(f"rollout: field slack must be non-negative, "
+                         f"got {cfg['slack']}")
     spec = _kernel_from_config(kernel_cfg)
     a, _ = read_ensemble(args.a)
     b, _ = read_ensemble(args.b)

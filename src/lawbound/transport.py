@@ -5,6 +5,16 @@ linear assignment problem over the pairwise L2 cost matrix; the solver is a
 shortest-augmenting-path method that carries dual potentials, so optimality
 is certified by dual feasibility rather than trusted.  An entropic Sinkhorn
 surrogate is provided for larger problems.
+
+An exact solve reads its costs from one matrix product X Y^T and the
+members' squared norms (`_exact_pair`): the assignment runs on that cheap
+matrix, each reported value is recomputed from the N matched pairs by
+explicit differences, and the duals are certified against a matrix that
+bounds the explicit costs from below, so the certificate proves what a
+certificate on the explicit matrix proves.  The explicit-difference matrix
+(`pairwise_distances`) is still built where every entry is read: by
+Sinkhorn, and by an exact solve whose product route fails its certificate
+or leaves the float range.
 """
 
 from __future__ import annotations
@@ -102,26 +112,34 @@ class MetricReport:
         }
 
 
-def _flatten(e: Ensemble) -> np.ndarray:
-    return e.values.reshape(e.size, -1)
+def _members(a: Ensemble, b: Ensemble):
+    """The members of a pair as rows of two matrices."""
+    if a.grid != b.grid or a.m != b.m:
+        raise ValueError("ensembles must share grid and component count")
+    return a.values.reshape(a.size, -1), b.values.reshape(b.size, -1)
 
 
 def pairwise_distances(a: Ensemble, b: Ensemble) -> np.ndarray:
     """Matrix of grid-quadrature L2 distances ||a_i - b_j||_2.
 
-    Computed from explicit differences; the gram-matrix shortcut loses ~8
-    digits to cancellation on nearly identical members.  Members of b are
-    taken in tiles of _TILE_BYTES that stay in cache while every member of a
-    is differenced against them; each row sum is the same contiguous
-    reduction as over the whole of b, so the result does not depend on the
-    tile size.  The rows of a are split into one block per `parallel_map`
-    worker, each with its own tile buffer; one block runs inline.  Squares
-    beyond the float range become inf without a warning; the exact and
-    entropic solvers reject them.
+    Computed from explicit differences, so each entry carries a rounding
+    error relative to its own size.  The Gram expansion
+    ||x||^2 + ||y||^2 - 2<x, y> errs relative to the norms instead, which
+    cancellation makes large on nearly identical members (1.7e-2 relative
+    at b = a + 1e-6 noise).  Exact solves use the expansion only to choose
+    the permutation, and take their values and their certificate from
+    explicit differences (`_exact_pair`).  This matrix is what Sinkhorn
+    reads, and what an exact solve falls back to.
+
+    Members of b are taken in tiles of _TILE_BYTES that stay in cache while
+    every member of a is differenced against them; each row sum is the same
+    contiguous reduction as over the whole of b, so the result does not
+    depend on the tile size.  The rows of a are split into one block per
+    `parallel_map` worker, each with its own tile buffer; one block runs
+    inline.  Squares beyond the float range become inf without a warning;
+    the exact and entropic solvers reject them.
     """
-    if a.grid != b.grid or a.m != b.m:
-        raise ValueError("ensembles must share grid and component count")
-    X, Y = _flatten(a), _flatten(b)
+    X, Y = _members(a, b)
     rows = max(1, _TILE_BYTES // Y[0].nbytes)
     sq = np.empty((X.shape[0], Y.shape[0]))
 
@@ -221,7 +239,7 @@ def wasserstein_exact(a: Ensemble, b: Ensemble, p: int = 2):
     Returns (value, TransportPlan); value = ((1/N) sum cost_i,perm(i))^(1/p).
     """
     _check_exact(p, a.size, b.size)
-    return _exact_from_distances(pairwise_distances(a, b), p)
+    return _exact_pair(a, b, (p,))[0]
 
 
 def _check_exact(p, n_a, n_b):
@@ -231,6 +249,146 @@ def _check_exact(p, n_a, n_b):
         raise ValueError("exact solver needs equal member counts")
     if n_a > 1024:
         raise ValueError("exact solver capped at N <= 1024")
+
+
+# Unit roundoff and the smallest subnormal of float64.
+_U = 2.0**-53
+_ETA = 2.0**-1074
+
+
+def _product_sq(X: np.ndarray, Y: np.ndarray, cell_volume: float):
+    """Squared sums ||x_i - y_j||^2 from one product X Y^T and the squared
+    row norms, clipped at 0, and the per-entry bound beta_ij on their
+    rounding and on that of the explicit kernel (see `_exact_pair`).
+
+    Returns (sq, beta), or None when a cost of the pair could leave the
+    float range: then (||x_i|| + ||y_j||)^2, which bounds every explicit
+    squared sum, is not safely finite.
+    """
+    D = X.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        nx = np.einsum("ij,ij->i", X, X)
+        ny = np.einsum("ij,ij->i", Y, Y)
+        rx, ry = np.sqrt(nx), np.sqrt(ny)
+        top = 2.0 * max(cell_volume, 1.0) * (rx.max() + ry.max())**2
+    if not np.isfinite(top):
+        return None
+    sq = nx[:, None] + ny[None, :] - 2.0 * (X @ Y.T)
+    np.maximum(sq, 0.0, out=sq)
+    gamma = (D + 8) * _U / (1.0 - (D + 8) * _U)
+    beta = (4.0 * gamma) * (rx[:, None] + ry[None, :])**2
+    beta += 4.0 * (D + 1) * _ETA / min(cell_volume, 1.0)
+    return sq, beta
+
+
+def _matched_sq(X: np.ndarray, Y: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """||x_i - y_perm(i)||^2 for every row i, each summed as the explicit
+    kernel of `pairwise_distances` sums its entry, so bitwise equal to it."""
+    rows = max(1, _TILE_BYTES // Y[0].nbytes)
+    sq = np.empty(len(X))
+    work = np.empty((min(rows, len(X)), X.shape[1]))
+    for i in range(0, len(X), rows):
+        d = work[:min(rows, len(X) - i)]
+        np.take(Y, perm[i:i + len(d)], axis=0, out=d)
+        np.subtract(d, X[i:i + len(d)], out=d)
+        np.multiply(d, d, out=d)
+        d.sum(axis=1, out=sq[i:i + len(d)])
+    return sq
+
+
+def _exact_pair(a: Ensemble, b: Ensemble, orders):
+    """[wasserstein_exact(a, b, p) for p in orders] from one product.
+
+    Let C be the cost matrix of the explicit route, _exact_from_distances
+    on pairwise_distances: C_ij = fl(sqrt(fl(h s_ij))) for p=1 and its
+    rounded square for p=2, where h is the cell volume and s_ij the
+    explicit sum of squared differences.  Each order here
+      1. solves the assignment on the product matrix (`_product_sq`),
+         giving sigma and duals (u, v);
+      2. computes the matched costs e_i = C_{i,sigma(i)} bitwise with the
+         explicit kernel (`_matched_sq`) and reports
+         ((1/N) sum_i e_i)^(1/p), so the value is the explicit route's
+         bitwise whenever sigma is;
+      3. certifies (u', v), u'_i = e_i - v_sigma(i), with `_certify_duals`
+         and its tolerance on the matrix L with L_{i,sigma(i)} = e_i and,
+         elsewhere, L_ij = h max(sq_ij - beta_ij, 0) for p=2 and its
+         square root for p=1 (`_lower_costs`).
+
+    Claim: L <= C entrywise, so passing step 3 proves that
+    _certify_duals(C, sigma, u', v) passes, which is what a certificate on
+    the explicit matrix proves.  Proof.  Write u for the unit roundoff,
+    gamma_k = ku/(1-ku), D for the values per member, and
+    S = ||x_i - y_j||^2 <= T = (||x_i|| + ||y_j||)^2 in exact arithmetic.
+    By Higham 2002 (Accuracy and Stability of Numerical Algorithms, 3.1;
+    IEEE arithmetic, any summation order, with or without FMA):
+      - the product gives |sq_ij - S| <= gamma_{D+2} T: each squared norm
+        carries a relative error of gamma_D, the dot product
+        |fl(x.y) - x.y| <= gamma_D |x|.|y| <= gamma_D ||x|| ||y||, and two
+        roundings combine them; the clip at 0 only moves sq_ij toward S;
+      - the explicit kernel gives s_ij >= S (1 - gamma_{D+2}), and the
+        product with h, the root and the square lower C by at most three
+        more roundings, so C >= h S (1 - gamma_{D+6}), and fl(h s_ij) is
+        at least that too;
+      - beta_ij = 4 gamma_{D+8} (fl||x_i|| + fl||y_j||)^2 is at least
+        3 gamma_{D+8} T while gamma_{D+8} <= 0.1 (D below 10^14).  That
+        covers both errors and the roundings in forming L, so the p=2
+        entry of L is at most h S (1 - gamma_{D+6}), below both C and
+        fl(h s_ij); the rounded root is monotone, so the p=1 entry is at
+        most C too;
+      - with gradual underflow, each rounded product adds an absolute
+        error below eta = 2^-1074, at most (3D + 2) eta / min(h, 1) over
+        both routes, which beta's term 4 (D + 1) eta / min(h, 1) covers.
+    Matched entries are equal by construction.  _certify_duals evaluates
+    (cost - u') - v with rounding that is monotone in cost, so every slack
+    on C is at least the one on L, and its scale max(|C|, 1) is at least
+    max(|L|, 1), which only loosens both thresholds.  QED.
+
+    Where the certificate fails or `_product_sq` returns None, that solve
+    runs on the explicit matrix instead, computed at most once per call,
+    which keeps every error message of the explicit route.
+    """
+    X, Y = _members(a, b)
+    h = a.grid.cell_volume
+    product = _product_sq(X, Y, h)
+    results, explicit = [], None
+    for p in orders:
+        solved = None if product is None else _solve_on_product(
+            X, Y, h, *product, p)
+        if solved is None:
+            if explicit is None:
+                explicit = pairwise_distances(a, b)
+            solved = _exact_from_distances(explicit, p)
+        results.append(solved)
+    return results
+
+
+def _lower_costs(sq, beta, h, p):
+    """The unmatched entries of `_exact_pair`'s L, each at most the explicit
+    route's cost."""
+    lower = h * np.maximum(sq - beta, 0.0)
+    return np.sqrt(lower) if p == 1 else lower
+
+
+def _solve_on_product(X, Y, h, sq, beta, p):
+    """Steps 1-3 of `_exact_pair` for one order; None where the lower-bound
+    certificate fails."""
+    n = len(X)
+    dist = np.sqrt(h * sq)
+    perm, _, v = solve_assignment(dist if p == 1 else dist**2)
+    matched = np.sqrt(h * _matched_sq(X, Y, perm))
+    if p == 2:
+        matched = matched**2
+    lower = _lower_costs(sq, beta, h, p)
+    lower[np.arange(n), perm] = matched
+    u = matched - v[perm]
+    try:
+        _certify_duals(lower, perm, u, v)
+    except RuntimeError:
+        return None
+    total = matched.mean()
+    value = float(total) if p == 1 else float(np.sqrt(total))
+    return value, TransportPlan(order=p, cost=value, permutation=perm,
+                                dual_row=u, dual_col=v)
 
 
 def _exact_from_distances(dist: np.ndarray, p: int):
@@ -292,7 +450,9 @@ def _sinkhorn_from_cost(C: np.ndarray, epsilon: float, max_iter: int):
 def pair_costs(a: Ensemble, b: Ensemble, epsilon: float = 0.0,
                max_iter: int = 5000):
     """Exact W1 and W2 of one ensemble pair and, for epsilon > 0, the cost
-    of its entropic plan, all from one distance matrix.
+    of its entropic plan.  W1 and W2 share one product (`_exact_pair`);
+    for epsilon > 0, Sinkhorn reads every entry of the explicit distance
+    matrix, so all three are solved on that one matrix instead.
 
     Returns (w1, w2, sinkhorn value or None).
     """
@@ -301,12 +461,13 @@ def pair_costs(a: Ensemble, b: Ensemble, epsilon: float = 0.0,
     if max_iter < 1:
         raise ValueError(f"max_iter must be a positive integer, got {max_iter}")
     _check_exact(1, a.size, b.size)
+    if epsilon == 0:
+        (w1, _), (w2, _) = _exact_pair(a, b, (1, 2))
+        return w1, w2, None
     dist = pairwise_distances(a, b)
     w1, _ = _exact_from_distances(dist, 1)
     w2, _ = _exact_from_distances(dist, 2)
-    entropic = None
-    if epsilon > 0:
-        entropic, _ = _sinkhorn_from_cost(dist**2, epsilon, max_iter)
+    entropic, _ = _sinkhorn_from_cost(dist**2, epsilon, max_iter)
     return w1, w2, entropic
 
 
@@ -367,7 +528,7 @@ def capacity_sweep(a: Ensemble, b: Ensemble, Ks,
                    slack: float = 1e-9) -> list:
     """capacity_coverage at every K in Ks, solving the unprojected pair once.
 
-    W2(a,b) and W1(a,b) come from one distance matrix.  Each ensemble is
+    W2(a,b) and W1(a,b) come from one matrix product.  Each ensemble is
     transformed once; its tails and its projections at every K come from
     that spectrum, and each K adds the projected mismatch Train_K.
     """

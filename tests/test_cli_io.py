@@ -672,6 +672,26 @@ def test_cli_flow_commands_reject_empty_marches_naming_the_field(
     assert len(err.splitlines()) == 1 and f"{field} must" in err
 
 
+@pytest.mark.parametrize("command, config, field", [
+    ("stability", {"tol": -1.0}, "tol"),
+    ("rollout", {"slack": -1.0, "n_steps": 1}, "slack")])
+def test_cli_negative_tolerance_is_a_usage_error(tmp_path, capsys, command,
+                                                 config, field):
+    # a negative tolerance is a usage error, not a falsification (exit 2)
+    _gen_pair(tmp_path, members=4)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    capsys.readouterr()
+    argv = [command, "--a", str(tmp_path / "a" / "ensemble.json"),
+            "--b", str(tmp_path / "b" / "ensemble.json"),
+            "--out", str(tmp_path / "out"), "--config", str(cfg)]
+    assert main(argv + (["--seed", "1"] if command == "rollout" else [])) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: {command}: field {field} must be non-negative, "
+                   f"got -1.0"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("config, field", [
     ({"epsilon": 0.05, "max_iter": 0}, "max_iter"),
     ({"max_iter": -3}, "max_iter"), ({"epsilon": -1.0}, "epsilon")])

@@ -1,6 +1,7 @@
 import contextlib
 import itertools
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -78,6 +79,169 @@ def test_pairwise_rejects_mismatched_grids():
         T.pairwise_distances(a, rand_ensemble(F.Grid(2, 8), 2, 2, rng))
     with pytest.raises(ValueError):
         T.pairwise_distances(a, rand_ensemble(GRID, 2, 1, rng))
+
+
+# ------------------------------------------------- exact solves on a product
+
+def explicit_exact(a, b, p):
+    """The explicit route, kept as the oracle of every exact solve."""
+    return T._exact_from_distances(T.pairwise_distances(a, b), p)
+
+
+def explicit_costs(a, b, p):
+    dist = T.pairwise_distances(a, b)
+    return dist if p == 1 else dist**2
+
+
+def oracle_pairs(N, scale, rng):
+    """Seeded pairs (name, a, b) of N members scaled by `scale`."""
+    a = scale * rng.standard_normal((N, 2) + GRID.shape)
+    noise = scale * rng.standard_normal(a.shape)
+    partners = {
+        "independent": scale * rng.standard_normal(a.shape),
+        "near 1e-2": a + 1e-2 * noise,
+        "near 1e-6": a + 1e-6 * noise,
+        "equal": a.copy(),
+        "duplicates": a[rng.integers(0, N, N)],
+    }
+    return [(name, E.Ensemble(GRID, a), E.Ensemble(GRID, b))
+            for name, b in partners.items()]
+
+
+@pytest.fixture
+def no_explicit_matrix(monkeypatch):
+    """Fail any exact solve that falls back to the explicit matrix."""
+    def refuse(a, b):
+        raise AssertionError("the product route fell back")
+    monkeypatch.setattr(T, "pairwise_distances", refuse)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+@pytest.mark.parametrize("N", [1, 2, 8])
+def test_product_route_matches_explicit_route(N, scale):
+    rng = np.random.default_rng(40)
+    agreed = 0
+    for name, a, b in oracle_pairs(N, scale, rng):
+        for p in (1, 2):
+            value, plan = T.wasserstein_exact(a, b, p)
+            oracle, oracle_plan = explicit_exact(a, b, p)
+            # the duals certify the permutation on the explicit costs too
+            T._certify_duals(explicit_costs(a, b, p), plan.permutation,
+                             plan.dual_row, plan.dual_col)
+            if np.array_equal(plan.permutation, oracle_plan.permutation):
+                assert value == oracle, (name, p)
+                agreed += 1
+            else:
+                assert abs(value - oracle) <= 1e-12 * oracle, (name, p)
+    assert agreed == 10
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+@pytest.mark.parametrize("N", [1, 2, 8])
+def test_product_route_certifies_every_solve(N, scale, monkeypatch,
+                                             no_explicit_matrix):
+    certified = []
+    certify = T._certify_duals
+
+    def counted(cost, perm, u, v, **kw):
+        certify(cost, perm, u, v, **kw)
+        certified.append(len(perm))
+
+    monkeypatch.setattr(T, "_certify_duals", counted)
+    rng = np.random.default_rng(41)
+    for _, a, b in oracle_pairs(N, scale, rng):
+        T.pair_costs(a, b)
+        T.wasserstein_exact(a, b, 2)
+    assert certified == [N] * 15
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+def test_lower_costs_bound_the_explicit_costs(scale):
+    rng = np.random.default_rng(42)
+    h = GRID.cell_volume
+    for _, a, b in oracle_pairs(8, scale, rng):
+        mean = scale * rng.standard_normal((1, 2) + GRID.shape)
+        # a shared mean 1e4 times the spread leaves the product no digits
+        for shift in (0.0, 10.0, 1e4):
+            x = E.Ensemble(GRID, a.values + shift * mean)
+            y = E.Ensemble(GRID, b.values + shift * mean)
+            product = T._product_sq(*T._members(x, y), h)
+            if product is None:           # norms beyond the float range
+                assert scale == 1e150 and shift == 1e4
+                continue
+            for p in (1, 2):
+                assert np.all(T._lower_costs(*product, h, p)
+                              <= explicit_costs(x, y, p))
+
+
+def test_uncertified_product_falls_back_to_the_explicit_route():
+    # with a shared mean 1e4 times the spread, the product's rounding is
+    # larger than the certificate's tolerance, so every solve falls back
+    rng = np.random.default_rng(43)
+    offset = 1e4 * rng.standard_normal((1, 2) + GRID.shape)
+    a = E.Ensemble(GRID, offset + rng.standard_normal((8, 2) + GRID.shape))
+    b = E.Ensemble(GRID, offset + rng.standard_normal((8, 2) + GRID.shape))
+    X, Y = T._members(a, b)
+    product = T._product_sq(X, Y, GRID.cell_volume)
+    for p in (1, 2):
+        assert T._solve_on_product(X, Y, GRID.cell_volume, *product, p) is None
+        value, plan = T.wasserstein_exact(a, b, p)
+        oracle, oracle_plan = explicit_exact(a, b, p)
+        assert value == oracle
+        assert np.array_equal(plan.permutation, oracle_plan.permutation)
+
+
+def test_rejected_certificate_reruns_that_solve_explicitly(monkeypatch):
+    rng = np.random.default_rng(44)
+    a = rand_ensemble(GRID, 8, 2, rng)
+    b = rand_ensemble(GRID, 8, 2, rng)
+    expected = {p: explicit_exact(a, b, p) for p in (1, 2)}
+    calls = {"pairwise": 0, "certified": 0}
+    pairwise, certify = T.pairwise_distances, T._certify_duals
+
+    def counted_pairwise(x, y):
+        calls["pairwise"] += 1
+        return pairwise(x, y)
+
+    def reject_first(*args, **kwargs):
+        calls["certified"] += 1
+        if calls["certified"] == 1:
+            raise RuntimeError("assignment dual infeasible: solver bug")
+        return certify(*args, **kwargs)
+
+    monkeypatch.setattr(T, "pairwise_distances", counted_pairwise)
+    monkeypatch.setattr(T, "_certify_duals", reject_first)
+    w1, w2, _ = T.pair_costs(a, b)
+    # W1 fell back to the explicit matrix; W2 passed on the product
+    assert calls == {"pairwise": 1, "certified": 3}
+    assert (w1, w2) == (expected[1][0], expected[2][0])
+    calls.update(pairwise=0, certified=0)
+    value, plan = T.wasserstein_exact(a, b, 2)
+    assert calls == {"pairwise": 1, "certified": 2}
+    assert value == expected[2][0]
+    assert np.array_equal(plan.permutation, expected[2][1].permutation)
+    assert np.array_equal(plan.dual_row, expected[2][1].dual_row)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_overflowing_members_keep_the_overflow_error(p):
+    rng = np.random.default_rng(45)
+    a = rand_ensemble(GRID, 4, 2, rng, scale=1e160)
+    b = rand_ensemble(GRID, 4, 2, rng, scale=1e160)
+    for solve in (lambda: T.wasserstein_exact(a, b, p), lambda: T.pair_costs(a, b)):
+        with pytest.raises(ValueError, match="^transport costs overflow the "
+                                             "float range$"):
+            solve()
+
+
+def test_pair_whose_norms_overflow_but_differences_do_not():
+    # squared norms beyond the float range send the pair to the explicit
+    # route, which still finds the exact zero distance
+    a = rand_ensemble(GRID, 1, 2, np.random.default_rng(46), scale=1e160)
+    assert T._product_sq(*T._members(a, a), GRID.cell_volume) is None
+    for p in (1, 2):
+        value, plan = T.wasserstein_exact(a, a, p)
+        assert value == 0.0 and plan.permutation.tolist() == [0]
 
 
 # --------------------------------------------------------------- assignment
@@ -413,18 +577,24 @@ def test_assignment_tie_break_lowest_index():
 # ------------------------------------------------- one matrix per CLI pair
 
 def _count_calls(monkeypatch):
-    calls = {"pairwise": 0, "certified": 0}
-    pairwise, certify = T.pairwise_distances, T._certify_duals
+    calls = {"pairwise": 0, "product": 0, "certified": 0}
+    pairwise, product = T.pairwise_distances, T._product_sq
+    certify = T._certify_duals
 
     def counted_pairwise(a, b):
         calls["pairwise"] += 1
         return pairwise(a, b)
+
+    def counted_product(*args):
+        calls["product"] += 1
+        return product(*args)
 
     def counted_certify(*args, **kwargs):
         calls["certified"] += 1
         return certify(*args, **kwargs)
 
     monkeypatch.setattr(T, "pairwise_distances", counted_pairwise)
+    monkeypatch.setattr(T, "_product_sq", counted_product)
     monkeypatch.setattr(T, "_certify_duals", counted_certify)
     return calls
 
@@ -446,8 +616,9 @@ def test_cli_metrics_solves_the_pair_once(tmp_path, monkeypatch, capsys):
     calls = _count_calls(monkeypatch)
     assert main(["metrics", "--a", a, "--b", b, "--out", str(tmp_path / "m"),
                  "--config", str(cfg)]) == 0
-    # W2 and W1 of (a, b) from one matrix, then one projected pair per K
-    assert calls == {"pairwise": 1 + 3, "certified": 2 + 3}
+    # W2 and W1 of (a, b) from one product, then one projected pair per K;
+    # every solve certified, and no explicit distance matrix
+    assert calls == {"pairwise": 0, "product": 1 + 3, "certified": 2 + 3}
 
 
 def test_cli_transport_sinkhorn_uses_one_matrix(tmp_path, monkeypatch, capsys):
@@ -457,7 +628,42 @@ def test_cli_transport_sinkhorn_uses_one_matrix(tmp_path, monkeypatch, capsys):
     calls = _count_calls(monkeypatch)
     assert main(["transport", "--a", a, "--b", b, "--out", str(tmp_path / "t"),
                  "--config", str(cfg)]) == 0
-    assert calls == {"pairwise": 1, "certified": 2}
+    # Sinkhorn reads every entry, so W1, W2 and the entropic cost share
+    # one explicit matrix and no product is formed
+    assert calls == {"pairwise": 1, "product": 0, "certified": 2}
+
+
+_REPORTS = """
+import sys
+from lawbound.cli import main
+from lawbound.reporting import strip_timing
+a, b, out = sys.argv[1:]
+for command in ("transport", "metrics"):
+    assert main([command, "--a", a, "--b", b, "--out", out + command]) == 0
+    print(strip_timing(open(out + command + "/report.json").read()))
+"""
+
+
+def test_cli_reports_do_not_depend_on_blas_or_pool_threads(tmp_path):
+    # 32 members of 2 x 32 x 32 values: a product large enough for the BLAS
+    # to split it over two threads
+    rng = np.random.default_rng(47)
+    grid = F.Grid(2, 32)
+    paths = []
+    for name in ("a", "b"):
+        RP.write_ensemble(tmp_path / name, rand_ensemble(grid, 32, 2, rng))
+        paths.append(str(tmp_path / name / "ensemble.json"))
+    reports = set()
+    for blas, pool in itertools.product((1, 2), (1, 2)):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas),
+                   LAWBOUND_THREADS=str(pool))
+        proc = subprocess.run(
+            [sys.executable, "-c", _REPORTS, *paths,
+             str(tmp_path / f"b{blas}p{pool}-")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        reports.add(proc.stdout)
+    assert len(reports) == 1
 
 
 def test_cli_metrics_fft_calls_do_not_grow_with_K_list(tmp_path, monkeypatch,
