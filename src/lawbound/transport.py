@@ -6,15 +6,19 @@ shortest-augmenting-path method that carries dual potentials, so optimality
 is certified by dual feasibility rather than trusted.  An entropic Sinkhorn
 surrogate is provided for larger problems.
 
-An exact solve reads its costs from one matrix product X Y^T and the
-members' squared norms (`_exact_pair`): the assignment runs on that cheap
-matrix, each reported value is recomputed from the N matched pairs by
-explicit differences, and the duals are certified against a matrix that
-bounds the explicit costs from below, so the certificate proves what a
-certificate on the explicit matrix proves.  The explicit-difference matrix
-(`pairwise_distances`) is still built where every entry is read: by
-Sinkhorn, and by an exact solve whose product route fails its certificate
-or leaves the float range.
+An exact solve reads its costs from one matrix product X Y^T of the
+members centred on a shared vector, and their squared norms
+(`_exact_pair`): the assignment runs on that cheap matrix; the matched
+entries, and the few others whose explicit cost could undercut its duals,
+are recomputed by explicit differences; and duals derived on that mix of
+explicit costs and rigorous lower bounds prove the permutation optimal on
+the explicit costs, and pass the certificate that a solve on the explicit
+matrix would pass.  Each reported value comes from the matched explicit
+costs.  The explicit-difference matrix (`pairwise_distances`) is still
+built where every entry is read: by Sinkhorn, and by an exact solve whose
+product route finds a cheaper cycle or fails its certificate (members of
+very different sizes, whose small costs the product cannot resolve), or
+leaves the float range.
 """
 
 from __future__ import annotations
@@ -125,11 +129,13 @@ def pairwise_distances(a: Ensemble, b: Ensemble) -> np.ndarray:
     Computed from explicit differences, so each entry carries a rounding
     error relative to its own size.  The Gram expansion
     ||x||^2 + ||y||^2 - 2<x, y> errs relative to the norms instead, which
-    cancellation makes large on nearly identical members (1.7e-2 relative
-    at b = a + 1e-6 noise).  Exact solves use the expansion only to choose
-    the permutation, and take their values and their certificate from
-    explicit differences (`_exact_pair`).  This matrix is what Sinkhorn
-    reads, and what an exact solve falls back to.
+    cancellation makes large on nearly identical members even after
+    centring the pair (6e-4 to 1e-3 relative on the matched entries of
+    b = a + 1e-6 noise, 8 standard-normal members of 512 values).  Exact
+    solves use the expansion only to choose the permutation and to bound
+    the costs they do not recompute by explicit differences (`_exact_pair`).
+    This matrix is what Sinkhorn reads, and what an exact solve falls back
+    to.
 
     Members of b are taken in tiles of _TILE_BYTES that stay in cache while
     every member of a is differenced against them; each row sum is the same
@@ -261,12 +267,18 @@ def _product_sq(X: np.ndarray, Y: np.ndarray, cell_volume: float):
     row norms, clipped at 0, and the per-entry bound beta_ij on their
     rounding and on that of the explicit kernel (see `_exact_pair`).
 
+    Both ensembles are first centred on the midpoint m of their member
+    means.  Differences do not change, while the norms, and with them the
+    product's rounding, follow the pair's spread rather than its mean.
+
     Returns (sq, beta), or None when a cost of the pair could leave the
-    float range: then (||x_i|| + ||y_j||)^2, which bounds every explicit
-    squared sum, is not safely finite.
+    float range: then (||x_i - m|| + ||y_j - m||)^2, which bounds every
+    explicit squared sum, is not safely finite.
     """
     D = X.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
+        m = 0.5 * (X.mean(axis=0) + Y.mean(axis=0))
+        X, Y = X - m, Y - m
         nx = np.einsum("ij,ij->i", X, X)
         ny = np.einsum("ij,ij->i", Y, Y)
         rx, ry = np.sqrt(nx), np.sqrt(ny)
@@ -281,18 +293,19 @@ def _product_sq(X: np.ndarray, Y: np.ndarray, cell_volume: float):
     return sq, beta
 
 
-def _matched_sq(X: np.ndarray, Y: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """||x_i - y_perm(i)||^2 for every row i, each summed as the explicit
+def _explicit_sq(X: np.ndarray, Y: np.ndarray, rows: np.ndarray,
+                 cols: np.ndarray) -> np.ndarray:
+    """||x_rows[k] - y_cols[k]||^2 for every k, each summed as the explicit
     kernel of `pairwise_distances` sums its entry, so bitwise equal to it."""
-    rows = max(1, _TILE_BYTES // Y[0].nbytes)
-    sq = np.empty(len(X))
-    work = np.empty((min(rows, len(X)), X.shape[1]))
-    for i in range(0, len(X), rows):
-        d = work[:min(rows, len(X) - i)]
-        np.take(Y, perm[i:i + len(d)], axis=0, out=d)
-        np.subtract(d, X[i:i + len(d)], out=d)
+    tile = max(1, _TILE_BYTES // Y[0].nbytes)
+    sq = np.empty(len(rows))
+    work = np.empty((min(tile, len(rows)), X.shape[1]))
+    for k in range(0, len(rows), tile):
+        d = work[:min(tile, len(rows) - k)]
+        np.take(Y, cols[k:k + len(d)], axis=0, out=d)
+        np.subtract(d, X[rows[k:k + len(d)]], out=d)
         np.multiply(d, d, out=d)
-        d.sum(axis=1, out=sq[i:i + len(d)])
+        d.sum(axis=1, out=sq[k:k + len(d)])
     return sq
 
 
@@ -303,57 +316,77 @@ def _exact_pair(a: Ensemble, b: Ensemble, orders):
     on pairwise_distances: C_ij = fl(sqrt(fl(h s_ij))) for p=1 and its
     rounded square for p=2, where h is the cell volume and s_ij the
     explicit sum of squared differences.  Each order here
-      1. solves the assignment on the product matrix (`_product_sq`),
+      1. solves the assignment on the product costs of the centred members
+         (`_product_sq`), h sq for p=2 and their square roots for p=1,
          giving sigma and duals (u, v);
-      2. computes the matched costs e_i = C_{i,sigma(i)} bitwise with the
-         explicit kernel (`_matched_sq`) and reports
-         ((1/N) sum_i e_i)^(1/p), so the value is the explicit route's
-         bitwise whenever sigma is;
-      3. certifies (u', v), u'_i = e_i - v_sigma(i), with `_certify_duals`
-         and its tolerance on the matrix L with L_{i,sigma(i)} = e_i and,
-         elsewhere, L_ij = h max(sq_ij - beta_ij, 0) for p=2 and its
-         square root for p=1 (`_lower_costs`).
+      2. forms the matrix H that is L (`_lower_costs`: h max(sq - beta, 0)
+         for p=2, its square root for p=1) except on the set R of entries
+         with L_ij <= u_i + v_j, whose explicit costs could undercut those
+         duals, and on sigma; there H is C, computed bitwise with the
+         explicit kernel (`_explicit_sq`) and shared between the orders;
+      3. derives duals on H for sigma by Bellman-Ford from 0
+         (`_column_potentials`), with u_i = H_{i,sigma(i)} - v_sigma(i);
+         where it does not settle, a cycle lowers sigma's cost on H;
+      4. certifies (u, v) with `_certify_duals` and its tolerance on H, and
+         reports ((1/N) sum_i C_{i,sigma(i)})^(1/p), so the value is the
+         explicit route's bitwise whenever sigma is.
 
-    Claim: L <= C entrywise, so passing step 3 proves that
-    _certify_duals(C, sigma, u', v) passes, which is what a certificate on
-    the explicit matrix proves.  Proof.  Write u for the unit roundoff,
-    gamma_k = ku/(1-ku), D for the values per member, and
-    S = ||x_i - y_j||^2 <= T = (||x_i|| + ||y_j||)^2 in exact arithmetic.
+    Claim: H <= C entrywise with equality on sigma.  Then passing step 4
+    proves that _certify_duals(C, sigma, u, v) passes, which is what a
+    certificate on the explicit matrix proves.  And step 3 shows sigma
+    optimal on H, so for every permutation pi,
+    C(pi) >= H(pi) >= H(sigma) = C(sigma): sigma is optimal on the
+    explicit costs, to the rounding of potentials that are at most N times
+    the largest matched cost.  The certificate alone would not show that:
+    its tolerance is relative to the largest cost of the pair, which can
+    hide the matched costs, and the product's errors, relative to the
+    members' norms, can be far larger than those.
+
+    Proof that L <= C.  Write u for the unit roundoff,
+    gamma_k = ku/(1-ku), D for the values per member, m for the centre,
+    x = fl(x_i - m) and y = fl(y_j - m) for the stored centred members,
+    S = ||x_i - y_j||^2 and T = (||x|| + ||y||)^2 in exact arithmetic.
     By Higham 2002 (Accuracy and Stability of Numerical Algorithms, 3.1;
     IEEE arithmetic, any summation order, with or without FMA):
-      - the product gives |sq_ij - S| <= gamma_{D+2} T: each squared norm
-        carries a relative error of gamma_D, the dot product
+      - centring rounds each component once, exactly where the result is
+        subnormal, so x - y = x_i - y_j + r with ||r|| <= gamma_1 sqrt(T),
+        and ||x - y||^2 is within 3 gamma_1 T of S; also S <= (1+gamma_3) T;
+      - the product gives |sq_ij - ||x - y||^2| <= gamma_{D+2} T: each
+        squared norm carries a relative error of gamma_D, the dot product
         |fl(x.y) - x.y| <= gamma_D |x|.|y| <= gamma_D ||x|| ||y||, and two
-        roundings combine them; the clip at 0 only moves sq_ij toward S;
+        roundings combine them; the clip at 0 only moves sq_ij toward the
+        exact value; so |sq_ij - S| <= gamma_{D+5} T;
       - the explicit kernel gives s_ij >= S (1 - gamma_{D+2}), and the
         product with h, the root and the square lower C by at most three
-        more roundings, so C >= h S (1 - gamma_{D+6}), and fl(h s_ij) is
-        at least that too;
-      - beta_ij = 4 gamma_{D+8} (fl||x_i|| + fl||y_j||)^2 is at least
-        3 gamma_{D+8} T while gamma_{D+8} <= 0.1 (D below 10^14).  That
-        covers both errors and the roundings in forming L, so the p=2
-        entry of L is at most h S (1 - gamma_{D+6}), below both C and
-        fl(h s_ij); the rounded root is monotone, so the p=1 entry is at
-        most C too;
+        more roundings, so C >= h S (1 - gamma_{D+6}) >= h (S -
+        gamma_{D+9} T);
+      - beta_ij = 4 gamma_{D+8} (fl||x|| + fl||y||)^2, as rounded, is at
+        least 3 gamma_{D+8} T while gamma_{D+8} <= 0.01 (D below 10^13).
+        That exceeds (gamma_{D+5} + gamma_{D+9} + gamma_3) T, which covers
+        both errors and the roundings in forming L, so the p=2 entry of L
+        is at most h (S - gamma_{D+9} T), below C; the rounded root is
+        monotone, so the p=1 entry is at most C too;
       - with gradual underflow, each rounded product adds an absolute
         error below eta = 2^-1074, at most (3D + 2) eta / min(h, 1) over
         both routes, which beta's term 4 (D + 1) eta / min(h, 1) covers.
-    Matched entries are equal by construction.  _certify_duals evaluates
-    (cost - u') - v with rounding that is monotone in cost, so every slack
-    on C is at least the one on L, and its scale max(|C|, 1) is at least
-    max(|L|, 1), which only loosens both thresholds.  QED.
+    Entries of R and sigma are C itself.  _certify_duals evaluates
+    (cost - u) - v with rounding that is monotone in cost, so every slack
+    on C is at least the one on H; the tight entries are equal, and its
+    scale max(|C|, 1) is at least max(|H|, 1).  QED.
 
-    Where the certificate fails or `_product_sq` returns None, that solve
-    runs on the explicit matrix instead, computed at most once per call,
-    which keeps every error message of the explicit route.
+    Where step 3 or 4 fails or `_product_sq` returns None, that solve runs
+    on the explicit matrix instead, computed at most once per call, which
+    keeps every error message of the explicit route.
     """
     X, Y = _members(a, b)
     h = a.grid.cell_volume
     product = _product_sq(X, Y, h)
+    if product is not None:
+        known = np.full(product[0].shape, np.nan)   # explicit sums so far
     results, explicit = [], None
     for p in orders:
         solved = None if product is None else _solve_on_product(
-            X, Y, h, *product, p)
+            X, Y, h, *product, known, p)
         if solved is None:
             if explicit is None:
                 explicit = pairwise_distances(a, b)
@@ -363,26 +396,55 @@ def _exact_pair(a: Ensemble, b: Ensemble, orders):
 
 
 def _lower_costs(sq, beta, h, p):
-    """The unmatched entries of `_exact_pair`'s L, each at most the explicit
-    route's cost."""
+    """`_exact_pair`'s L, each entry at most the explicit route's cost."""
     lower = h * np.maximum(sq - beta, 0.0)
     return np.sqrt(lower) if p == 1 else lower
 
 
-def _solve_on_product(X, Y, h, sq, beta, p):
-    """Steps 1-3 of `_exact_pair` for one order; None where the lower-bound
-    certificate fails."""
+def _column_potentials(cost, perm):
+    """Column duals v <= 0 with v_j <= v_k + cost[r, j] - cost[r, k] for
+    every column k and its row r (perm[r] = k), by Bellman-Ford from 0, so
+    that (cost[i, perm[i]] - v[perm[i]], v) is feasible and tight on perm.
+    Each v_j is the cheapest change of rows from an alternating path ending
+    at j, so it is bounded by the costs perm overpays and not by the large
+    costs.  None where n + 1 passes do not settle: a cycle lowers the cost
+    of perm.
+    """
+    n = len(perm)
+    owner = np.empty(n, dtype=np.int64)
+    owner[perm] = np.arange(n)
+    step = cost[owner] - cost[owner, np.arange(n)][:, None]
+    v = np.zeros(n)
+    for _ in range(n + 1):
+        reach = (v[:, None] + step).min(axis=0)
+        if np.all(reach >= v):
+            return v
+        v = np.minimum(v, reach)
+    return None
+
+
+def _solve_on_product(X, Y, h, sq, beta, known, p):
+    """Steps 1-4 of `_exact_pair` for one order; None where step 3 or 4
+    fails.  `known` holds the explicit sums computed so far (NaN
+    elsewhere) and gains those of this order's R."""
     n = len(X)
-    dist = np.sqrt(h * sq)
-    perm, _, v = solve_assignment(dist if p == 1 else dist**2)
-    matched = np.sqrt(h * _matched_sq(X, Y, perm))
-    if p == 2:
-        matched = matched**2
-    lower = _lower_costs(sq, beta, h, p)
-    lower[np.arange(n), perm] = matched
+    cost = h * sq
+    perm, u, v = solve_assignment(np.sqrt(cost) if p == 1 else cost)
+    H = _lower_costs(sq, beta, h, p)
+    refine = H <= u[:, None] + v[None, :]
+    refine[np.arange(n), perm] = True
+    rows, cols = np.nonzero(refine)
+    new = np.isnan(known[rows, cols])
+    known[rows[new], cols[new]] = _explicit_sq(X, Y, rows[new], cols[new])
+    dist = np.sqrt(h * known[rows, cols])
+    H[rows, cols] = dist if p == 1 else dist**2
+    v = _column_potentials(H, perm)
+    if v is None:
+        return None
+    matched = H[np.arange(n), perm]
     u = matched - v[perm]
     try:
-        _certify_duals(lower, perm, u, v)
+        _certify_duals(H, perm, u, v)
     except RuntimeError:
         return None
     total = matched.mean()
