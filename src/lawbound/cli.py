@@ -28,6 +28,7 @@ from . import scores as SC
 from . import transport as T
 from .acceptance import run_battery
 from .reporting import (
+    Range,
     Report,
     manifest_kind,
     read_ensemble,
@@ -51,32 +52,83 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _load_config(path):
-    if path is None:
-        return {}
+_POS, _NON_NEG, _ONE = Range(0, strict=True), Range(0), Range(1)
+
+# Each command's config table, key -> (type, default[, range]) as read by
+# `validate_config`, and NESTED, the field of a command that holds a nested
+# table.  A range that depends on another field (a band limit against the
+# grid, a horizon against its step) is checked where the library uses it.
+TABLES = {
+    "gen": {"n": (int, 64, Range(8)), "members": (int, 16, _ONE),
+            "structure_exponent": (float, 0.5, Range(-2)),
+            "k_max": (int, 0, _NON_NEG), "normalize": (bool, True),
+            "time": (float, 0.0), "structure_csv": (bool, False)},
+    "evolve": {"dt": (float, 0.00625, _POS), "horizon": (float, 0.25, _POS),
+               "checkpoints": (int, 8, _ONE)},
+    "sample": {"dt_phys": (float, 0.05, _POS), "n_steps": (int, 4, _ONE),
+               "reference_dt": (float, 0.00625, _POS),
+               "store_paths": (bool, False)},
+    "kernel": {"kind": (str, "perturbed-reference", SA._KINDS),
+               "internal_steps": (int, 8, _ONE),
+               "noise_scale": (float, 0.0, _NON_NEG),
+               "perturbation": (float, 0.0),
+               "init": (str, "delta", ("delta", "gaussian")),
+               "noise_exponent": (float, 4.0, Range(-2)),
+               "noise_k_max": (int, 0, _NON_NEG),
+               "pf_sigma_max": (float, 1.0, _NON_NEG)},
+    "metrics": {"K_list": (list, [4, 8, 16], _ONE)},
+    "transport": {"epsilon": (float, 0.0, _NON_NEG),
+                  "max_iter": (int, 5000, _ONE)},
+    "stability": {"dt": (float, 0.015625, _POS),
+                  "horizon": (float, 0.25, _POS),
+                  "checkpoints": (int, 8, _ONE),
+                  "tol": (float, 1e-3, _NON_NEG)},
+    "rollout": {"dt": (float, 0.00625, _POS), "dt_phys": (float, 0.05, _POS),
+                "n_steps": (int, 4, _ONE),
+                "checkpoints_per_window": (int, 8, _ONE),
+                "slack": (float, 5e-2, _NON_NEG)},
+    "certify": {"n": (int, 32, Range(8)), "members": (int, 6, _ONE),
+                "k": (int, 1, Range(1, hi=3)), "K": (float, 8.0, _ONE),
+                "k_test": (int, 4, _ONE), "epsilon": (float, 1e-2),
+                "n_steps": (int, 512, _ONE), "horizon": (float, 0.5, _POS),
+                "rel_tol": (float, 1e-5, _NON_NEG)},
+    "pfode": {"dim": (int, 4, _ONE), "c": (float, 0.2),
+              "tau_nodes": (int, 33, Range(2)),
+              "mc_size": (int, 4096, Range(2)),
+              "sigma0": (float, 1.0, _POS), "sigma_slope": (float, 0.0)},
+    "scores": {},
+    "observable": {"kind": (str, "mollified", ("mollified",)),
+                   "location": (list, [np.pi, np.pi]),
+                   "component": (int, 0, _NON_NEG),
+                   "width": (float, 0.5, _POS)},
+}
+NESTED = {"sample": "kernel", "rollout": "kernel", "scores": "observable"}
+
+
+def _config(args, **flags):
+    """The command's config with the flags that are set merged in, validated;
+    for a command in NESTED, also its nested config as given."""
     try:
-        return json.loads(Path(path).read_text())
+        raw = ({} if args.config is None
+               else json.loads(Path(args.config).read_text()))
     except FileNotFoundError:
-        raise _UsageError(f"config file not found: {path}")
+        raise _UsageError(f"config file not found: {args.config}")
     except json.JSONDecodeError as exc:
-        raise _UsageError(f"malformed config {path}: {exc}")
-
-
-def _kernel_from_config(cfg: dict) -> SA.KernelSpec:
-    allowed = {
-        "kind": (str, "perturbed-reference"),
-        "internal_steps": (int, 8),
-        "noise_scale": (float, 0.0),
-        "perturbation": (float, 0.0),
-        "init": (str, "delta"),
-        "noise_exponent": (float, 4.0),
-        "noise_k_max": (int, 0),
-        "pf_sigma_max": (float, 1.0),
-    }
-    return SA.KernelSpec(**validate_config(cfg, allowed, "kernel"))
+        raise _UsageError(f"malformed config {args.config}: {exc}")
+    if not isinstance(raw, dict):
+        raise ValueError(f"{args.command}: config must be a JSON object")
+    if args.command not in NESTED:
+        raw.update((k, v) for k, v in flags.items() if v is not None)
+        return validate_config(raw, TABLES[args.command], args.command)
+    nested = raw.pop(NESTED[args.command], {})
+    return validate_config(raw, TABLES[args.command], args.command), nested
 
 
 def _finish(report: Report, out_dir: Path, started: float) -> int:
+    for c in report.checks:
+        if not np.isfinite([c.value, c.bound]).all():
+            raise RuntimeError(f"{report.command}: check {c.name} is not "
+                               f"finite: value={c.value} bound={c.bound}")
     report.wall_time_s = time.time() - started
     out_dir.mkdir(parents=True, exist_ok=True)
     report.write(out_dir / "report.json")
@@ -89,19 +141,7 @@ def _finish(report: Report, out_dir: Path, started: float) -> int:
 # ------------------------------------------------------------- subcommands
 
 def cmd_gen(args) -> int:
-    started = time.time()
-    cfg = validate_config(_load_config(args.config), {
-        "n": (int, 64),
-        "members": (int, 16),
-        "structure_exponent": (float, 0.5),
-        "k_max": (int, 0),
-        "normalize": (bool, True),
-        "time": (float, 0.0),
-        "structure_csv": (bool, False),
-    }, "gen")
-    if cfg["members"] < 1:
-        raise ValueError(f"gen: field members must be a positive integer, "
-                         f"got {cfg['members']}")
+    cfg = _config(args)
     grid = F.Grid(2, cfg["n"])
     k_max = cfg["k_max"] or grid.n // 4
     p = F.spectrum_exponent_for_structure(cfg["structure_exponent"])
@@ -127,7 +167,7 @@ def cmd_gen(args) -> int:
         report.add("gen.structure_exponent", s_fit,
                    cfg["structure_exponent"],
                    abs(s_fit - cfg["structure_exponent"]) <= 0.1, 0.1)
-    return _finish(report, out, started)
+    return _finish(report, out, args.started)
 
 
 def _read_initial_ensemble(path):
@@ -140,20 +180,7 @@ def _read_initial_ensemble(path):
 
 
 def cmd_evolve(args) -> int:
-    started = time.time()
-    cfg = validate_config(_load_config(args.config), {
-        "dt": (float, 0.00625),
-        "horizon": (float, 0.25),
-        "checkpoints": (int, 8),
-    }, "evolve")
-    if args.checkpoints is not None:
-        cfg["checkpoints"] = args.checkpoints
-    if cfg["checkpoints"] < 1:
-        raise ValueError(f"evolve: checkpoints must be a positive integer, "
-                         f"got {cfg['checkpoints']}")
-    if cfg["horizon"] <= 0:
-        raise ValueError(f"evolve: field horizon must be positive, "
-                         f"got {cfg['horizon']}")
+    cfg = _config(args, checkpoints=args.checkpoints)
     e, t0 = _read_initial_ensemble(args.ensemble)
     euler_cfg = EU.EulerConfig(e.grid, dt=cfg["dt"])
     times, ensembles = EU.evolve(e, euler_cfg, cfg["horizon"],
@@ -176,20 +203,13 @@ def cmd_evolve(args) -> int:
     drift = abs(eT - e0) / max(e0, 1e-300) / max(cfg["horizon"], 1e-300)
     report = Report("evolve", cfg)
     report.add("evolve.energy_drift_per_time", drift, 1e-6, drift <= 1e-6, 1e-6)
-    return _finish(report, out, started)
+    return _finish(report, out, args.started)
 
 
 def cmd_sample(args) -> int:
-    started = time.time()
-    raw = _load_config(args.config)
-    kernel_cfg = raw.pop("kernel", {})
-    cfg = validate_config(raw, {
-        "dt_phys": (float, 0.05),
-        "n_steps": (int, 4),
-        "reference_dt": (float, 0.00625),
-        "store_paths": (bool, False),
-    }, "sample")
-    spec = _kernel_from_config(kernel_cfg)
+    cfg, kernel_cfg = _config(args)
+    spec = SA.KernelSpec(**validate_config(kernel_cfg, TABLES["kernel"],
+                                           "kernel"))
     if cfg["store_paths"] and not spec.starts_at_input:
         raise ValueError("sample: field store_paths needs a kernel whose "
                          "path starts at its input state (init 'delta', "
@@ -221,21 +241,11 @@ def cmd_sample(args) -> int:
         write_lawcurve_slices(out / "curve", np.arange(cfg["n_steps"] + 1)
                               * cfg["dt_phys"], endpoints())
     report.extra = {"n_steps": cfg["n_steps"], "members": e.size}
-    return _finish(report, out, started)
+    return _finish(report, out, args.started)
 
 
 def cmd_metrics(args) -> int:
-    started = time.time()
-    cfg = validate_config(_load_config(args.config), {
-        "K_list": (list, [4, 8, 16]),
-    }, "metrics")
-    if not cfg["K_list"]:
-        raise ValueError("metrics: field K_list must not be empty")
-    for K in cfg["K_list"]:
-        if (isinstance(K, bool) or not isinstance(K, (int, float))
-                or not 1 <= K <= sys.float_info.max):
-            raise ValueError(f"metrics: field K_list holds {K!r}; "
-                             f"each K must be a finite number >= 1")
+    cfg = _config(args)
     if len({float(K) for K in cfg["K_list"]}) != len(cfg["K_list"]):
         raise ValueError(f"metrics: field K_list repeats a value in "
                          f"{cfg['K_list']!r}; each K must appear once")
@@ -253,15 +263,11 @@ def cmd_metrics(args) -> int:
         report.add(f"capacity.K{K}", rep.w2, rep.bound, rep.satisfied, 1e-9)
         report.extra[f"K{K}"] = rep.as_dict()
     write_csv(out / "sweep.csv", ["K", "tail_a", "train", "bound", "w2"], rows)
-    return _finish(report, out, started)
+    return _finish(report, out, args.started)
 
 
 def cmd_transport(args) -> int:
-    started = time.time()
-    cfg = validate_config(_load_config(args.config), {
-        "epsilon": (float, 0.0),
-        "max_iter": (int, 5000),
-    }, "transport")
+    cfg = _config(args)
     report = Report("transport", cfg)
     if manifest_kind(args.a) == "lawcurve":
         ca = read_lawcurve(args.a)
@@ -281,20 +287,11 @@ def cmd_transport(args) -> int:
         if entropic is not None:
             report.extra["sinkhorn"] = entropic
         report.add("transport.w1_le_w2", w1, w2, w1 <= w2 + 1e-9, 1e-9)
-    return _finish(report, Path(args.out), started)
+    return _finish(report, Path(args.out), args.started)
 
 
 def cmd_stability(args) -> int:
-    started = time.time()
-    cfg = validate_config(_load_config(args.config), {
-        "dt": (float, 0.015625),
-        "horizon": (float, 0.25),
-        "checkpoints": (int, 8),
-        "tol": (float, 1e-3),
-    }, "stability")
-    if cfg["tol"] < 0:
-        raise ValueError(f"stability: field tol must be non-negative, "
-                         f"got {cfg['tol']}")
+    cfg = _config(args)
     a, _ = read_ensemble(args.a)
     b, _ = read_ensemble(args.b)
     euler_cfg = EU.EulerConfig(a.grid, dt=cfg["dt"])
@@ -311,24 +308,13 @@ def cmd_stability(args) -> int:
     report.extra = {k: rep[k] for k in ("times", "lambda_curve",
                                         "strain_integral",
                                         "sup_strain_integral")}
-    return _finish(report, Path(args.out), started)
+    return _finish(report, Path(args.out), args.started)
 
 
 def cmd_rollout(args) -> int:
-    started = time.time()
-    raw = _load_config(args.config)
-    kernel_cfg = raw.pop("kernel", {})
-    cfg = validate_config(raw, {
-        "dt": (float, 0.00625),
-        "dt_phys": (float, 0.05),
-        "n_steps": (int, 4),
-        "checkpoints_per_window": (int, 8),
-        "slack": (float, 5e-2),
-    }, "rollout")
-    if cfg["slack"] < 0:
-        raise ValueError(f"rollout: field slack must be non-negative, "
-                         f"got {cfg['slack']}")
-    spec = _kernel_from_config(kernel_cfg)
+    cfg, kernel_cfg = _config(args)
+    spec = SA.KernelSpec(**validate_config(kernel_cfg, TABLES["kernel"],
+                                           "kernel"))
     a, _ = read_ensemble(args.a)
     b, _ = read_ensemble(args.b)
     euler_cfg = EU.EulerConfig(a.grid, dt=cfg["dt"])
@@ -351,22 +337,11 @@ def cmd_rollout(args) -> int:
                rep["horizon_complete"], 0.0)
     report.extra = {k: rep[k] for k in ("alpha_total", "max_defect",
                                         "violations", "guard_events")}
-    return _finish(report, out, started)
+    return _finish(report, out, args.started)
 
 
 def cmd_certify(args) -> int:
-    started = time.time()
-    cfg = validate_config(_load_config(args.config), {
-        "n": (int, 32),
-        "members": (int, 6),
-        "k": (int, 1),
-        "K": (float, 8.0),
-        "k_test": (int, 4),
-        "epsilon": (float, 1e-2),
-        "n_steps": (int, 512),
-        "horizon": (float, 0.5),
-        "rel_tol": (float, 1e-5),
-    }, "certify")
+    cfg = _config(args)
     grid = F.Grid(2, cfg["n"])
     rep = C.certification_report(
         grid, members=cfg["members"], k=cfg["k"], K=cfg["K"],
@@ -381,23 +356,13 @@ def cmd_certify(args) -> int:
     report.extra = {k: rep[k] for k in
                     ("residual_direct", "residual_defect", "rel_gap",
                      "l_drift", "m_2k", "bound")}
-    return _finish(report, Path(args.out), started)
+    return _finish(report, Path(args.out), args.started)
 
 
 def cmd_pfode(args) -> int:
-    started = time.time()
-    cfg = validate_config(_load_config(args.config), {
-        "dim": (int, 4),
-        "c": (float, 0.2),
-        "tau_nodes": (int, 33),
-        "mc_size": (int, 4096),
-        "sigma0": (float, 1.0),
-        "sigma_slope": (float, 0.0),
-    }, "pfode")
+    cfg = _config(args)
     rng = np.random.default_rng(int(args.seed))
     q = cfg["dim"]
-    if q < 1:
-        raise ValueError(f"pfode: dim must be a positive integer, got {q}")
     A = rng.standard_normal((q, q)) * 0.3
     gd = C.GaussianDiffusion(mean=rng.standard_normal(q),
                              cov=A @ A.T + np.eye(q),
@@ -415,24 +380,14 @@ def cmd_pfode(args) -> int:
                3.0, rep["marginals_ok"], 0.0)
     report.extra = {"taus": rep["taus"], "lhs": rep["lhs_curve"],
                     "rhs": rep["rhs_curve"]}
-    return _finish(report, Path(args.out), started)
+    return _finish(report, Path(args.out), args.started)
 
 
 def cmd_scores(args) -> int:
-    started = time.time()
-    raw = _load_config(args.config)
-    obs_cfg = raw.pop("observable", {})
-    cfg = validate_config(raw, {}, "scores")
-    obs_cfg = validate_config(obs_cfg, {
-        "kind": (str, "mollified"),
-        "location": (list, [np.pi, np.pi]),
-        "component": (int, 0),
-        "width": (float, 0.5),
-    }, "observable")
+    cfg, obs_cfg = _config(args)
+    obs_cfg = validate_config(obs_cfg, TABLES["observable"], "observable")
     ca = read_lawcurve(args.a)
     cb = read_lawcurve(args.b)
-    if obs_cfg["kind"] != "mollified":
-        raise _UsageError(f"scores: unknown observable kind {obs_cfg['kind']!r}")
     obs = SC.mollified_point_observable(
         ca.grid, obs_cfg["location"], obs_cfg["component"], obs_cfg["width"],
         m=ca.m)
@@ -449,16 +404,15 @@ def cmd_scores(args) -> int:
     report.add("scores.per_time_chain", float(rep["per_time_ok"]), 1.0,
                rep["per_time_ok"], 1e-9)
     report.extra = {"d_T": rep["d_T"], "lipschitz": rep["lipschitz"]}
-    return _finish(report, out, started)
+    return _finish(report, out, args.started)
 
 
 def cmd_verify_all(args) -> int:
-    started = time.time()
     checks = run_battery(quick=args.quick, seed=int(args.seed), log=print)
     report = Report("verify-all", {"quick": bool(args.quick),
                                    "seed": args.seed})
     report.checks = checks
-    report.wall_time_s = time.time() - started
+    report.wall_time_s = time.time() - args.started
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report.write(out / "report.json")
@@ -522,6 +476,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        args.started = time.time()
         return args.fn(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

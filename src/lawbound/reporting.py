@@ -17,6 +17,7 @@ import struct
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +38,7 @@ __all__ = [
     "canonical_json",
     "config_hash",
     "validate_config",
+    "Range",
     "strip_timing",
     "write_csv",
 ]
@@ -191,7 +193,7 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_time(v) -> bool:
+def _is_finite(v) -> bool:
     if not (_is_int(v) or isinstance(v, float)):
         return False
     try:
@@ -240,7 +242,7 @@ def _open_ensemble(path: Path) -> tuple:
                   "an object with integer d and n", path)
     m = _field(doc, "m", lambda v: _is_int(v) and v >= 1,
                "a positive integer", path)
-    time = float(_field(doc, "time", _is_time, "a finite number", path))
+    time = float(_field(doc, "time", _is_finite, "a finite number", path))
     names = _field(doc, "members", lambda v: _is_name(v)
                    or _is_list_of(_is_name)(v),
                    "a file name or a non-empty list of file names", path)
@@ -328,7 +330,7 @@ def read_lawcurve(manifest_path) -> LawCurve:
     path = Path(manifest_path)
     doc = _load_manifest(path, "lawcurve")
     entries = _field(doc, "entries", _is_list_of(
-        lambda v: isinstance(v, dict) and _is_time(v.get("time"))
+        lambda v: isinstance(v, dict) and _is_finite(v.get("time"))
         and _is_name(v.get("ensemble"))),
         "a non-empty list of {time, ensemble} objects", path)
     times, slices = [], []
@@ -418,12 +420,31 @@ def strip_timing(report_text: str) -> str:
     return canonical_json(doc)
 
 
+class Range(NamedTuple):
+    """Numbers from `lo` (exclusive if `strict`) up to `hi` inclusive."""
+
+    lo: float
+    strict: bool = False
+    hi: float = math.inf
+
+    def holds(self, x) -> bool:
+        return (x > self.lo if self.strict else x >= self.lo) and x <= self.hi
+
+    def __str__(self):
+        if self.hi < math.inf:
+            return f"in {'(' if self.strict else '['}{self.lo}, {self.hi}]"
+        if self.lo == 0:
+            return "positive" if self.strict else "non-negative"
+        return f"{'greater than' if self.strict else 'at least'} {self.lo}"
+
+
 def validate_config(config: dict, allowed: dict, command: str) -> dict:
     """Reject unknown keys, check the schema version, fill defaults.
 
-    `allowed` maps key -> (type, default); a default of None and absence
-    of the key is an error.  Numbers must be finite, and a bool is not a
-    number.
+    `allowed` maps key -> (type, default[, range]); a default of None and
+    absence of the key is an error.  Numbers must be finite, and a bool is
+    not a number.  A range is a `Range` for a number or for each entry of a
+    non-empty list of finite numbers, and the allowed values for a str.
     """
     if not isinstance(config, dict):
         raise ValueError(f"{command}: config must be a JSON object")
@@ -434,7 +455,7 @@ def validate_config(config: dict, allowed: dict, command: str) -> dict:
     if unknown:
         raise ValueError(f"{command}: unknown config fields {sorted(unknown)}")
     out = {}
-    for key, (types, default) in allowed.items():
+    for key, (types, default, *limits) in allowed.items():
         if key in config:
             val = config[key]
             if types is float and _is_int(val):
@@ -446,6 +467,17 @@ def validate_config(config: dict, allowed: dict, command: str) -> dict:
             if isinstance(val, float) and not math.isfinite(val):
                 raise ValueError(f"{command}: field {key} must be a finite "
                                  f"number, got {val}")
+            for r in limits:
+                if types is list:
+                    ok = val and all(_is_finite(x) and r.holds(x) for x in val)
+                    what = f"a non-empty list of finite numbers each {r}"
+                elif isinstance(r, Range):
+                    ok, what = r.holds(val), r
+                else:
+                    ok, what = val in r, f"one of {list(r)}"
+                if not ok:
+                    raise ValueError(f"{command}: field {key} must be {what}, "
+                                     f"got {val!r}")
             out[key] = val
         elif default is None:
             raise ValueError(f"{command}: missing required field {key}")

@@ -171,10 +171,13 @@ def run_rollout_experiment(a: Ensemble, b: Ensemble, cfg: EulerConfig,
         del ref_a, ref_b
         model_out = _step_endpoints(mu_hat, model_spec, lambda e: ref_push_hat,
                                     master_seed, n)
-        defects.append(wasserstein_exact(ref_push_hat, model_out, p=2)[0])
-
-        mu, mu_hat = ref_end, model_out
-        delta, plan = wasserstein_exact(mu, mu_hat, p=2)
+        try:
+            defects.append(wasserstein_exact(ref_push_hat, model_out, p=2)[0])
+            mu, mu_hat = ref_end, model_out
+            delta, plan = wasserstein_exact(mu, mu_hat, p=2)
+        except ValueError as exc:
+            # the model law the kernel made overflows the float range
+            raise RuntimeError(f"rollout window {n}: {exc}") from None
         deltas.append(delta)
 
     ledger = RolloutLedger(alphas, defects, deltas,

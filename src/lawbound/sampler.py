@@ -107,7 +107,11 @@ def _member_rng(master_seed, member: int, step: int):
 
 
 def _noise_band(spec: KernelSpec, grid: Grid) -> int:
-    return spec.noise_k_max if spec.noise_k_max else max(1, grid.n // 4)
+    k_max = spec.noise_k_max or max(1, grid.n // 4)
+    if not 1 <= k_max <= grid.n // 2 - 1:
+        raise ValueError(f"kernel: field noise_k_max must be in [1, n/2-1] = "
+                         f"[1, {grid.n // 2 - 1}], got {k_max}")
+    return k_max
 
 
 def _expected_divfree_energy(grid: Grid, exponent: float, k_max: int) -> float:

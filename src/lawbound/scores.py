@@ -171,8 +171,12 @@ def mollified_point_observable(grid: Grid, location, component: int,
         d = np.abs(x[a] - loc[a])
         d = np.minimum(d, 2 * np.pi - d)
         dist_sq = dist_sq + d**2
-    kernel = np.exp(-dist_sq / (2.0 * width**2))
-    kernel /= grid.cell_volume * kernel.sum()
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        kernel = np.exp(-dist_sq / (2.0 * np.float64(width) ** 2))
+        kernel /= grid.cell_volume * kernel.sum()
+    if not np.isfinite(kernel).all():
+        raise ValueError(f"observable: field width {width} is too narrow "
+                         f"for the grid")
     values = np.zeros((m,) + grid.shape)
     values[component] = kernel
     psi = GridField(grid, values)

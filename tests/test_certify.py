@@ -338,6 +338,21 @@ def test_drift_rejects_divergent_input():
         C.euler_drift_resolved(grad, 8)
 
 
+def test_drift_spec_checks_are_relative_to_the_perturbation_norm():
+    # a valid perturbation stays valid at any scale, and a gradient stays
+    # a gradient however small
+    g = F.random_divfree(GRID, 3.0, 8, seed=1)
+    g = F.GridField(GRID, 1e6 * g.values / F.l2_norm(g))
+    C.DriftSpec(resolution=8, epsilon=0.1, perturbation=g)
+    x = GRID.coordinates()
+    grad = F.GridField(GRID, 1e-13 * np.stack([np.cos(x[0]),
+                                               np.zeros(GRID.shape)]))
+    with pytest.raises(ValueError, match="divergence-free"):
+        C.DriftSpec(resolution=8, epsilon=0.1, perturbation=grad)
+    with pytest.raises(ValueError, match="divergence-free"):
+        C.TestTuple([grad], 0.5)
+
+
 # ------------------------------------------------- product observables
 
 def make_tuple(k, seed=7, T=0.5, k_test=6):

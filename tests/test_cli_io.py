@@ -188,6 +188,32 @@ def test_validate_config_rejects_unknown_and_missing():
     assert out == {"a": 3, "b": 1.5}
 
 
+@pytest.mark.parametrize("spec, value, message", [
+    ((float, 1.0, RP.Range(0)), -1.0, "must be non-negative, got -1.0"),
+    ((float, 1.0, RP.Range(0, strict=True)), 0, "must be positive, got 0.0"),
+    ((int, 2, RP.Range(2)), 1, "must be at least 2, got 1"),
+    ((int, 1, RP.Range(1, hi=3)), 4, "must be in [1, 3], got 4"),
+    ((float, 1.0, RP.Range(0, strict=True, hi=1)), 0.0,
+     "must be in (0, 1], got 0.0"),
+    ((str, "a", ("a", "b")), "c", "must be one of ['a', 'b'], got 'c'"),
+    ((list, [1], RP.Range(1)), [2, 0.5], "must be a non-empty list of "
+     "finite numbers each at least 1, got [2, 0.5]"),
+    ((list, [1], RP.Range(1)), [2, 10**400], "must be a non-empty list"),
+    ((list, [1], RP.Range(1)), [], "must be a non-empty list"),
+])
+def test_validate_config_names_each_kind_of_range(spec, value, message):
+    with pytest.raises(ValueError) as exc:
+        RP.validate_config({"a": value}, {"a": spec}, "cmd")
+    assert str(exc.value).startswith(f"cmd: field a {message}")
+
+
+def test_validate_config_keeps_list_entries_as_given():
+    # K_list entries are not coerced: the report's K names stay "K4"
+    out = RP.validate_config({"a": [4, 8.5]}, {"a": (list, [1], RP.Range(1))},
+                             "cmd")
+    assert out == {"a": [4, 8.5]} and type(out["a"][0]) is int
+
+
 # --------------------------------------------------------------------- CLI
 
 def test_cli_unknown_flag_exit_1(tmp_path, capsys):
@@ -231,6 +257,22 @@ def test_cli_rejects_unknown_config_field(tmp_path):
     cfg.write_text(json.dumps({"n": 16, "members": 2, "bogus": 1}))
     assert main(["gen", "--seed", "1", "--out", str(tmp_path / "a"),
                  "--config", str(cfg)]) == 1
+
+
+@pytest.mark.parametrize("command", ["sample", "rollout", "scores"])
+def test_cli_non_object_config_is_named_on_one_line(tmp_path, capsys,
+                                                    command):
+    # the commands with a nested table check that the config is an object
+    # before they take the nested field out of it
+    cfg = tmp_path / "c.json"
+    cfg.write_text("[1]")
+    argv = [command, "--out", str(tmp_path / "o"), "--config", str(cfg)]
+    flags = {"sample": ["--seed", "1", "--ensemble", "e.json"],
+             "rollout": ["--seed", "1", "--a", "a.json", "--b", "b.json"],
+             "scores": ["--a", "a.json", "--b", "b.json"]}
+    assert main(argv + flags[command]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {command}: config must be a JSON object"]
 
 
 def test_cli_gen_deterministic(tmp_path, capsys):
@@ -579,6 +621,18 @@ def test_cli_gen_nonpositive_members_exit_1(tmp_path, capsys, members):
     assert len(err.splitlines()) == 1 and "members" in err
 
 
+def test_cli_gen_spectral_exponent_below_white_noise_exit_1(tmp_path, capsys):
+    # below -2 the synthesis amplitudes grow with |k| and can overflow, so
+    # the table rejects it, naming the field
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({"n": 16, "structure_exponent": -1e300}))
+    assert main(["gen", "--seed", "1", "--out", str(tmp_path / "a"),
+                 "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: gen: field structure_exponent must be at least -2, "
+        "got -1e+300"]
+
+
 @pytest.mark.parametrize("command", ["gen", "verify-all"])
 def test_cli_negative_seed_rejected_by_parser(tmp_path, capsys, command):
     assert main([command, "--seed", "-1", "--out", str(tmp_path / "x")]) == 1
@@ -630,6 +684,24 @@ def test_cli_certify_overflow_exit_3_one_line(tmp_path):
     assert proc.stderr.splitlines() == ["error: NaN in drift-driven curve"]
 
 
+def test_cli_pfode_non_finite_check_exit_3_one_line(tmp_path):
+    # a report value that overflows is an internal failure named by its
+    # check, not numpy warnings followed by a JSON error (exit 1)
+    for name, config in (("c", {"mc_size": 64, "c": 1e200}),
+                         ("s", {"mc_size": 64, "sigma0": 1e300})):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(config))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lawbound.cli", "pfode", "--seed", "1",
+             "--out", str(tmp_path / name), "--config", str(cfg)],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "error: pfode: check pfode.identity is not finite: value=nan "
+            "bound=1e-10"]
+        assert not (tmp_path / name).exists()
+
+
 def _gen_pair(tmp_path, members=2, n=16):
     cfg = tmp_path / "gen.json"
     cfg.write_text(json.dumps({"n": n, "members": members, "k_max": 4}))
@@ -672,6 +744,23 @@ def test_cli_flow_commands_reject_empty_marches_naming_the_field(
     assert len(err.splitlines()) == 1 and f"{field} must" in err
 
 
+def test_cli_rollout_overflowing_model_law_exit_3(tmp_path, capsys):
+    # a kernel whose output overflows the distances is an internal failure,
+    # not a usage error
+    _gen_pair(tmp_path)
+    cfg = tmp_path / "r.json"
+    cfg.write_text(json.dumps({"n_steps": 1, "dt_phys": 0.025, "dt": 0.0125,
+                               "checkpoints_per_window": 2,
+                               "kernel": {"noise_scale": 1e300}}))
+    capsys.readouterr()
+    assert main(["rollout", "--seed", "1", "--a",
+                 str(tmp_path / "a" / "ensemble.json"),
+                 "--b", str(tmp_path / "b" / "ensemble.json"),
+                 "--out", str(tmp_path / "r"), "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: rollout window 0: transport costs overflow the float range"]
+
+
 @pytest.mark.parametrize("command, config, field", [
     ("stability", {"tol": -1.0}, "tol"),
     ("rollout", {"slack": -1.0, "n_steps": 1}, "slack")])
@@ -710,6 +799,26 @@ def test_cli_transport_rejects_bad_sinkhorn_fields(tmp_path, capsys, config,
     assert len(err.splitlines()) == 1 and f"{field} must" in err
 
 
+@pytest.mark.parametrize("config, field", [
+    ({"n_steps": 0}, "n_steps"), ({"dt_phys": -0.05}, "dt_phys"),
+    ({"kernel": {"noise_k_max": 100}}, "noise_k_max"),
+    ({"kernel": {"noise_exponent": -1e300}}, "noise_exponent")])
+def test_cli_sample_rejects_bad_field_naming_it(tmp_path, capsys, config,
+                                                field):
+    # each names its own field, not a law-curve rule or a field the config
+    # does not have
+    _gen_pair(tmp_path)
+    cfg = tmp_path / "s.json"
+    cfg.write_text(json.dumps({"n_steps": 1} | config))
+    capsys.readouterr()
+    assert main(["sample", "--seed", "1", "--out", str(tmp_path / "s"),
+                 "--ensemble", str(tmp_path / "a" / "ensemble.json"),
+                 "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    table = "kernel" if "kernel" in config else "sample"
+    assert len(err) == 1 and f"{table}: field {field} must be" in err[0]
+
+
 @pytest.mark.parametrize("field, value", [
     ("mc_size", 1), ("mc_size", 0), ("dim", 0), ("dim", -2),
     ("tau_nodes", 1), ("tau_nodes", 0)])
@@ -740,7 +849,7 @@ def _curve_pair(tmp_path):
 @pytest.mark.parametrize("field, value", [
     ("location", [1]), ("location", [1, 2, 3]), ("location", [True, 1]),
     ("location", ["x", 1]), ("location", 1.0), ("component", 2),
-    ("component", -1), ("component", True)])
+    ("component", -1), ("component", True), ("width", 1e-300)])
 def test_cli_scores_rejects_bad_observable(tmp_path, capsys, field, value):
     ca, cb = _curve_pair(tmp_path)
     cfg = tmp_path / "s.json"
@@ -757,6 +866,15 @@ def test_cli_scores_accepts_valid_observable(tmp_path):
     cfg = tmp_path / "s.json"
     cfg.write_text(json.dumps({"observable": {"location": [1, 2.5],
                                               "component": 1}}))
+    assert main(["scores", "--a", ca, "--b", cb, "--out", str(tmp_path / "sc"),
+                 "--config", str(cfg)]) == 0
+
+
+def test_cli_scores_wide_observable_exit_0(tmp_path):
+    # a width whose square overflows is a flat observable, not a traceback
+    ca, cb = _curve_pair(tmp_path)
+    cfg = tmp_path / "s.json"
+    cfg.write_text(json.dumps({"observable": {"width": 1e300}}))
     assert main(["scores", "--a", ca, "--b", cb, "--out", str(tmp_path / "sc"),
                  "--config", str(cfg)]) == 0
 
@@ -1110,44 +1228,159 @@ def test_fuzz_validate_config_returns_typed_values_or_names_the_field(config):
             assert math.isfinite(out[key])
 
 
-_EVOLVE_VALUES = {
-    "dt": [0.0125, 0.00625, 0, -0.0125, 5e-324, 1e308, math.nan, math.inf,
-           "0.01", True, None, [0.01]],
-    "horizon": [0.025, 0.0125, 0.03, 1.0, 0, -1.0, 5e-324, 1e308, math.nan,
-                math.inf, -math.inf, "1", False, {}],
-    "checkpoints": [1, 2, 3, 8, 0, -1, 2**64, 1.5, True, "2", None],
-    "bogus": [1],
+import argparse  # noqa: E402
+
+from lawbound import cli  # noqa: E402
+from lawbound import euler as EU  # noqa: E402
+
+
+def _config_commands():
+    """Each subcommand that takes --config, with its parser."""
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: parser for name, parser in sub.choices.items()
+            if any("--config" in a.option_strings for a in parser._actions)}
+
+
+_CONFIG_COMMANDS = _config_commands()
+
+
+# Small valid configs the walker starts from (n=16 and 2 members)
+_WALK_BASES = {
+    "gen": {"n": 16, "members": 2},
+    "evolve": {"horizon": 0.025, "dt": 0.0125, "checkpoints": 2},
+    "sample": {"n_steps": 1, "dt_phys": 0.025, "reference_dt": 0.0125},
+    "metrics": {"K_list": [4]},
+    "stability": {"horizon": 0.0625, "checkpoints": 2},
+    "rollout": {"n_steps": 1, "dt_phys": 0.025, "dt": 0.0125,
+                "checkpoints_per_window": 2},
+    "certify": {"n": 16, "K": 4, "n_steps": 4, "members": 2},
+    "pfode": {"mc_size": 64, "tau_nodes": 5},
 }
+# Fields never given a large value (a count or size: memory or run time
+# grows with it; a horizon or a physical step: so does the step count) or a
+# tiny one (a time step: a default horizon would take about 1e299 steps)
+_NO_LARGE = {"n", "members", "n_steps", "checkpoints",
+             "checkpoints_per_window", "mc_size", "tau_nodes", "dim",
+             "internal_steps", "max_iter", "horizon", "dt_phys"}
+_NO_TINY = {"dt", "reference_dt"}
+# The ranges that depend on another field stay in the library: a value in
+# its table's range may still break one there, a usage error too
+_COUPLED = {("gen", "k_max"), ("kernel", "noise_k_max"), ("kernel", "kind"),
+            ("certify", "n"), ("certify", "K"), ("certify", "k_test"),
+            ("observable", "component"), ("observable", "location"),
+            ("observable", "width"), ("pfode", "sigma_slope"),
+            ("sample", "dt_phys"), ("sample", "reference_dt"),
+            ("rollout", "dt"), ("rollout", "dt_phys"), ("evolve", "dt"),
+            ("evolve", "horizon"), ("stability", "dt"),
+            ("stability", "horizon")}
 
 
-@FUZZ
-@given(st.data())
-def test_fuzz_cli_evolve_config_runs_or_names_the_field(data):
-    root = Path(_FUZZ_DIR.name)
-    manifest = root / "evolve" / "ensemble.json"
-    if not manifest.exists():
-        RP.write_ensemble(manifest.parent, E.Ensemble.from_fields(
-            [F.random_divfree(GRID, 3.0, 4, seed=i) for i in range(2)]))
-    keys = data.draw(st.lists(st.sampled_from(sorted(_EVOLVE_VALUES)),
-                              unique=True))
-    config = {key: data.draw(st.sampled_from(_EVOLVE_VALUES[key]))
-              for key in keys}
-    (root / "evolve.json").write_text(json.dumps(config))
-    err = io.StringIO()
-    with tempfile.TemporaryDirectory() as out, \
-            contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(err):
-        code = main(["evolve", "--ensemble", str(manifest), "--out", out,
-                     "--config", str(root / "evolve.json")])
-    lines = err.getvalue().splitlines()
-    if code in (0, 2):
-        return
-    # a usage error names a field; a CFL trip is an internal failure
-    assert len(lines) == 1, lines
-    if code == 1:
-        assert any(key in lines[0] for key in _EVOLVE_VALUES), lines
+def _walk_values(table, key):
+    """Values at and just beyond the field's bounds, 0, -1, +-1e300,
+    1e-300 and values of the wrong type."""
+    types, _, *limit = cli.TABLES[table][key]
+    if types is bool:
+        return [True, False, 1, "true", None]
+    if types is str:
+        return [*(limit[0] if limit else ["x"]), "bogus", 1, None]
+    whole = types is int
+    big = 10**300 if whole else 1e300
+    numbers = [0, -1, -big] + [big] * (key not in _NO_LARGE)
+    numbers += [1e-300] * (not whole and key not in _NO_TINY)
+    for r in limit:
+        for bound, out in ((r.lo, -1), (r.hi, 1)):
+            if bound < math.inf:
+                numbers += [bound, bound + out if whole
+                            else math.nextafter(bound, out * math.inf)]
+    if types is list:
+        return [[x] for x in numbers] + [[], 1.0, "x", [True], ["x"], None]
+    return numbers + ([1.5, "1", True, None] if whole
+                      else ["1", True, None, [1.0]])
+
+
+def _walk_cases():
+    """(command, table, field, value) over every table, nested ones
+    through the command that holds them."""
+    cases = []
+    for command in sorted(_CONFIG_COMMANDS):
+        for table in (command, cli.NESTED.get(command)):
+            for key in cli.TABLES.get(table, {}):
+                # one case per distinct JSON text
+                values = {json.dumps(v): v for v in _walk_values(table, key)}
+                cases += [(command, table, key, v) for v in values.values()]
+    return cases
+
+
+def _walk_inputs():
+    """Two written 2-member n=16 ensembles and their evolved law curves."""
+    root = Path(_FUZZ_DIR.name) / "walk"
+    if not root.exists():
+        for name, seed in (("a", 0), ("b", 2)):
+            e = E.Ensemble.from_fields(
+                [F.random_divfree(GRID, 3.0, 4, seed=seed + i)
+                 for i in range(2)])
+            RP.write_ensemble(root / name, e)
+            times, states = EU.evolve(e, EU.EulerConfig(GRID, dt=0.0125),
+                                      0.025, checkpoints=2)
+            RP.write_lawcurve(root / f"curve_{name}",
+                              E.LawCurve(times, states))
+    return root
+
+
+_WALK_CASES = _walk_cases()
+
+
+# as many examples as cases: hypothesis draws each novel case once
+@settings(max_examples=len(_WALK_CASES), deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(_WALK_CASES))
+def test_walk_every_config_table_at_and_beyond_its_ranges(case):
+    # one field at a time from a small valid config: a value outside its
+    # table's range is a usage error naming the table and the field, with
+    # nothing written; a value inside it runs (exit 0, 2 or 3)
+    missing = set(_CONFIG_COMMANDS) - set(cli.TABLES)
+    assert not missing, f"commands without a config table: {missing}"
+    command, table, key, value = case
+    root = _walk_inputs()
+    config = dict(_WALK_BASES.get(command, {}))
+    if table == command:
+        config[key] = value
     else:
-        assert code == 3 and "CFL" in lines[0], lines
+        config[table] = {key: value}
+    spec = cli.TABLES[table][key]
+    try:
+        RP.validate_config({key: value}, {key: spec}, table)
+        in_range = True
+    except ValueError:
+        in_range = False
+    curves = command == "scores"
+    files = {"seed": "1", "ensemble": str(root / "a" / "ensemble.json")}
+    for side in ("a", "b"):
+        files[side] = str(root / (f"curve_{side}/lawcurve.json" if curves
+                                  else f"{side}/ensemble.json"))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        (Path(tmp) / "c.json").write_text(json.dumps(config))
+        argv = [command, "--out", str(out), "--config",
+                str(Path(tmp) / "c.json")]
+        for action in _CONFIG_COMMANDS[command]._actions:
+            if action.required and action.dest != "out":
+                argv += [action.option_strings[0], files[action.dest]]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(argv)
+        written = out.exists()
+    lines = err.getvalue().splitlines()
+    if not in_range:
+        assert code == 1 and len(lines) == 1, (code, lines)
+        assert f"{table}: field {key} " in lines[0], lines
+        assert not written
+        return
+    assert code in (0, 2, 3) or (code == 1 and (table, key) in _COUPLED), \
+        (code, lines)
+    assert len(lines) <= 1 and (code in (0, 2) or len(lines) == 1), lines
 
 
 # ------------------------------------------------ law curves slice by slice
