@@ -56,8 +56,7 @@ _POS, _NON_NEG, _ONE = Range(0, strict=True), Range(0), Range(1)
 
 # Each command's config table, key -> (type, default[, range]) as read by
 # `validate_config`, and NESTED, the field of a command that holds a nested
-# table.  A range that depends on another field (a band limit against the
-# grid, a horizon against its step) is checked where the library uses it.
+# table of the same name.
 TABLES = {
     "gen": {"n": (int, 64, Range(8)), "members": (int, 16, _ONE),
             "structure_exponent": (float, 0.5, Range(-2)),
@@ -105,9 +104,52 @@ TABLES = {
 NESTED = {"sample": "kernel", "rollout": "kernel", "scores": "observable"}
 
 
+def _whole_steps(span, dt):
+    def holds(c):
+        try:
+            return EU._steps_for(c[dt], c[span]) > 0
+        except ValueError:
+            return False
+    return (span, holds, f"a whole multiple of {dt}")
+
+
+# Ranges that depend on other fields (a nested table's too), (key,
+# holds(config), what), checked in order after the table's own; those that
+# depend on an input's grid are checked before anything is written.
+_POW2 = ("n", lambda c: c["n"] & (c["n"] - 1) == 0, "a power of two")
+DEPENDENT = {
+    "gen": [_POW2, ("k_max", lambda c: c["k_max"] <= c["n"] // 2 - 1,
+                    "at most n/2-1")],
+    "evolve": [_whole_steps("horizon", "dt")],
+    "sample": [_whole_steps("dt_phys", "reference_dt"), (
+        "store_paths", lambda c: not c["store_paths"] or SA.KernelSpec(
+            **c["kernel"]).starts_at_input, "false for a kernel of init "
+        "'gaussian' or kind 'pf-ode' (its path does not start at its input)")],
+    "kernel": [("noise_scale", lambda c: c["kind"] != "pf-ode"
+                or c["noise_scale"] > 0, "positive for kind 'pf-ode'")],
+    "metrics": [("K_list", lambda c: len({float(K) for K in c["K_list"]})
+                 == len(c["K_list"]), "free of repeated values")],
+    "stability": [_whole_steps("horizon", "dt")],
+    "rollout": [_whole_steps("dt_phys", "dt")],
+    "certify": [_POW2, ("K", lambda c: c["K"] <= c["n"] / 3, "at most n/3"),
+                ("k_test", lambda c: c["k_test"] <= c["n"] // 2 - 1,
+                 "at most n/2-1")],
+    "pfode": [("sigma_slope", lambda c: c["sigma0"] + c["sigma_slope"] > 0,
+               "greater than -sigma0")],
+}
+
+
+def _validated(raw, table, nested):
+    cfg = validate_config(raw, TABLES[table], table) | nested
+    for key, holds, what in DEPENDENT.get(table, ()):
+        if not holds(cfg):
+            raise ValueError(f"{table}: field {key} must be {what}, "
+                             f"got {cfg[key]!r}")
+    return cfg
+
+
 def _config(args, **flags):
-    """The command's config with the flags that are set merged in, validated;
-    for a command in NESTED, also its nested config as given."""
+    """The command's config, set flags and nested table included, validated."""
     try:
         raw = ({} if args.config is None
                else json.loads(Path(args.config).read_text()))
@@ -117,11 +159,10 @@ def _config(args, **flags):
         raise _UsageError(f"malformed config {args.config}: {exc}")
     if not isinstance(raw, dict):
         raise ValueError(f"{args.command}: config must be a JSON object")
-    if args.command not in NESTED:
-        raw.update((k, v) for k, v in flags.items() if v is not None)
-        return validate_config(raw, TABLES[args.command], args.command)
-    nested = raw.pop(NESTED[args.command], {})
-    return validate_config(raw, TABLES[args.command], args.command), nested
+    raw.update((k, v) for k, v in flags.items() if v is not None)
+    name = NESTED.get(args.command)
+    nested = {name: _validated(raw.pop(name, {}), name, {})} if name else {}
+    return _validated(raw, args.command, nested)
 
 
 def _finish(report: Report, out_dir: Path, started: float) -> int:
@@ -207,19 +248,15 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    cfg, kernel_cfg = _config(args)
-    spec = SA.KernelSpec(**validate_config(kernel_cfg, TABLES["kernel"],
-                                           "kernel"))
-    if cfg["store_paths"] and not spec.starts_at_input:
-        raise ValueError("sample: field store_paths needs a kernel whose "
-                         "path starts at its input state (init 'delta', "
-                         "kind other than 'pf-ode')")
+    cfg = _config(args)
+    spec = SA.KernelSpec(**cfg["kernel"])
     e, _ = read_ensemble(args.ensemble)
+    SA._noise_band(spec, e.grid)  # the kernel band, before anything is written
     euler_cfg = EU.EulerConfig(e.grid, dt=cfg["reference_dt"])
     ref = EU.reference_step_map(euler_cfg, cfg["dt_phys"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    report = Report("sample", cfg | {"kernel": kernel_cfg, "seed": args.seed})
+    report = Report("sample", cfg | {"seed": args.seed})
     if cfg["store_paths"]:
         # the path array (N, C, m, *shape) is built only when it is stored
         bundle, curve = SA.rollout_paths(e, spec, ref, cfg["dt_phys"],
@@ -246,9 +283,6 @@ def cmd_sample(args) -> int:
 
 def cmd_metrics(args) -> int:
     cfg = _config(args)
-    if len({float(K) for K in cfg["K_list"]}) != len(cfg["K_list"]):
-        raise ValueError(f"metrics: field K_list repeats a value in "
-                         f"{cfg['K_list']!r}; each K must appear once")
     a, _ = read_ensemble(args.a)
     b, _ = read_ensemble(args.b)
     if a.grid != b.grid:
@@ -312,9 +346,8 @@ def cmd_stability(args) -> int:
 
 
 def cmd_rollout(args) -> int:
-    cfg, kernel_cfg = _config(args)
-    spec = SA.KernelSpec(**validate_config(kernel_cfg, TABLES["kernel"],
-                                           "kernel"))
+    cfg = _config(args)
+    spec = SA.KernelSpec(**cfg["kernel"])
     a, _ = read_ensemble(args.a)
     b, _ = read_ensemble(args.b)
     euler_cfg = EU.EulerConfig(a.grid, dt=cfg["dt"])
@@ -328,7 +361,7 @@ def cmd_rollout(args) -> int:
     write_csv(out / "ledger.csv", ["n", "alpha", "eps", "delta", "bound"],
               [(r["n"], r["alpha"], r["eps"], r["delta"], r["bound"])
                for r in ledger.rows()])
-    report = Report("rollout", cfg | {"kernel": kernel_cfg, "seed": args.seed})
+    report = Report("rollout", cfg | {"seed": args.seed})
     report.add("rollout.final", rep["delta_final"], rep["bound_final"],
                rep["final_ok"], cfg["slack"])
     report.add("rollout.per_step", float(rep["per_step_ok"]), 1.0,
@@ -342,12 +375,8 @@ def cmd_rollout(args) -> int:
 
 def cmd_certify(args) -> int:
     cfg = _config(args)
-    grid = F.Grid(2, cfg["n"])
-    rep = C.certification_report(
-        grid, members=cfg["members"], k=cfg["k"], K=cfg["K"],
-        k_test=cfg["k_test"], epsilon=cfg["epsilon"],
-        n_steps=cfg["n_steps"], horizon=cfg["horizon"],
-        seed=int(args.seed), rel_tol=cfg["rel_tol"])
+    rep = C.certification_report(F.Grid(2, cfg["n"]), seed=int(args.seed),
+                                 **{k: v for k, v in cfg.items() if k != "n"})
     report = Report("certify", cfg | {"seed": args.seed})
     report.add("certify.cross_route", rep["rel_gap"], cfg["rel_tol"],
                rep["routes_agree"], cfg["rel_tol"])
@@ -384,8 +413,8 @@ def cmd_pfode(args) -> int:
 
 
 def cmd_scores(args) -> int:
-    cfg, obs_cfg = _config(args)
-    obs_cfg = validate_config(obs_cfg, TABLES["observable"], "observable")
+    cfg = _config(args)
+    obs_cfg = cfg["observable"]
     ca = read_lawcurve(args.a)
     cb = read_lawcurve(args.b)
     obs = SC.mollified_point_observable(
@@ -397,7 +426,7 @@ def cmd_scores(args) -> int:
     write_csv(out / "scores.csv", ["t", "crps", "w1_pushforward", "bound"],
               [(r["t"], r["crps"], r["w1_pushforward"], r["bound"])
                for r in rep["rows"]])
-    report = Report("scores", cfg | {"observable": obs_cfg})
+    report = Report("scores", cfg)
     report.add("scores.crps_dT", rep["crps_integral"],
                2.0 * rep["lipschitz"] * rep["d_T"],
                rep["integral_ok"], 1e-9)

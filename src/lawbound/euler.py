@@ -10,8 +10,8 @@ The solver is member-batched: a whole ensemble is one real-FFT
 (half-spectrum) state of shape (N, n, n//2+1), and a single field is the
 batch of one.  A march runs in a caller-allocated workspace of stage
 buffers, so its RK4 stages allocate nothing, and a large ensemble marches
-in member blocks on the worker threads; results are bitwise equal to the
-allocating route for any block split and worker count.
+in member blocks, one after another on each worker thread; results are
+bitwise equal to the allocating route for any block split and worker count.
 """
 
 from __future__ import annotations
@@ -93,9 +93,9 @@ def _solver_arrays(n: int):
 # Members per block of the chunked march: _CHUNK_BYTES // (4 n^2 8), the
 # count whose four physical stage fields fit in about one core's L2 cache
 # (16 at n=64).  An 8-step march of N=64 at n=64 (2-core Xeon, 2 MiB L2 per
-# core, median of 9) took 0.31 s in blocks of 16 on two workers, against
-# 0.31-0.33 s in blocks of 4, 8 or 32 and 0.65 s as one block; on one
-# worker, 0.45 s against 0.48-0.51 s and 0.60 s.
+# core, median of 9) took 0.25 s in blocks of 16 on two workers, against
+# 0.26-0.29 s in blocks of 4, 8 or 32 and 0.47 s as one block (one worker:
+# 0.42 s, against 0.38-0.43 s and 0.43 s).
 _CHUNK_BYTES = 2 * 1024 * 1024
 
 
@@ -307,17 +307,17 @@ def _march(values, cfg: EulerConfig, n_steps: int, snaps: dict) -> None:
     """March the velocity batch `values` (N, 2, n, n) n_steps RK4 steps,
     writing the velocity after s steps into snaps[s] (N, 2, n, n).
 
-    The batch is cut into blocks of _CHUNK_BYTES // (4 n^2 8) members.
-    Each `parallel_map` worker steps its blocks in lockstep through one
-    workspace; a batch of one block runs inline.  Every buffer is allocated
-    here, in the calling thread: buffers allocated in pool threads land in
-    per-thread malloc arenas and raised peak RSS.  A guard trip raises what
-    the whole batch stepped at once would raise: at the first tripped step,
-    the CFL message from the batch's largest k1 speed, else the NaN guard.
-    Each block keeps only its k1 speeds at its own trip step: a block that
-    did not trip at step s has max speed <= cfl*h/dt, below that of any
-    block the CFL guard stopped at s, so the maximum over the blocks that
-    tripped first is the batch's.
+    The batch is cut into blocks of _CHUNK_BYTES // (4 n^2 8) members,
+    dealt to the `parallel_map` workers in turn; each worker marches its
+    blocks one after another, each to the last step or to its own trip,
+    through one workspace (a batch of one block runs inline).  Every buffer
+    is allocated here, in the calling thread: buffers allocated in pool
+    threads land in per-thread malloc arenas and raised peak RSS.  The
+    blocks are independent, so a trip raises what the whole batch stepped
+    at once would: at the first tripped step, the CFL message from the
+    largest k1 speed of the blocks that tripped there (a block that did
+    not trip at s is slower than any the CFL guard stopped at s), else the
+    NaN guard.
 
     The solver carries vorticity and rebuilds velocities by Biot-Savart,
     which drops a mean flow, so a member whose mean velocity exceeds 1e-12
@@ -340,26 +340,20 @@ def _march(values, cfg: EulerConfig, n_steps: int, snaps: dict) -> None:
 
     def run(item):
         group, ws = item
-        views = {b: ws.view(blocks[b].stop - blocks[b].start) for b in group}
         for b in group:
-            spec = views[b].spec
-            _curl_hat(_rfft2_into(values[blocks[b]], spec[:, :2]),
-                      w[blocks[b]], spec[:, 2])
+            blk = blocks[b]
+            view = ws.view(blk.stop - blk.start)
+            _curl_hat(_rfft2_into(values[blk], view.spec[:, :2]), w[blk],
+                      view.spec[:, 2])
             if 0 in snaps:
-                _velocity_into(w[blocks[b]], views[b], snaps[0][blocks[b]])
-        live = list(group)
-        for s in range(n_steps):
-            if any(t is not None and t < s for t in trips):
-                return
-            for b in list(live):
-                blk = blocks[b]
-                step_speeds, tripped = _rk4(w[blk], cfg, views[b])
+                _velocity_into(w[blk], view, snaps[0][blk])
+            for s in range(n_steps):
+                step_speeds, tripped = _rk4(w[blk], cfg, view)
                 if tripped:
-                    speeds[b] = step_speeds
-                    trips[b] = s
-                    live.remove(b)
-                elif s + 1 in snaps:
-                    _velocity_into(w[blk], views[b], snaps[s + 1][blk])
+                    speeds[b], trips[b] = step_speeds, s
+                    break
+                if s + 1 in snaps:
+                    _velocity_into(w[blk], view, snaps[s + 1][blk])
 
     items = [(range(i, len(blocks), workers), _Workspace(min(rows, N), n))
              for i in range(workers)]
@@ -394,15 +388,15 @@ def step(u, cfg: EulerConfig):
     return type(u)(u.grid, _push(u, cfg, 1, [1])[0])
 
 
-def _steps_for(cfg: EulerConfig, t: float) -> int:
-    steps = t / cfg.dt
+def _steps_for(dt: float, t: float) -> int:
+    steps = t / dt
     if not 0.0 <= steps < np.inf:
-        raise ValueError(f"horizon {t} over dt={cfg.dt} is not a "
+        raise ValueError(f"horizon {t} over dt={dt} is not a "
                          f"non-negative, finite step count")
     n_steps = int(round(steps))
-    if (abs(n_steps * cfg.dt - t) > 1e-9 * max(t, cfg.dt)
+    if (abs(n_steps * dt - t) > 1e-9 * max(t, dt)
             or (t > 0 and n_steps == 0)):
-        raise ValueError(f"horizon {t} is not a multiple of dt={cfg.dt}")
+        raise ValueError(f"horizon {t} is not a multiple of dt={dt}")
     return n_steps
 
 
@@ -418,7 +412,7 @@ def evolve(u, cfg: EulerConfig, t: float, checkpoints: int = 0):
     """
     if checkpoints < 0:
         raise ValueError(f"checkpoints must be non-negative, got {checkpoints}")
-    n_steps = _steps_for(cfg, t)
+    n_steps = _steps_for(cfg.dt, t)
     if not checkpoints:
         return type(u)(u.grid, _push(u, cfg, n_steps, [n_steps])[0])
     if n_steps == 0:
@@ -538,7 +532,7 @@ def l2_difference_identity_check(u0: GridField, v0: GridField, cfg: EulerConfig,
     the only steps kept from the march.  Returns the max relative residual
     and the curves.
     """
-    n_steps = _steps_for(cfg, t)
+    n_steps = _steps_for(cfg.dt, t)
     g = cfg.grid
     pair = np.stack([u0.values, v0.values])
     idx = np.linspace(2, n_steps - 2, checkpoints).astype(int)

@@ -1,11 +1,11 @@
 """Worker-count control.
 
 LAWBOUND_THREADS caps the thread pools of `parallel_map`: the per-member
-seed draws of a sampler step, the pair of ensembles that
-`rollout.push_coupling` pushes side by side through the Euler solver, the
-member blocks of one Euler march, and the row blocks of a distance
-matrix.  Each item is computed independently and results are
-gathered in input order, so outputs do not depend on the worker count.
+start states of a sampler step, the pair of ensembles that
+`rollout.push_coupling` pushes side by side through the Euler solver, and
+the member blocks of one Euler march.  Each item is computed independently
+and results are gathered in input order, so outputs do not depend on the
+worker count.
 
 One pool per worker count is created on first use and kept for the life
 of the process.  A pool made per call starts fresh threads each time, and

@@ -3,22 +3,12 @@
 Exact distances between equal-size uniformly weighted ensembles reduce to a
 linear assignment problem over the pairwise L2 cost matrix; the solver is a
 shortest-augmenting-path method that carries dual potentials, so optimality
-is certified by dual feasibility rather than trusted.  An entropic Sinkhorn
-surrogate is provided for larger problems.
-
-An exact solve reads its costs from one matrix product X Y^T of the
-members centred on a shared vector, and their squared norms
-(`_exact_pair`): the assignment runs on that cheap matrix; the matched
-entries, and the few others whose explicit cost could undercut its duals,
-are recomputed by explicit differences; and duals derived on that mix of
-explicit costs and rigorous lower bounds prove the permutation optimal on
-the explicit costs, and pass the certificate that a solve on the explicit
-matrix would pass.  Each reported value comes from the matched explicit
-costs.  The explicit-difference matrix (`pairwise_distances`) is still
-built where every entry is read: by Sinkhorn, and by an exact solve whose
-product route finds a cheaper cycle or fails its certificate (members of
-very different sizes, whose small costs the product cannot resolve), or
-leaves the float range.
+is certified by dual feasibility rather than trusted.  An exact solve reads
+its costs from one matrix product and proves its permutation optimal on the
+explicit-difference costs (`_exact_pair`).  The explicit-difference matrix
+(`pairwise_distances`) is built only where every entry is read: by the
+entropic Sinkhorn surrogate, and by an exact solve whose product route
+finds a cheaper cycle, fails its certificate or leaves the float range.
 """
 
 from __future__ import annotations
@@ -30,7 +20,6 @@ import numpy as np
 
 from .ensemble import Ensemble, LawCurve, _tails
 from .fields import _half_spectrum, _leq_coef
-from .runtime import parallel_map, worker_count
 
 __all__ = [
     "TransportPlan",
@@ -54,7 +43,7 @@ MARGINAL_TOL = 1e-9
 
 # Work buffer of the distance kernel, which holds one tile of rows of b.
 # Of 64 KiB .. 1 MiB, 256 and 512 KiB ran fastest at N=64, n=64 (2-core
-# Xeon, 2 MiB L2 per core), about 30 % below the unblocked row loop.
+# Xeon, 2 MiB L2 per core, one thread), about half the unblocked row loop.
 _TILE_BYTES = 256 * 1024
 
 
@@ -131,43 +120,29 @@ def pairwise_distances(a: Ensemble, b: Ensemble) -> np.ndarray:
     ||x||^2 + ||y||^2 - 2<x, y> errs relative to the norms instead, which
     cancellation makes large on nearly identical members even after
     centring the pair (6e-4 to 1e-3 relative on the matched entries of
-    b = a + 1e-6 noise, 8 standard-normal members of 512 values).  Exact
-    solves use the expansion only to choose the permutation and to bound
-    the costs they do not recompute by explicit differences (`_exact_pair`).
-    This matrix is what Sinkhorn reads, and what an exact solve falls back
-    to.
+    b = a + 1e-6 noise, 8 standard-normal members of 512 values), so exact
+    solves use it only to choose the permutation and to bound the costs
+    they do not recompute by explicit differences (`_exact_pair`).
 
-    Members of b are taken in tiles of _TILE_BYTES that stay in cache while
-    every member of a is differenced against them; each row sum is the same
-    contiguous reduction as over the whole of b, so the result does not
-    depend on the tile size.  The rows of a are split into one block per
-    `parallel_map` worker, each with its own tile buffer; one block runs
-    inline.  Squares beyond the float range become inf without a warning;
-    the exact and entropic solvers reject them.
+    In the calling thread, members of b are taken in tiles of _TILE_BYTES
+    that stay in cache while every member of a is differenced against them
+    in one work buffer; each row sum is the same contiguous reduction as
+    over the whole of b, so the result does not depend on the tile size.
+    Squares beyond the float range become inf without a warning; the exact
+    and entropic solvers reject them.
     """
     X, Y = _members(a, b)
     rows = max(1, _TILE_BYTES // Y[0].nbytes)
     sq = np.empty((X.shape[0], Y.shape[0]))
-
-    def run(item):
-        block, work = item
-        with np.errstate(over="ignore"):
-            for j in range(0, Y.shape[0], rows):
-                tile = Y[j:j + rows]
-                d = work[:len(tile)]
-                for i in range(block.start, block.stop):
-                    np.subtract(tile, X[i], out=d)
-                    np.multiply(d, d, out=d)
-                    d.sum(axis=1, out=sq[i, j:j + len(tile)])
-
-    workers = min(worker_count(), X.shape[0])
-    items = [(slice(X.shape[0] * k // workers, X.shape[0] * (k + 1) // workers),
-              np.empty((min(rows, Y.shape[0]), Y.shape[1])))
-             for k in range(workers)]
-    if len(items) == 1:
-        run(items[0])
-    else:
-        parallel_map(run, items)
+    work = np.empty((min(rows, Y.shape[0]), Y.shape[1]))
+    with np.errstate(over="ignore"):
+        for j in range(0, Y.shape[0], rows):
+            tile = Y[j:j + rows]
+            d = work[:len(tile)]
+            for i in range(X.shape[0]):
+                np.subtract(tile, X[i], out=d)
+                np.multiply(d, d, out=d)
+                d.sum(axis=1, out=sq[i, j:j + len(tile)])
     return np.sqrt(a.grid.cell_volume * sq)
 
 

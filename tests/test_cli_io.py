@@ -1013,6 +1013,7 @@ def test_lawcurve_manifest_rejects_bad_time_order(tmp_path):
 import contextlib  # noqa: E402
 import io  # noqa: E402
 import math  # noqa: E402
+import re  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -1264,8 +1265,8 @@ _NO_LARGE = {"n", "members", "n_steps", "checkpoints",
              "checkpoints_per_window", "mc_size", "tau_nodes", "dim",
              "internal_steps", "max_iter", "horizon", "dt_phys"}
 _NO_TINY = {"dt", "reference_dt"}
-# The ranges that depend on another field stay in the library: a value in
-# its table's range may still break one there, a usage error too
+# The fields whose range depends on another field (`cli.DEPENDENT`, or an
+# input's grid): a value in the table's range may still be a usage error
 _COUPLED = {("gen", "k_max"), ("kernel", "noise_k_max"), ("kernel", "kind"),
             ("certify", "n"), ("certify", "K"), ("certify", "k_test"),
             ("observable", "component"), ("observable", "location"),
@@ -1338,7 +1339,9 @@ _WALK_CASES = _walk_cases()
 def test_walk_every_config_table_at_and_beyond_its_ranges(case):
     # one field at a time from a small valid config: a value outside its
     # table's range is a usage error naming the table and the field, with
-    # nothing written; a value inside it runs (exit 0, 2 or 3)
+    # nothing written; a value inside it runs (exit 0, 2 or 3), or, for a
+    # field with a dependent range, may be a usage error naming the table
+    # and a field, in words that name this one, with nothing written
     missing = set(_CONFIG_COMMANDS) - set(cli.TABLES)
     assert not missing, f"commands without a config table: {missing}"
     command, table, key, value = case
@@ -1373,14 +1376,65 @@ def test_walk_every_config_table_at_and_beyond_its_ranges(case):
             code = main(argv)
         written = out.exists()
     lines = err.getvalue().splitlines()
-    if not in_range:
+    if not in_range or code == 1:
         assert code == 1 and len(lines) == 1, (code, lines)
-        assert f"{table}: field {key} " in lines[0], lines
+        if in_range:
+            assert (table, key) in _COUPLED, lines
+            assert f"{table}: field " in lines[0], lines
+            assert re.search(rf"\b{key}\b", lines[0]), lines
+        else:
+            assert f"{table}: field {key} " in lines[0], lines
         assert not written
         return
-    assert code in (0, 2, 3) or (code == 1 and (table, key) in _COUPLED), \
-        (code, lines)
+    assert code in (0, 2, 3), (code, lines)
     assert len(lines) <= 1 and (code in (0, 2) or len(lines) == 1), lines
+
+
+@pytest.mark.parametrize("command, config, named", [
+    ("sample", {"n_steps": 1, "kernel": {"noise_k_max": 100}},
+     ["kernel: field noise_k_max "]),
+    ("sample", {"n_steps": 1, "dt_phys": 1e-300},
+     ["sample: field dt_phys ", "reference_dt"]),
+    ("pfode", {"sigma_slope": -1}, ["pfode: field sigma_slope ", "sigma0"]),
+    ("gen", {"n": 12}, ["gen: field n "]),
+    ("certify", {"n": 12}, ["certify: field n "]),
+])
+def test_dependent_range_error_names_the_field_and_writes_nothing(
+        tmp_path, capsys, command, config, named):
+    # the ranges that depend on another field (or on the input's grid) are
+    # checked before the command writes anything
+    _gen_pair(tmp_path)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    argv = [command, "--seed", "1", "--out", str(out), "--config", str(cfg)]
+    if command == "sample":
+        argv += ["--ensemble", str(tmp_path / "a" / "ensemble.json")]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1, err
+    assert all(part in err for part in named), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sample", "rollout"])
+def test_config_hash_reads_the_validated_kernel(tmp_path, command):
+    # the kernel's defaults written out hash like the kernel left out
+    _gen_pair(tmp_path)
+    docs = []
+    for k, kernel in enumerate(({}, {"kind": "perturbed-reference",
+                                     "internal_steps": 8})):
+        cfg = tmp_path / f"c{k}.json"
+        cfg.write_text(json.dumps(dict(_WALK_BASES[command], kernel=kernel)))
+        out = tmp_path / f"out{k}"
+        a, b = (str(tmp_path / side / "ensemble.json") for side in "ab")
+        inputs = (["--ensemble", a] if command == "sample"
+                  else ["--a", a, "--b", b])
+        assert main([command, "--seed", "3", "--out", str(out), "--config",
+                     str(cfg), *inputs]) in (0, 2)
+        docs.append(RP.strip_timing((out / "report.json").read_text()))
+    assert docs[0] == docs[1]
 
 
 # ------------------------------------------------ law curves slice by slice

@@ -205,6 +205,51 @@ def test_guard_trip_in_last_block_raises_oracle_message(threads, count):
         EU.step(E.Ensemble(GRID, vals[:1]), cfg)
 
 
+def _scripted_rk4(trips):
+    """A fake `EU._rk4` that steps nothing: member i trips at step
+    trips[i][0] with k1 speeds trips[i][1] and is otherwise at rest.  A
+    block trips where any of its members does, with the largest of their
+    speeds, as the whole batch stepped at once would."""
+    steps = {}
+
+    def rk4(w, cfg, ws):
+        first = (w.ctypes.data - w.base.ctypes.data) // w[0].nbytes
+        s = steps[first] = steps.get(first, -1) + 1
+        hit = [v for i, (t, v) in trips.items()
+               if first <= i < first + len(w) and t == s]
+        return tuple(np.max(hit, axis=0)) if hit else (0.0, 0.0), bool(hit)
+    return rk4
+
+
+@pytest.mark.parametrize("count", [1, 4])
+@pytest.mark.parametrize("trips, speed", [
+    # a later block trips first; an earlier one later, and faster
+    ({6: (1, (50.0, 0.0)), 1: (3, (0.0, 90.0))}, 50.0),
+    # the NaN guard of a later block wins over an earlier block's CFL trip
+    ({5: (0, (1.0, 1.0)), 0: (2, (70.0, 0.0))}, None),
+    # two blocks trip at the same first step: the larger speed sets the limit
+    ({2: (2, (40.0, 0.0)), 6: (2, (0.0, 60.0)), 0: (4, (99.0, 0.0))}, 60.0),
+])
+def test_blocks_tripping_at_different_steps_raise_the_one_block_message(
+        threads, monkeypatch, count, trips, speed):
+    # blocks of two members, each marched from its first step to its own
+    # trip, raise what the same batch marched as one block raises
+    grid = F.Grid(2, 16)
+    cfg = EU.EulerConfig(grid, dt=0.01)
+    vals = unit_batch(grid, 7, seed0=60)
+    threads(count)
+    messages = []
+    for rows in (2, 7):
+        monkeypatch.setattr(EU, "_CHUNK_BYTES", rows * 4 * grid.n**2 * 8)
+        monkeypatch.setattr(EU, "_rk4", _scripted_rk4(trips))
+        with pytest.raises(RuntimeError) as got:
+            EU.evolve(E.Ensemble(grid, vals), cfg, 5 * cfg.dt)
+        messages.append(str(got.value))
+    limit = None if speed is None else EU.CFL * grid.spacing / speed
+    assert messages == 2 * ["NaN detected in Euler step" if limit is None
+                            else f"CFL violation: dt=0.01 > {limit:.3e}"]
+
+
 def test_many_blocks_on_more_workers_than_cores(threads, monkeypatch):
     # one member per block on 8 workers, switching threads often: blocks
     # share the state, speed and trip arrays and must not disturb each other
@@ -386,7 +431,7 @@ def oracle_l2_identity(u0, v0, cfg, t, checkpoints):
     """The step loop the identity check ran before it used the march: one
     workspace RK4 step of the pair at a time, velocities and both sides of
     the identity evaluated between steps."""
-    n_steps = EU._steps_for(cfg, t)
+    n_steps = EU._steps_for(cfg.dt, t)
     g = cfg.grid
     ws = EU._Workspace(2, g.n)
     pair = EU.vorticity_hat(E.Ensemble(g, np.stack([u0.values, v0.values])))

@@ -672,22 +672,29 @@ _REPORTS = """
 import sys
 from lawbound.cli import main
 from lawbound.reporting import strip_timing
-a, b, out = sys.argv[1:]
-for command in ("transport", "metrics"):
-    assert main([command, "--a", a, "--b", b, "--out", out + command]) == 0
-    print(strip_timing(open(out + command + "/report.json").read()))
+a, b, entropic, out = sys.argv[1:]
+runs = (("transport", []), ("metrics", []),
+        ("transport", ["--config", entropic]))
+for k, (command, config) in enumerate(runs):
+    dest = f"{out}{k}{command}"
+    assert main([command, "--a", a, "--b", b, *config, "--out", dest]) == 0
+    print(strip_timing(open(dest + "/report.json").read()))
 """
 
 
 def test_cli_reports_do_not_depend_on_blas_or_pool_threads(tmp_path):
     # 32 members of 2 x 32 x 32 values: a product large enough for the BLAS
-    # to split it over two threads
+    # to split it over two threads.  The entropic run reads the explicit
+    # distance matrix; at epsilon 1 (W2^2 is about 151) Sinkhorn converges
+    # in milliseconds.
     rng = np.random.default_rng(47)
     grid = F.Grid(2, 32)
     paths = []
     for name in ("a", "b"):
         RP.write_ensemble(tmp_path / name, rand_ensemble(grid, 32, 2, rng))
         paths.append(str(tmp_path / name / "ensemble.json"))
+    paths.append(str(tmp_path / "entropic.json"))
+    (tmp_path / "entropic.json").write_text(json.dumps({"epsilon": 1.0}))
     reports = set()
     for blas, pool in itertools.product((1, 2), (1, 2)):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas),
