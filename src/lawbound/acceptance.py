@@ -19,7 +19,7 @@ from . import scores as SC
 from . import transport as T
 from .reporting import Check
 
-__all__ = ["run_battery", "CRITERIA"]
+__all__ = ["run_battery", "pf_ode_checks", "CRITERIA"]
 
 
 def _unit_ensemble(grid, n, seed0, k_max, exponent=4.0):
@@ -294,16 +294,20 @@ def crit10_certification(quick: bool, seed: int):
     return checks
 
 
-def crit11_pf_ode(quick: bool, seed: int):
-    """Score-to-drift identity and probability-flow marginal agreement."""
+def pf_ode_checks(seed: int, dim: int = 4, c: float = 0.2,
+                  tau_nodes: int = 33, mc_size: int = 4096,
+                  sigma0: float = 1.0, sigma_slope: float = 0.0):
+    """(pf_identities report, Check rows) of a Gaussian diffusion drawn from
+    `seed`: the `pfode` command at its config, crit11 at the defaults (the
+    `pfode` table's)."""
     rng = np.random.default_rng(seed)
-    q = 4
-    A = rng.standard_normal((q, q)) * 0.3
-    gd = C.GaussianDiffusion(mean=rng.standard_normal(q),
-                             cov=A @ A.T + np.eye(q))
-    rep = C.pf_identities(gd, np.linspace(0, 1, 33), c=0.2,
-                          mc_size=4096, seed=seed + 1)
-    return [
+    A = rng.standard_normal((dim, dim)) * 0.3
+    gd = C.GaussianDiffusion(mean=rng.standard_normal(dim),
+                             cov=A @ A.T + np.eye(dim), sigma0=sigma0,
+                             sigma_slope=sigma_slope)
+    rep = C.pf_identities(gd, np.linspace(0, 1, tau_nodes), c=c,
+                          mc_size=mc_size, seed=seed + 1)
+    return rep, [
         Check("pfode.identity", rep["per_tau_gap"], 1e-10,
               rep["per_tau_ok"], 1e-10),
         Check("pfode.integrated", rep["integrated_gap"], 1e-10,
@@ -311,6 +315,11 @@ def crit11_pf_ode(quick: bool, seed: int):
         Check("pfode.marginals", max(rep["mean_zmax"], rep["cov_zmax"]), 3.0,
               rep["marginals_ok"], 0.0),
     ]
+
+
+def crit11_pf_ode(quick: bool, seed: int):
+    """Score-to-drift identity and probability-flow marginal agreement."""
+    return pf_ode_checks(seed)[1]
 
 
 def crit12_scores(quick: bool, seed: int):

@@ -8,11 +8,12 @@ two routes agree up to quadrature error, the defect route is bounded by an
 L2 drift-regression loss, and for Gaussian diffusions the probability-flow
 construction converts score error into drift error exactly.
 
-A drift-driven curve is marched as the Euler solver's half-spectrum
-vorticity plus the members' mean flow, on the solver's RK4 step and
-workspace.  Certification streams each stored time, its velocities and
-their resolved drift, straight into one residual pass, so no curve is
-held and the pass evaluates no drift of its own.
+A drift-driven curve is marched by the Euler solver (`euler._drift_march`)
+as its half-spectrum vorticity plus the members' mean flow; the solver
+also decides which velocities that form can carry
+(`euler._check_resolvable`).  Certification streams each stored time, its
+velocities and their resolved drift, straight into one residual pass, so
+no curve is held and the pass evaluates no drift of its own.
 """
 
 from __future__ import annotations
@@ -22,20 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import Ensemble, LawCurve
-from .euler import (
-    _advection,
-    _curl_hat,
-    _disk_mask,
-    _resolved_drift,
-    _rfft2_into,
-    _rk4_step,
-    _velocity_into,
-    _Workspace,
-    vorticity_hat,
-)
+from .euler import _check_resolvable, _drift_march, _resolved_drift, _rk4_step
 from .fields import (
     Grid,
     GridField,
+    _sq_norms,
     divergence_norm,
     forward,
     l2_norm,
@@ -88,15 +80,8 @@ class TestTuple:
 
     def norm_factor(self) -> float:
         """sum_i ||phi_i|| prod_{j != i} ||phi_j|| in L^inf_t L^2_x norms."""
-        norms = [l2_norm(f) for f in self.fields]
-        total = 0.0
-        for i in range(len(norms)):
-            term = norms[i]
-            for j, nj in enumerate(norms):
-                if j != i:
-                    term *= nj
-            total += term
-        return total
+        norms = np.array([[l2_norm(f) for f in self.fields]])
+        return float(_slot_sum(norms, norms)[0])
 
 
 def random_test_tuple(grid: Grid, k: int, k_test: int, horizon: float,
@@ -111,18 +96,6 @@ def random_test_tuple(grid: Grid, k: int, k_test: int, horizon: float,
 
 
 # ------------------------------------------------------------ Euler drift
-
-def _check_resolvable(u: GridField, name: str) -> None:
-    """Reject a velocity the vorticity form would misread: one with modes
-    beyond n/3, where the quadratic product aliases, or a gradient part,
-    which the vorticity does not see (both relative to 1e-10)."""
-    uh = forward(u)
-    total = spec_l2_norm(uh)
-    if spec_l2_norm(project_gt(uh, u.grid.n / 3.0)) > 1e-10 * total:
-        raise ValueError(f"{name} must be band-limited to n/3")
-    if divergence_norm(uh) > 1e-10 * u.grid.n * total:
-        raise ValueError(f"{name} must be divergence-free")
-
 
 def euler_drift_resolved(u: GridField, K: float) -> GridField:
     """Resolved Euler tendency: P_{<=K} Leray(-div(u x u)), dealiased.
@@ -165,71 +138,19 @@ class DriftSpec:
             raise ValueError("perturbation must be divergence-free")
 
 
-def _drift_march(e0: Ensemble, drift: DriftSpec, horizon: float,
-                 n_steps: int):
-    """The stored states of du/dt = B(t, u) from e0, one at a time.
-
-    Yields (t, u, b) at the n_steps+1 equispaced times: the velocities u
-    and their resolved drift b = B*_K(u), both (N, 2, n, n) views of the
-    march's buffers, overwritten once the march resumes.  All members march
-    as one half-spectrum vorticity (N, n, n//2+1) with the solver's RK4 in
-    one workspace; the curl of epsilon*g is taken once.  The mean flow,
-    which the vorticity cannot carry, moves only with the mean of epsilon*g
-    and enters the advecting velocity before the product.  Each stored
-    time's first RK4 stage also gives u (its inverse-transformed velocity
-    plus the mean) and b (the Biot-Savart velocity of its masked tendency).
-
-    Every member of e0 must be divergence-free and band-limited to n/3:
-    the vorticity drops a gradient part, and the product aliases modes
-    beyond n/3.  Non-finite values raise a
-    RuntimeError at the first stored time that has them; callers march
-    under np.errstate(over="ignore", invalid="ignore").
-    """
-    grid = e0.grid
-    if grid.d != 2 or e0.m != 2:
-        raise ValueError("the drift-driven curve needs 2D velocity fields")
-    for i in range(e0.size):
-        _check_resolvable(e0.member(i), f"member {i} of the initial ensemble")
-    times = np.linspace(0.0, horizon, n_steps + 1)
-    dt = horizon / n_steps
-    mask = _disk_mask(grid.n, drift.resolution)
-    forcing = drift.epsilon * vorticity_hat(drift.perturbation)
-    rate = drift.epsilon * drift.perturbation.values.mean(axis=(1, 2))
-    mean0 = e0.values.mean(axis=(2, 3))
-    ws = _Workspace(e0.size, grid.n)
-    w = _curl_hat(_rfft2_into(e0.values, ws.spec[:, :2]),
-                  np.empty_like(ws.stage), ws.spec[:, 2])
-    bufs = (ws.k1, ws.k2, ws.k3, ws.k4, ws.stage)
-    vel = ws.phys[:, :2]
-    base = np.empty_like(e0.values)
-
-    def tendency(y, t, out):
-        _advection(y, ws, mask, out, mean=mean0 + t * rate)
-        return np.add(out, forcing, out=out)
-
-    for s, t in enumerate(times):
-        _advection(w, ws, mask, ws.k1, mean=mean0 + t * rate)
-        _velocity_into(ws.k1, ws, base)
-        if not (np.isfinite(vel).all() and np.isfinite(base).all()):
-            raise RuntimeError("NaN in drift-driven curve")
-        yield t, vel, base
-        if s < n_steps:
-            np.add(ws.k1, forcing, out=ws.k1)
-            _rk4_step(tendency, w, t, dt, bufs, w, k1_done=True)
-
-
 def drift_driven_curve(e0: Ensemble, drift: DriftSpec, horizon: float,
                        n_steps: int) -> LawCurve:
     """RK4 integration of du/dt = B(t, u) over [0, horizon] in n_steps
     steps, every step stored.
 
     All members march as one half-spectrum vorticity plus their mean flow
-    (see `_drift_march`), so every member of e0 must be divergence-free
+    (see `euler._drift_march`), so every member of e0 must be divergence-free
     and band-limited to n/3 (a ValueError names the first that is not).
     A non-finite state raises a RuntimeError."""
     with np.errstate(over="ignore", invalid="ignore"):
-        stored = [(t, u.copy()) for t, u, _ in
-                  _drift_march(e0, drift, horizon, n_steps)]
+        stored = [(t, u.copy()) for t, u, _ in _drift_march(
+            e0, drift.resolution, drift.epsilon, drift.perturbation, horizon,
+            n_steps)]
     return LawCurve(np.array([t for t, _ in stored]),
                     [Ensemble(e0.grid, u) for _, u in stored])
 
@@ -258,7 +179,8 @@ def _fused_certification_pass(stream, tt: TestTuple, drift: DriftSpec) -> dict:
     the next item is drawn.  Returns the direct and defect residuals, the
     drift-regression pieces, and the magnitude of the integrands cancelled
     by the cross-route identity (used to normalize the gap)."""
-    cell = tt.fields[0].grid.cell_volume
+    grid = tt.fields[0].grid
+    cell = grid.cell_volume
     phis = np.stack([f.values for f in tt.fields])
     pert = drift.epsilon * drift.perturbation.values
     k = tt.k
@@ -280,9 +202,8 @@ def _fused_certification_pass(stream, tt: TestTuple, drift: DriftSpec) -> dict:
         direct.append((dtF + _slot_sum(th_p, th * pb)).mean())
         defq.append(_slot_sum(th_p, th * pd).mean())
         model_route.append((dtF + _slot_sum(th_p, th * pm)).mean())
-        dsq.append(np.mean(cell * (defect**2).sum(axis=(1, 2, 3))))
-        norms_sq = cell * (vals**2).sum(axis=(1, 2, 3))
-        m2k = max(m2k, float(np.mean(norms_sq**k)))
+        dsq.append(np.mean(_sq_norms(defect, grid)))
+        m2k = max(m2k, float(np.mean(_sq_norms(vals, grid)**k)))
     return {
         "direct": float(np.trapezoid(direct, times) + f0.mean()),
         "defect": float(np.trapezoid(defq, times)),
@@ -330,8 +251,8 @@ def certification_report(grid: Grid, members: int, k: int, K: float,
     g_pert = g_pert.normalized().member(0)
     drift = DriftSpec(resolution=K, epsilon=epsilon, perturbation=g_pert)
     with np.errstate(over="ignore", invalid="ignore"):
-        sweep = _fused_certification_pass(
-            _drift_march(e0, drift, horizon, n_steps), tt, drift)
+        sweep = _fused_certification_pass(_drift_march(
+            e0, K, epsilon, g_pert, horizon, n_steps), tt, drift)
     direct, defect = sweep["direct"], sweep["defect"]
     gap = abs(direct - defect)
     rel_gap = gap / max(abs(direct), abs(defect), sweep["scale"], 1e-300)

@@ -26,7 +26,7 @@ from . import rollout as R
 from . import sampler as SA
 from . import scores as SC
 from . import transport as T
-from .acceptance import run_battery
+from .acceptance import pf_ode_checks, run_battery
 from .reporting import (
     Range,
     Report,
@@ -113,6 +113,12 @@ def _whole_steps(span, dt):
     return (span, holds, f"a whole multiple of {dt}")
 
 
+def _divides_steps(key, span, dt):
+    # listed after _whole_steps(span, dt), so the step count exists
+    return (key, lambda c: EU._steps_for(c[dt], c[span]) % c[key] == 0,
+            f"a divisor of the step count {span}/{dt}")
+
+
 # Ranges that depend on other fields (a nested table's too), (key,
 # holds(config), what), checked in order after the table's own; those that
 # depend on an input's grid are checked before anything is written.
@@ -120,7 +126,8 @@ _POW2 = ("n", lambda c: c["n"] & (c["n"] - 1) == 0, "a power of two")
 DEPENDENT = {
     "gen": [_POW2, ("k_max", lambda c: c["k_max"] <= c["n"] // 2 - 1,
                     "at most n/2-1")],
-    "evolve": [_whole_steps("horizon", "dt")],
+    "evolve": [_whole_steps("horizon", "dt"),
+               _divides_steps("checkpoints", "horizon", "dt")],
     "sample": [_whole_steps("dt_phys", "reference_dt"), (
         "store_paths", lambda c: not c["store_paths"] or SA.KernelSpec(
             **c["kernel"]).starts_at_input, "false for a kernel of init "
@@ -129,8 +136,10 @@ DEPENDENT = {
                 or c["noise_scale"] > 0, "positive for kind 'pf-ode'")],
     "metrics": [("K_list", lambda c: len({float(K) for K in c["K_list"]})
                  == len(c["K_list"]), "free of repeated values")],
-    "stability": [_whole_steps("horizon", "dt")],
-    "rollout": [_whole_steps("dt_phys", "dt")],
+    "stability": [_whole_steps("horizon", "dt"),
+                  _divides_steps("checkpoints", "horizon", "dt")],
+    "rollout": [_whole_steps("dt_phys", "dt"),
+                _divides_steps("checkpoints_per_window", "dt_phys", "dt")],
     "certify": [_POW2, ("K", lambda c: c["K"] <= c["n"] / 3, "at most n/3"),
                 ("k_test", lambda c: c["k_test"] <= c["n"] // 2 - 1,
                  "at most n/2-1")],
@@ -311,7 +320,8 @@ def cmd_transport(args) -> int:
                         "times": ca.times.tolist()}
         # d_T is bounded by the horizon times the worst per-time W1
         cap = float(ca.horizon * w1s.max()) if len(w1s) else 0.0
-        report.add("transport.d_T", d_t, cap, d_t <= cap + 1e-12, 1e-12)
+        report.add("transport.d_T", d_t, cap, d_t <= cap * (1 + 1e-12),
+                   1e-12)
     else:
         a, _ = read_ensemble(args.a)
         b, _ = read_ensemble(args.b)
@@ -320,7 +330,7 @@ def cmd_transport(args) -> int:
         report.extra = {"w1": w1, "w2": w2}
         if entropic is not None:
             report.extra["sinkhorn"] = entropic
-        report.add("transport.w1_le_w2", w1, w2, w1 <= w2 + 1e-9, 1e-9)
+        report.add("transport.w1_le_w2", w1, w2, w1 <= w2 * (1 + 1e-9), 1e-9)
     return _finish(report, Path(args.out), args.started)
 
 
@@ -390,23 +400,8 @@ def cmd_certify(args) -> int:
 
 def cmd_pfode(args) -> int:
     cfg = _config(args)
-    rng = np.random.default_rng(int(args.seed))
-    q = cfg["dim"]
-    A = rng.standard_normal((q, q)) * 0.3
-    gd = C.GaussianDiffusion(mean=rng.standard_normal(q),
-                             cov=A @ A.T + np.eye(q),
-                             sigma0=cfg["sigma0"],
-                             sigma_slope=cfg["sigma_slope"])
-    rep = C.pf_identities(gd, np.linspace(0, 1, cfg["tau_nodes"]),
-                          c=cfg["c"], mc_size=cfg["mc_size"],
-                          seed=int(args.seed) + 1)
-    report = Report("pfode", cfg | {"seed": args.seed})
-    report.add("pfode.identity", rep["per_tau_gap"], 1e-10,
-               rep["per_tau_ok"], 1e-10)
-    report.add("pfode.integrated", rep["integrated_gap"], 1e-10,
-               rep["integrated_ok"], 1e-10)
-    report.add("pfode.marginals", max(rep["mean_zmax"], rep["cov_zmax"]),
-               3.0, rep["marginals_ok"], 0.0)
+    rep, checks = pf_ode_checks(int(args.seed), **cfg)
+    report = Report("pfode", cfg | {"seed": args.seed}, checks)
     report.extra = {"taus": rep["taus"], "lhs": rep["lhs_curve"],
                     "rhs": rep["rhs_curve"]}
     return _finish(report, Path(args.out), args.started)

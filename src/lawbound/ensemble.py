@@ -21,6 +21,7 @@ from .fields import (
     _mode_magnitude,
     _modes,
     _power,
+    _sq_norms,
     lattice_offsets_in_ball,
 )
 
@@ -81,8 +82,7 @@ class Ensemble:
 
     def member_norms(self) -> np.ndarray:
         """Grid-quadrature L2 norm of every member."""
-        sq = (self.values**2).sum(axis=tuple(range(1, self.values.ndim)))
-        return np.sqrt(self.grid.cell_volume * sq)
+        return np.sqrt(_sq_norms(self.values, self.grid))
 
     def normalized(self) -> "Ensemble":
         """Every member scaled to unit L2 norm (a zero member stays zero);
@@ -303,16 +303,20 @@ def _site_means(e: Ensemble, psi) -> np.ndarray:
     return vals.mean(axis=0)
 
 
+def _check_kpoint(k: int, i: int) -> None:
+    if not 1 <= k <= 3:
+        raise ValueError("k must be in {1, 2, 3}")
+    if not 0 <= i < k:
+        raise ValueError("component index out of range")
+
+
 def kpoint_marginal_exact(e: Ensemble, k: int, psi, i: int = 0):
     """Full lattice enumeration of both sides of the marginalization identity
 
         int_{D^k} <nu^k_x, psi(xi_i)> dx  =  |D|^(k-1) int_D <nu^1_y, psi> dy.
 
     Returns (lhs, rhs)."""
-    if not 1 <= k <= 3:
-        raise ValueError("k must be in {1, 2, 3}")
-    if not 0 <= i < k:
-        raise ValueError("component index out of range")
+    _check_kpoint(k, i)
     g = e.grid
     sites = g.n**g.d
     if sites**k > 4_000_000:
@@ -331,10 +335,7 @@ def kpoint_marginal_check(e: Ensemble, k: int, psi, samples: int, seed, i: int =
     Draws `samples` uniform lattice k-tuples, estimates the left side, and
     compares with the exactly computed right side.  Returns
     (lhs_estimate, rhs, mc_sigma)."""
-    if not 1 <= k <= 3:
-        raise ValueError("k must be in {1, 2, 3}")
-    if not 0 <= i < k:
-        raise ValueError("component index out of range")
+    _check_kpoint(k, i)
     g = e.grid
     rng = np.random.default_rng(seed)
     means = _site_means(e, psi).ravel()

@@ -12,6 +12,9 @@ batch of one.  A march runs in a caller-allocated workspace of stage
 buffers, so its RK4 stages allocate nothing, and a large ensemble marches
 in member blocks, one after another on each worker thread; results are
 bitwise equal to the allocating route for any block split and worker count.
+
+Certification's drift march (`_drift_march`) and its resolvability check
+(`_check_resolvable`) live here too: no other module knows the workspace.
 """
 
 from __future__ import annotations
@@ -32,7 +35,12 @@ from .fields import (
     _mode_magnitude,
     _modes,
     _parseval_sq,
+    _sq_norms,
+    divergence_norm,
+    forward,
     l2_norm,
+    project_gt,
+    spec_l2_norm,
 )
 from .runtime import parallel_map, worker_count
 
@@ -240,6 +248,18 @@ def _resolved_drift(vel: np.ndarray, K: float) -> np.ndarray:
     return _velocity_into(ws.k1, ws, np.empty_like(vel))
 
 
+def _check_resolvable(u: GridField, name: str) -> None:
+    """Reject a velocity the vorticity form would misread: one with modes
+    beyond n/3, where the quadratic product aliases, or a gradient part,
+    which the vorticity does not see (both relative to 1e-10)."""
+    uh = forward(u)
+    total = spec_l2_norm(uh)
+    if spec_l2_norm(project_gt(uh, u.grid.n / 3.0)) > 1e-10 * total:
+        raise ValueError(f"{name} must be band-limited to n/3")
+    if divergence_norm(uh) > 1e-10 * u.grid.n * total:
+        raise ValueError(f"{name} must be divergence-free")
+
+
 def velocity_from_vorticity(grid: Grid, w_hat: np.ndarray) -> GridField:
     """Velocity of a half-spectrum vorticity (the inverse of vorticity_hat)."""
     n = grid.n
@@ -370,6 +390,61 @@ def _march(values, cfg: EulerConfig, n_steps: int, snaps: dict) -> None:
         raise RuntimeError(f"CFL violation: dt={cfg.dt} > {limit:.3e}")
 
 
+def _drift_march(e0: Ensemble, K: float, epsilon: float,
+                 perturbation: GridField, horizon: float, n_steps: int):
+    """The stored states of du/dt = B*_K(u) + epsilon * g from e0, one at a
+    time, where g is the divergence-free `perturbation`.
+
+    Yields (t, u, b) at the n_steps+1 equispaced times: the velocities u
+    and their resolved drift b = B*_K(u), both (N, 2, n, n) views of the
+    march's buffers, overwritten once the march resumes.  All members march
+    as one half-spectrum vorticity (N, n, n//2+1) with the solver's RK4 in
+    one workspace; the curl of epsilon*g is taken once.  The mean flow,
+    which the vorticity cannot carry, moves only with the mean of epsilon*g
+    and enters the advecting velocity before the product.  Each stored
+    time's first RK4 stage also gives u (its inverse-transformed velocity
+    plus the mean) and b (the Biot-Savart velocity of its masked tendency).
+
+    Every member of e0 must be divergence-free and band-limited to n/3:
+    the vorticity drops a gradient part, and the product aliases modes
+    beyond n/3.  Non-finite values raise a
+    RuntimeError at the first stored time that has them; callers march
+    under np.errstate(over="ignore", invalid="ignore").
+    """
+    grid = e0.grid
+    if grid.d != 2 or e0.m != 2:
+        raise ValueError("the drift-driven curve needs 2D velocity fields")
+    for i in range(e0.size):
+        _check_resolvable(e0.member(i), f"member {i} of the initial ensemble")
+    times = np.linspace(0.0, horizon, n_steps + 1)
+    dt = horizon / n_steps
+    mask = _disk_mask(grid.n, K)
+    # epsilon * curl(g), which is not bitwise curl(epsilon * g)
+    forcing = epsilon * vorticity_hat(perturbation)
+    rate = epsilon * perturbation.values.mean(axis=(1, 2))
+    mean0 = e0.values.mean(axis=(2, 3))
+    ws = _Workspace(e0.size, grid.n)
+    w = _curl_hat(_rfft2_into(e0.values, ws.spec[:, :2]),
+                  np.empty_like(ws.stage), ws.spec[:, 2])
+    bufs = (ws.k1, ws.k2, ws.k3, ws.k4, ws.stage)
+    vel = ws.phys[:, :2]
+    base = np.empty_like(e0.values)
+
+    def tendency(y, t, out):
+        _advection(y, ws, mask, out, mean=mean0 + t * rate)
+        return np.add(out, forcing, out=out)
+
+    for s, t in enumerate(times):
+        _advection(w, ws, mask, ws.k1, mean=mean0 + t * rate)
+        _velocity_into(ws.k1, ws, base)
+        if not (np.isfinite(vel).all() and np.isfinite(base).all()):
+            raise RuntimeError("NaN in drift-driven curve")
+        yield t, vel, base
+        if s < n_steps:
+            np.add(ws.k1, forcing, out=ws.k1)
+            _rk4_step(tendency, w, t, dt, bufs, w, k1_done=True)
+
+
 def _push(u, cfg: EulerConfig, n_steps: int, marks) -> list:
     """Velocities of `u` (GridField or Ensemble) after each step count in
     `marks`, as arrays shaped like u.values."""
@@ -498,7 +573,7 @@ def _coupled_strain(pairs_u: Ensemble, pairs_v: Ensemble):
     evaluation of the whole ensemble."""
     s = strain(pairs_v)
     w = pairs_u.values - pairs_v.values
-    sq = pairs_u.grid.cell_volume * np.sum(w**2, axis=tuple(range(1, w.ndim)))
+    sq = _sq_norms(w, pairs_u.grid)
     den = float(np.sum(sq))
     lam = _weighted_strain_integral(w, s) / den if den != 0.0 else 0.0
     return lam, s.max_norm, sq
@@ -540,7 +615,7 @@ def l2_difference_identity_check(u0: GridField, v0: GridField, cfg: EulerConfig,
     path = np.empty((len(marks),) + pair.shape)  # velocities at the marks
     _march(pair, cfg, n_steps, dict(zip(marks.tolist(), path)))
     w = path[:, 0] - path[:, 1]
-    half_sq = 0.5 * g.cell_volume * np.sum(w**2, axis=(1, 2, 3))
+    half_sq = 0.5 * _sq_norms(w, g)
     at = np.searchsorted(marks, idx)
     S = strain(Ensemble(g, path[at, 1])).tensor
     w = w[at]

@@ -224,6 +224,13 @@ def inverse(F: SpecField) -> GridField:
     return GridField(F.grid, _half_synthesize(F.coef, F.grid))
 
 
+def _sq_norms(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Grid-quadrature squared L2 norms cell_volume * sum |u|^2 over the
+    trailing component and d spatial axes, one per leading index."""
+    axes = tuple(range(values.ndim - grid.d - 1, values.ndim))
+    return grid.cell_volume * (values**2).sum(axis=axes)
+
+
 def l2_norm(f: GridField) -> float:
     return float(np.sqrt(f.grid.cell_volume * np.sum(f.values**2)))
 
@@ -286,22 +293,20 @@ class DyadicCutoffs:
             raise ValueError(f"block index must be >= -1, got {j}")
         return self.phi(mag / 2.0**j)
 
+    def _block_sum(self, grid: Grid, power: int) -> np.ndarray:
+        """sum_{j>=0} phi(2^-j k)^power on every half-layout lattice mode."""
+        return sum(self.block_multiplier(grid, j) ** power
+                   for j in range(self.max_block_index(grid) + 1))
+
     def partition_values(self, grid: Grid) -> np.ndarray:
         """sum_{j>=0} phi(2^-j k) on every half-layout lattice mode (1
         except at k=0)."""
-        mag = _half(_mode_magnitude(grid.d, grid.n), grid)
-        total = np.zeros_like(mag)
-        for j in range(self.max_block_index(grid) + 1):
-            total += self.phi(mag / 2.0**j)
-        return total
+        return self._block_sum(grid, 1)
 
     def overlap_constants(self, grid: Grid) -> tuple:
         """(c*, C*): min and max of sum_j phi(2^-j k)^2 over lattice k != 0."""
         mag = _half(_mode_magnitude(grid.d, grid.n), grid)
-        total = np.zeros_like(mag)
-        for j in range(self.max_block_index(grid) + 1):
-            total += self.phi(mag / 2.0**j) ** 2
-        nz = total[mag > 0]
+        nz = self._block_sum(grid, 2)[mag > 0]
         return float(nz.min()), float(nz.max())
 
 

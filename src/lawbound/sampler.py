@@ -33,6 +33,7 @@ from .fields import (
     _half_spectrum,
     _half_weight,
     _mode_magnitude,
+    _sq_norms,
     l2_norm,
     random_divfree,
 )
@@ -276,7 +277,7 @@ class PathBundle:
     def speeds(self) -> np.ndarray:
         """Discrete speeds ||x_(c+1) - x_c||_2 / (t_(c+1) - t_c), (N, C-1)."""
         inc = self.states[:, 1:] - self.states[:, :-1]
-        return _l2_norms(self.grid, inc) / np.diff(self.times)[None, :]
+        return np.sqrt(_sq_norms(inc, self.grid)) / np.diff(self.times)
 
     @cached_property
     def _spectrum(self) -> np.ndarray:
@@ -438,12 +439,6 @@ class RegularityReport:
     chain_ok: bool
 
 
-def _l2_norms(grid: Grid, arr: np.ndarray) -> np.ndarray:
-    """Grid L2 norms along the trailing field axes."""
-    axes = tuple(range(arr.ndim - grid.d - 1, arr.ndim))
-    return np.sqrt(grid.cell_volume * (arr**2).sum(axis=axes))
-
-
 def time_regularity_report(bundle: PathBundle, pair_samples: int, seed,
                            tol: float = 1e-2) -> RegularityReport:
     """Expected-speed, chord, and straightness constants of stored paths.
@@ -464,7 +459,7 @@ def time_regularity_report(bundle: PathBundle, pair_samples: int, seed,
     # chords per physical step
     b = bundle.step_boundaries
     chords = states[:, b[1:]] - states[:, b[:-1]]     # (N, n_steps, ...)
-    chord_norms = _l2_norms(g, chords)
+    chord_norms = np.sqrt(_sq_norms(chords, g))
     c_ch = float(chord_norms.mean(axis=0).max() / bundle.dt_phys)
 
     # straightness: internal FD velocity minus the chord, per internal slot
@@ -475,7 +470,8 @@ def time_regularity_report(bundle: PathBundle, pair_samples: int, seed,
         dtau = (times[b[n] + 1] - times[b[n]]) / bundle.dt_phys
         V = (seg[:, 1:] - seg[:, :-1]) / dtau         # internal-time velocity
         R = V - chords[:, n][:, None]
-        msq = (_l2_norms(g, R) ** 2).mean(axis=0)     # per internal slot
+        # squaring the rounded norm, not the sum itself, keeps c_str's bits
+        msq = (np.sqrt(_sq_norms(R, g)) ** 2).mean(axis=0)  # per internal slot
         c_str = max(c_str, float(msq.max()) / bundle.dt_phys**2)
 
     chain_ok = c_spd <= (c_ch + np.sqrt(c_str)) * (1 + tol) + 1e-15

@@ -444,9 +444,8 @@ def _exact_from_distances(dist: np.ndarray, p: int):
                                 dual_row=u, dual_col=v)
 
 
-def sinkhorn(a: Ensemble, b: Ensemble, epsilon: float, p: int = 2,
-             max_iter: int = 5000):
-    """Entropic transport surrogate (log-domain, no debiasing).
+def sinkhorn(a: Ensemble, b: Ensemble, epsilon: float, max_iter: int = 5000):
+    """Entropic transport surrogate for p=2 (log-domain, no debiasing).
 
     Returns (value, TransportPlan) where value is the transport cost of the
     entropic plan.  Iterates until the marginal error is at most MARGINAL_TOL;
@@ -456,8 +455,6 @@ def sinkhorn(a: Ensemble, b: Ensemble, epsilon: float, p: int = 2,
         raise ValueError("epsilon must be positive")
     if max_iter < 1:
         raise ValueError(f"max_iter must be a positive integer, got {max_iter}")
-    if p != 2:
-        raise ValueError("sinkhorn surrogate is provided for p=2")
     with np.errstate(over="ignore"):
         C = pairwise_distances(a, b) ** 2
     return _sinkhorn_from_cost(C, epsilon, max_iter)
@@ -582,7 +579,7 @@ def capacity_sweep(a: Ensemble, b: Ensemble, Ks,
         bound = ta + train + tb
         reports.append(MetricReport(
             w2=w2, w1=w1, tail_a=ta, tail_b=tb, train_k=train, bound=bound,
-            satisfied=bool(w2 <= bound + slack), K=K,
+            satisfied=bool(w2 <= bound * (1 + slack)), K=K,
             band_limited_b=bool(tb < 1e-12),
         ))
     return reports
@@ -594,7 +591,7 @@ def capacity_coverage(a: Ensemble, b: Ensemble, K: float,
 
     Computes W2(a,b), the two coverage tails, the projected mismatch
     Train_K = W2(P_{<=K}a, P_{<=K}b), and checks
-    W2 <= Tail_K(a) + Train_K + Tail_K(b) within the additive slack.
+    W2 <= Tail_K(a) + Train_K + Tail_K(b) within the relative slack.
     """
     return capacity_sweep(a, b, [K], slack)[0]
 

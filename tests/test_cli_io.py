@@ -9,6 +9,7 @@ from lawbound import ensemble as E
 from lawbound import fields as F
 from lawbound import reporting as RP
 from lawbound import sampler as SA
+from lawbound.acceptance import crit11_pf_ode
 from lawbound.cli import main
 
 GRID = F.Grid(2, 16)
@@ -594,6 +595,50 @@ def test_cli_transport_sinkhorn_exit_0(tmp_path):
     assert doc["extra"]["sinkhorn"] >= doc["extra"]["w2"] - 1e-9
 
 
+def _scaled_pair_verdicts(root, c):
+    """Exit code and (name, satisfied) rows of `metrics` (K 4, 8, 16),
+    `transport` and `transport` on two law curves, for a 4-member n=16
+    pair scaled to max|u| = c."""
+    g = F.Grid(2, 16)
+    pair = []
+    for name, seeds in (("a", range(46, 50)), ("b", range(56, 60))):
+        v = F.random_divfree_batch(g, 0.0, 4, seeds)
+        pair.append(E.Ensemble(g, v / np.abs(v).max() * c))
+        RP.write_ensemble(root / name, pair[-1])
+    for name, slices in (("ca", pair), ("cb", pair[::-1])):
+        RP.write_lawcurve(root / name, E.LawCurve(np.array([0.0, 1.0]), slices))
+    (root / "m.json").write_text(json.dumps({"K_list": [4, 8, 16]}))
+    runs = {"metrics": ["metrics", "--config", str(root / "m.json")],
+            "transport": ["transport"], "curves": ["transport"]}
+    verdicts = []
+    for out, argv in runs.items():
+        a, b = ((root / "ca" / "lawcurve.json", root / "cb" / "lawcurve.json")
+                if out == "curves" else (root / "a" / "ensemble.json",
+                                         root / "b" / "ensemble.json"))
+        code = main(argv + ["--a", str(a), "--b", str(b),
+                            "--out", str(root / out)])
+        doc = json.loads((root / out / "report.json").read_text())
+        verdicts.append((code, [(x["name"], x["satisfied"])
+                                for x in doc["checks"]]))
+    return verdicts
+
+
+def test_cli_capacity_verdict_holds_at_large_scale(tmp_path):
+    # W2 and its bound agree to roundoff at every K for this pair; at
+    # max|u| = 1e152 an additive 1e-9 slack is below their last bit
+    verdicts = _scaled_pair_verdicts(tmp_path, 1e152)
+    assert verdicts[0][0] == 0, verdicts[0]
+
+
+def test_cli_data_verdicts_do_not_depend_on_the_scale(tmp_path):
+    # every verdict of `metrics` and `transport` compares with a relative
+    # slack, so scaling both inputs by c leaves it as it is
+    want = _scaled_pair_verdicts(tmp_path / "c1", 1.0)
+    assert all(code == 0 for code, _ in want), want
+    for c in (1e-150, 1e150):
+        assert _scaled_pair_verdicts(tmp_path / f"c{c:g}", c) == want, c
+
+
 @pytest.mark.parametrize("K_list", [[], [True], ["x"], [0], [4, 4], [4, 4.0]])
 def test_cli_metrics_rejects_bad_K_list(tmp_path, capsys, K_list):
     cfg = tmp_path / "gen.json"
@@ -700,6 +745,16 @@ def test_cli_pfode_non_finite_check_exit_3_one_line(tmp_path):
             "error: pfode: check pfode.identity is not finite: value=nan "
             "bound=1e-10"]
         assert not (tmp_path / name).exists()
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_cli_pfode_default_report_is_criterion_11(tmp_path, seed):
+    # the command and the battery share one route: at the table's defaults
+    # the command's checks are crit11's rows, bit for bit
+    out = tmp_path / "pf"
+    assert main(["pfode", "--seed", str(seed), "--out", str(out)]) == 0
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["checks"] == [c.as_dict() for c in crit11_pf_ode(False, seed)]
 
 
 def _gen_pair(tmp_path, members=2, n=16):
@@ -1398,6 +1453,13 @@ def test_walk_every_config_table_at_and_beyond_its_ranges(case):
     ("pfode", {"sigma_slope": -1}, ["pfode: field sigma_slope ", "sigma0"]),
     ("gen", {"n": 12}, ["gen: field n "]),
     ("certify", {"n": 12}, ["certify: field n "]),
+    ("evolve", {"horizon": 0.025, "dt": 0.00625, "checkpoints": 3},
+     ["evolve: field checkpoints ", "horizon/dt"]),
+    ("stability", {"horizon": 0.0625, "checkpoints": 3},
+     ["stability: field checkpoints ", "horizon/dt"]),
+    ("rollout", {"n_steps": 1, "dt_phys": 0.025, "dt": 0.0125,
+                 "checkpoints_per_window": 3},
+     ["rollout: field checkpoints_per_window ", "dt_phys/dt"]),
 ])
 def test_dependent_range_error_names_the_field_and_writes_nothing(
         tmp_path, capsys, command, config, named):
@@ -1407,9 +1469,13 @@ def test_dependent_range_error_names_the_field_and_writes_nothing(
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
-    argv = [command, "--seed", "1", "--out", str(out), "--config", str(cfg)]
-    if command == "sample":
-        argv += ["--ensemble", str(tmp_path / "a" / "ensemble.json")]
+    argv = [command, "--out", str(out), "--config", str(cfg)]
+    files = {"seed": "1", "ensemble": str(tmp_path / "a" / "ensemble.json"),
+             "a": str(tmp_path / "a" / "ensemble.json"),
+             "b": str(tmp_path / "b" / "ensemble.json")}
+    for action in _CONFIG_COMMANDS[command]._actions:
+        if action.required and action.dest != "out":
+            argv += [action.option_strings[0], files[action.dest]]
     capsys.readouterr()
     assert main(argv) == 1
     err = capsys.readouterr().err.strip()

@@ -1,4 +1,6 @@
+import ast
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -650,3 +652,23 @@ def test_evolve_ensemble_matches_member_loop():
     for i in range(a.size):
         direct = EU.evolve(a.member(i), cfg, 0.05)
         assert np.array_equal(pushed.values[i], direct.values)
+
+
+def test_only_euler_names_the_vorticity_workspace():
+    # the workspace's buffer layout and the transforms into it are the
+    # solver's; other modules drive the vorticity core through its marches
+    owned = {"_Workspace", "_advection", "_rfft2_into", "_irfft2_into",
+             "_velocity_into", "_velocity_hat_into"}
+    named = {}
+    for path in sorted(Path(EU.__file__).parent.glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        if names & owned:
+            named[path.name] = sorted(names & owned)
+    assert list(named) == ["euler.py"], named

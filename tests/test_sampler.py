@@ -225,7 +225,8 @@ def test_holder_straight_path_tightness():
     lhs_l2 = np.sqrt(g.cell_volume
                      * ((bundle.states[i, c2] - bundle.states[i, c1]) ** 2).sum())
     dt_c = np.diff(bundle.times)
-    speeds = SA._l2_norms(g, bundle.states[i, 1:] - bundle.states[i, :-1]) / dt_c
+    speeds = np.sqrt(F._sq_norms(bundle.states[i, 1:] - bundle.states[i, :-1],
+                                 g)) / dt_c
     action = np.sum(dt_c * speeds**2)
     rhs = (bundle.times[c2] - bundle.times[c1]) ** 0.5 * np.sqrt(action)
     assert abs(lhs_l2 - rhs) <= 1e-9 * rhs
@@ -283,7 +284,8 @@ def time_regularity_loop(bundle, pair_samples, seed, tol=1e-2):
     replaced: c_spd and the increment loop of time_regularity_report."""
     g, times, states = bundle.grid, bundle.times, bundle.states
     C = states.shape[1]
-    speeds = SA._l2_norms(g, states[:, 1:] - states[:, :-1]) / np.diff(times)
+    speeds = np.sqrt(F._sq_norms(states[:, 1:] - states[:, :-1],
+                                 g)) / np.diff(times)
     c_spd = float(speeds.mean(axis=0).max())
     rng = np.random.default_rng(seed)
     coef = np.fft.rfftn(states, axes=(-2, -1), norm="forward")
@@ -305,7 +307,8 @@ def holder_loop(bundle, p, pair_samples, seed, tol=1e-2):
     g, times, states = bundle.grid, bundle.times, bundle.states
     N, C = states.shape[:2]
     dt_c = np.diff(times)
-    speeds = SA._l2_norms(g, states[:, 1:] - states[:, :-1]) / dt_c[None, :]
+    speeds = np.sqrt(F._sq_norms(states[:, 1:] - states[:, :-1],
+                                 g)) / dt_c[None, :]
     coef = np.fft.rfftn(states, axes=(-2, -1), norm="forward")
     weight = F._half_weight(g.n) / (
         1.0 + F._half(F._mode_magnitude(g.d, g.n), g) ** 2)
