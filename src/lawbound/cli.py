@@ -39,6 +39,7 @@ from .reporting import (
     write_lawcurve,
     write_lawcurve_slices,
 )
+from .runtime import _single_blas_thread
 
 __all__ = ["main"]
 
@@ -501,7 +502,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         args.started = time.time()
-        return args.fn(args)
+        with _single_blas_thread():
+            return args.fn(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -310,6 +310,11 @@ def _check_kpoint(k: int, i: int) -> None:
         raise ValueError("component index out of range")
 
 
+def _kpoint_rhs(g, k: int, means: np.ndarray) -> float:
+    """|D|^(k-1) int_D <nu^1_y, psi> dy from the per-site means."""
+    return float(g.volume ** (k - 1) * g.cell_volume * means.sum())
+
+
 def kpoint_marginal_exact(e: Ensemble, k: int, psi, i: int = 0):
     """Full lattice enumeration of both sides of the marginalization identity
 
@@ -325,8 +330,7 @@ def kpoint_marginal_exact(e: Ensemble, k: int, psi, i: int = 0):
     # explicit sum over all lattice k-tuples (the i-th slot carries psi)
     tuples = np.indices((sites,) * k)
     lhs = g.cell_volume**k * means[tuples[i]].sum()
-    rhs = g.volume ** (k - 1) * g.cell_volume * means.sum()
-    return float(lhs), float(rhs)
+    return float(lhs), _kpoint_rhs(g, k, means)
 
 
 def kpoint_marginal_check(e: Ensemble, k: int, psi, samples: int, seed, i: int = 0):
@@ -345,5 +349,4 @@ def kpoint_marginal_check(e: Ensemble, k: int, psi, samples: int, seed, i: int =
     scale = g.volume**k
     lhs = scale * float(draws.mean())
     sigma = scale * float(draws.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
-    rhs = g.volume ** (k - 1) * g.cell_volume * means.sum()
-    return lhs, float(rhs), sigma
+    return lhs, _kpoint_rhs(g, k, means), sigma

@@ -180,6 +180,12 @@ def _velocity_into(w, ws, out):
     return _irfft2_into(spec, out)
 
 
+def _vorticity_into(values, ws, out):
+    """Half-spectrum vorticity (m, n, h) of the velocity block values
+    (m, 2, n, n) into out, which must not alias ws.spec."""
+    return _curl_hat(_rfft2_into(values, ws.spec[:, :2]), out, ws.spec[:, 2])
+
+
 def _curl_hat(uh, out=None, tmp=None):
     """Vorticity i*kx*vhat - i*ky*uhat of half-layout velocity spectra
     (..., 2, n, n//2+1), written into out with tmp as a work buffer when
@@ -243,7 +249,7 @@ def _resolved_drift(vel: np.ndarray, K: float) -> np.ndarray:
     `vel` up to roundoff."""
     n = vel.shape[-1]
     ws = _Workspace(len(vel), n)
-    w = _curl_hat(_rfft2_into(vel, ws.spec[:, :2]), ws.stage, ws.spec[:, 2])
+    w = _vorticity_into(vel, ws, ws.stage)
     _advection(w, ws, _disk_mask(n, K), ws.k1, mean=vel.mean(axis=(2, 3)))
     return _velocity_into(ws.k1, ws, np.empty_like(vel))
 
@@ -363,8 +369,7 @@ def _march(values, cfg: EulerConfig, n_steps: int, snaps: dict) -> None:
         for b in group:
             blk = blocks[b]
             view = ws.view(blk.stop - blk.start)
-            _curl_hat(_rfft2_into(values[blk], view.spec[:, :2]), w[blk],
-                      view.spec[:, 2])
+            _vorticity_into(values[blk], view, w[blk])
             if 0 in snaps:
                 _velocity_into(w[blk], view, snaps[0][blk])
             for s in range(n_steps):
@@ -424,8 +429,7 @@ def _drift_march(e0: Ensemble, K: float, epsilon: float,
     rate = epsilon * perturbation.values.mean(axis=(1, 2))
     mean0 = e0.values.mean(axis=(2, 3))
     ws = _Workspace(e0.size, grid.n)
-    w = _curl_hat(_rfft2_into(e0.values, ws.spec[:, :2]),
-                  np.empty_like(ws.stage), ws.spec[:, 2])
+    w = _vorticity_into(e0.values, ws, np.empty_like(ws.stage))
     bufs = (ws.k1, ws.k2, ws.k3, ws.k4, ws.stage)
     vel = ws.phys[:, :2]
     base = np.empty_like(e0.values)

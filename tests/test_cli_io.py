@@ -597,8 +597,8 @@ def test_cli_transport_sinkhorn_exit_0(tmp_path):
 
 def _scaled_pair_verdicts(root, c):
     """Exit code and (name, satisfied) rows of `metrics` (K 4, 8, 16),
-    `transport` and `transport` on two law curves, for a 4-member n=16
-    pair scaled to max|u| = c."""
+    `transport`, and `transport` and `scores` on two law curves, for a
+    4-member n=16 pair scaled to max|u| = c."""
     g = F.Grid(2, 16)
     pair = []
     for name, seeds in (("a", range(46, 50)), ("b", range(56, 60))):
@@ -609,12 +609,14 @@ def _scaled_pair_verdicts(root, c):
         RP.write_lawcurve(root / name, E.LawCurve(np.array([0.0, 1.0]), slices))
     (root / "m.json").write_text(json.dumps({"K_list": [4, 8, 16]}))
     runs = {"metrics": ["metrics", "--config", str(root / "m.json")],
-            "transport": ["transport"], "curves": ["transport"]}
+            "transport": ["transport"], "curves": ["transport"],
+            "scores": ["scores"]}
     verdicts = []
     for out, argv in runs.items():
         a, b = ((root / "ca" / "lawcurve.json", root / "cb" / "lawcurve.json")
-                if out == "curves" else (root / "a" / "ensemble.json",
-                                         root / "b" / "ensemble.json"))
+                if out in ("curves", "scores")
+                else (root / "a" / "ensemble.json",
+                      root / "b" / "ensemble.json"))
         code = main(argv + ["--a", str(a), "--b", str(b),
                             "--out", str(root / out)])
         doc = json.loads((root / out / "report.json").read_text())
@@ -631,8 +633,8 @@ def test_cli_capacity_verdict_holds_at_large_scale(tmp_path):
 
 
 def test_cli_data_verdicts_do_not_depend_on_the_scale(tmp_path):
-    # every verdict of `metrics` and `transport` compares with a relative
-    # slack, so scaling both inputs by c leaves it as it is
+    # every verdict of `metrics`, `transport` and `scores` compares with a
+    # relative slack, so scaling both inputs by c leaves it as it is
     want = _scaled_pair_verdicts(tmp_path / "c1", 1.0)
     assert all(code == 0 for code, _ in want), want
     for c in (1e-150, 1e150):

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from lawbound import cli, runtime
 from lawbound.runtime import parallel_map
 
 
@@ -87,3 +88,50 @@ def test_concurrent_first_calls_share_one_pool(threads):
         sys.setswitchinterval(interval)
     assert results == [[c * x for x in range(16)] for c in range(8)]
     assert len(used) <= 5
+
+
+@pytest.fixture
+def caller_blas_threads():
+    """The OpenBLAS (get, set) pair with the caller's count set to 2 for
+    the test and put back after it."""
+    blas = runtime._openblas()
+    if blas is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS this process can find")
+    get, put = blas
+    before = get()
+    put(2)
+    yield get
+    put(before)
+
+
+@pytest.mark.parametrize("error, code", [(None, 0), (ValueError, 1),
+                                         (RuntimeError, 3)])
+def test_cli_command_runs_on_one_blas_thread(tmp_path, monkeypatch,
+                                             caller_blas_threads, error,
+                                             code):
+    # a second BLAS thread only spins beside the package's own pool, so a
+    # command runs on one; the caller's count is back on every exit path
+    get = caller_blas_threads
+    seen = []
+
+    def command(args):
+        seen.append(get())
+        if error is not None:
+            raise error("stop")
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_gen", command)
+    argv = ["gen", "--seed", "1", "--out", str(tmp_path / "g")]
+    assert cli.main(argv) == code
+    assert seen == [1]
+    assert get() == 2
+
+
+def test_cli_command_runs_where_no_openblas_is_found(tmp_path, monkeypatch,
+                                                     capsys):
+    ran = []
+    monkeypatch.setattr(runtime, "_openblas", lambda: None)
+    monkeypatch.setattr(cli, "cmd_gen", lambda args: ran.append(args) or 0)
+    assert cli.main(["gen", "--seed", "1", "--out", str(tmp_path / "g")]) == 0
+    assert len(ran) == 1
+    assert capsys.readouterr().err == ""

@@ -183,6 +183,25 @@ def test_crps_dT_random_curves():
         assert rep["integral_ok"] and rep["per_time_ok"]
 
 
+@pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
+def test_crps_dT_check_rejects_a_false_lipschitz_claim_at_any_scale(c):
+    # an observable claiming 1e-6 of its Lipschitz constant breaks the
+    # chain W1(l#a, l#b) <= Lip(l) W1(a, b) and the d_T integral; an
+    # absolute slack of 1e-9 passed both once members were near 1e-12
+    rng = np.random.default_rng(10)
+    times = [0.0, 0.3, 1.0]
+    ca, cb = (E.LawCurve(times, [E.Ensemble(GRID, c * e.values) for e in
+                                 (rand_ensemble(8, rng) for _ in times)])
+              for _ in range(2))
+    true = S.inner_product_observable(F.random_divfree(GRID, 3.0, 4, seed=4))
+    rep = S.crps_dT_check(ca, cb, true)
+    assert rep["integral_ok"] and rep["per_time_ok"]
+    false = S.ResolvedObservable(true.kind, true.psi, 1e-6 * true.lipschitz)
+    rep = S.crps_dT_check(ca, cb, false)
+    assert not rep["integral_ok"]
+    assert not any(r["ok"] for r in rep["rows"])
+
+
 def test_crps_dT_check_solves_each_time_once(monkeypatch):
     from lawbound import transport as T
     rng = np.random.default_rng(10)

@@ -708,6 +708,37 @@ def test_cli_reports_do_not_depend_on_blas_or_pool_threads(tmp_path):
     assert len(reports) == 1
 
 
+_LIBRARY_COSTS = """
+import numpy as np
+from lawbound import ensemble as E
+from lawbound import fields as F
+from lawbound import transport as T
+rng = np.random.default_rng(47)
+grid = F.Grid(2, 32)
+a, b = (E.Ensemble(grid, rng.standard_normal((32, 2) + grid.shape))
+        for _ in range(2))
+w1, w2, _ = T.pair_costs(a, b)
+value, plan = T.wasserstein_exact(a, b)
+print(w1.hex(), w2.hex(), value.hex(), plan.permutation.tolist())
+"""
+
+
+def test_library_costs_do_not_depend_on_blas_threads():
+    # `lawbound` commands run BLAS on one thread whatever the caller set,
+    # so the library is what meets a two-thread product: the pair of
+    # `test_cli_reports_do_not_depend_on_blas_or_pool_threads`, unchanged
+    # in every bit under one and two BLAS threads
+    outputs = set()
+    for blas in (1, 2):
+        proc = subprocess.run(
+            [sys.executable, "-c", _LIBRARY_COSTS], capture_output=True,
+            text=True, env=dict(os.environ, OPENBLAS_NUM_THREADS=str(blas)),
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+
+
 def test_cli_metrics_fft_calls_do_not_grow_with_K_list(tmp_path, monkeypatch,
                                                        capsys):
     a, b = _write_pair(tmp_path)
