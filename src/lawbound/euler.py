@@ -12,6 +12,8 @@ batch of one.  A march runs in a caller-allocated workspace of stage
 buffers, so its RK4 stages allocate nothing, and a large ensemble marches
 in member blocks, one after another on each worker thread; results are
 bitwise equal to the allocating route for any block split and worker count.
+A march can also stop its workers together at marked steps and evaluate
+there in shares, as the coupled strain (`_CoupledStrain`) does.
 
 Certification's drift march (`_drift_march`) and its resolvability check
 (`_check_resolvable`) live here too: no other module knows the workspace.
@@ -329,50 +331,87 @@ def _rk4(w, cfg: EulerConfig, ws):
     return speeds, not np.isfinite(w, out=ws.finite).all()
 
 
-def _march(values, cfg: EulerConfig, n_steps: int, snaps: dict) -> None:
-    """March the velocity batch `values` (N, 2, n, n) n_steps RK4 steps,
-    writing the velocity after s steps into snaps[s] (N, 2, n, n).
-
-    The batch is cut into blocks of _CHUNK_BYTES // (4 n^2 8) members,
-    dealt to the `parallel_map` workers in turn; each worker marches its
-    blocks one after another, each to the last step or to its own trip,
-    through one workspace (a batch of one block runs inline).  Every buffer
-    is allocated here, in the calling thread: buffers allocated in pool
-    threads land in per-thread malloc arenas and raised peak RSS.  The
-    blocks are independent, so a trip raises what the whole batch stepped
-    at once would: at the first tripped step, the CFL message from the
-    largest k1 speed of the blocks that tripped there (a block that did
-    not trip at s is slower than any the CFL guard stopped at s), else the
-    NaN guard.
-
-    The solver carries vorticity and rebuilds velocities by Biot-Savart,
-    which drops a mean flow, so a member whose mean velocity exceeds 1e-12
-    of its RMS is rejected with a ValueError.
-    """
-    n = cfg.grid.n
-    N = len(values)
+def _check_mean_free(values) -> None:
+    """Reject a velocity batch (N, 2, n, n) with a member whose mean
+    velocity exceeds 1e-12 of its RMS: the solver carries vorticity and
+    rebuilds velocities by Biot-Savart, which drops a mean flow."""
     mean = np.abs(values.mean(axis=(2, 3))).max(axis=1)
     moving = mean > 1e-12 * np.sqrt((values**2).mean(axis=(1, 2, 3)))
     if moving.any():
         i = int(np.argmax(moving))
         raise ValueError(f"member {i} has a mean velocity of {mean[i]:.3e}; "
                          f"the Euler solver needs mean-free velocities")
+
+
+def _velocity_batch(u, cfg: EulerConfig) -> np.ndarray:
+    """The velocities of `u` (GridField or Ensemble) as a batch
+    (N, 2, n, n) that `_march` can take."""
+    if u.m != 2 or u.grid.d != 2:
+        raise ValueError("vorticity needs a 2D velocity field")
+    n = cfg.grid.n
+    values = u.values.reshape((-1, 2, n, n))
+    _check_mean_free(values)
+    return values
+
+
+def _march(values, cfg: EulerConfig, n_steps: int, snaps: dict,
+           hook=None) -> None:
+    """March the mean-free velocity batch `values` (N, 2, n, n) n_steps RK4
+    steps, writing the velocity after s steps into snaps[s] (N, 2, n, n).
+
+    The batch is cut into blocks of _CHUNK_BYTES // (4 n^2 8) members,
+    dealt to the `parallel_map` workers in turn; each worker marches its
+    blocks one after another through one workspace (a batch of one block
+    runs inline).  Without a hook this is one pool call, in which each
+    worker marches each of its blocks to the last step or to its own trip.
+
+    With a hook, the blocks hold at most ceil(N / W) members, so each of
+    the W workers marches, and the workers meet at step 0 and at every key
+    of snaps, the largest of which must be n_steps: one pool call per
+    meeting.  At the meeting at step s, worker k first calls
+    hook.share(s, vel, k, W) on the velocities there (`values` at step 0,
+    else snaps[s]), then marches its blocks on to the next key; once every
+    worker is done, hook.gather(s) runs in the calling thread.  The shares
+    read snaps[s] while the march writes the next key, so consecutive keys
+    need distinct buffers; two that take turns are enough.
+
+    Every buffer is allocated here, in the calling thread: buffers
+    allocated in pool threads land in per-thread malloc arenas and raised
+    peak RSS.  The blocks are independent, so a trip raises what the whole
+    batch stepped at once would: at the first tripped step, the CFL message
+    from the largest k1 speed of the blocks that tripped there (a block
+    that did not trip at s is slower than any the CFL guard stopped at s),
+    else the NaN guard.  Meetings keep this rule: a march with a trip stops
+    at the next meeting, by which every block has reached that meeting or
+    its own trip, and every later step comes after the first trip.
+    """
+    n = cfg.grid.n
+    N = len(values)
+    count = worker_count()
     rows = max(1, _CHUNK_BYTES // (4 * n * n * 8))
+    if hook is not None:
+        # every worker takes a share at each meeting, so each marches too
+        rows = min(rows, -(-N // count))
     blocks = [slice(i, min(i + rows, N)) for i in range(0, N, rows)]
-    workers = min(worker_count(), len(blocks))
+    workers = min(count, len(blocks))
     w = np.empty((N, n, n // 2 + 1), complex)
     speeds = np.empty((len(blocks), 2))   # k1 max|u|, max|v| at the trip
     trips = [None] * len(blocks)          # first tripped step
 
-    def run(item):
-        group, ws = item
+    def advance(item, start, stop):
+        """Worker k's share of the meeting at `start`, then its blocks from
+        step `start` to `stop`."""
+        k, group, ws = item
+        if hook is not None:
+            hook.share(start, snaps[start] if start else values, k, workers)
         for b in group:
             blk = blocks[b]
             view = ws.view(blk.stop - blk.start)
-            _vorticity_into(values[blk], view, w[blk])
-            if 0 in snaps:
-                _velocity_into(w[blk], view, snaps[0][blk])
-            for s in range(n_steps):
+            if start == 0:
+                _vorticity_into(values[blk], view, w[blk])
+                if 0 in snaps:
+                    _velocity_into(w[blk], view, snaps[0][blk])
+            for s in range(start, stop):
                 step_speeds, tripped = _rk4(w[blk], cfg, view)
                 if tripped:
                     speeds[b], trips[b] = step_speeds, s
@@ -380,12 +419,21 @@ def _march(values, cfg: EulerConfig, n_steps: int, snaps: dict) -> None:
                 if s + 1 in snaps:
                     _velocity_into(w[blk], view, snaps[s + 1][blk])
 
-    items = [(range(i, len(blocks), workers), _Workspace(min(rows, N), n))
-             for i in range(workers)]
-    if len(items) == 1:
-        run(items[0])
-    else:
-        parallel_map(run, items)
+    items = [(k, range(k, len(blocks), workers), _Workspace(min(rows, N), n))
+             for k in range(workers)]
+    meets = [0, *sorted(snaps)] if hook is not None else [0, n_steps]
+    segments = list(zip(meets, meets[1:]))
+    if hook is not None:
+        segments.append((n_steps, n_steps))  # the last meeting only shares
+    for start, stop in segments:
+        if len(items) == 1:
+            advance(items[0], start, stop)
+        else:
+            parallel_map(lambda item: advance(item, start, stop), items)
+        if hook is not None:
+            hook.gather(start)
+        if any(s is not None for s in trips):
+            break
     tripped = [s for s in trips if s is not None]
     if tripped:
         first = [b for b, s in enumerate(trips) if s == min(tripped)]
@@ -452,10 +500,7 @@ def _drift_march(e0: Ensemble, K: float, epsilon: float,
 def _push(u, cfg: EulerConfig, n_steps: int, marks) -> list:
     """Velocities of `u` (GridField or Ensemble) after each step count in
     `marks`, as arrays shaped like u.values."""
-    if u.m != 2 or u.grid.d != 2:
-        raise ValueError("vorticity needs a 2D velocity field")
-    n = cfg.grid.n
-    values = u.values.reshape((-1, 2, n, n))
+    values = _velocity_batch(u, cfg)
     snaps = {s: np.empty(values.shape) for s in marks}
     _march(values, cfg, n_steps, snaps)
     return [snaps[s].reshape(u.values.shape) for s in marks]
@@ -479,6 +524,20 @@ def _steps_for(dt: float, t: float) -> int:
     return n_steps
 
 
+def _checkpoint_marks(cfg: EulerConfig, t: float, checkpoints: int):
+    """(n_steps, marks, times) of `checkpoints` >= 1 equispaced checkpoints
+    over [0, t]: the step count, the step of each checkpoint and the
+    checkpoints+1 times, 0 included."""
+    n_steps = _steps_for(cfg.dt, t)
+    if n_steps == 0:
+        raise ValueError(f"horizon must be positive to checkpoint, got {t}")
+    if n_steps % checkpoints != 0:
+        raise ValueError("checkpoints must divide the step count")
+    stride = n_steps // checkpoints
+    marks = [stride * (c + 1) for c in range(checkpoints)]
+    return n_steps, marks, np.array([0.0] + [s * cfg.dt for s in marks])
+
+
 def evolve(u, cfg: EulerConfig, t: float, checkpoints: int = 0):
     """Evolve over [0, t].
 
@@ -491,18 +550,12 @@ def evolve(u, cfg: EulerConfig, t: float, checkpoints: int = 0):
     """
     if checkpoints < 0:
         raise ValueError(f"checkpoints must be non-negative, got {checkpoints}")
-    n_steps = _steps_for(cfg.dt, t)
     if not checkpoints:
+        n_steps = _steps_for(cfg.dt, t)
         return type(u)(u.grid, _push(u, cfg, n_steps, [n_steps])[0])
-    if n_steps == 0:
-        raise ValueError(f"horizon must be positive to checkpoint, got {t}")
-    if n_steps % checkpoints != 0:
-        raise ValueError("checkpoints must divide the step count")
-    stride = n_steps // checkpoints
-    marks = [stride * (c + 1) for c in range(checkpoints)]
+    n_steps, marks, times = _checkpoint_marks(cfg, t, checkpoints)
     states = _push(u, cfg, n_steps, marks)
-    return (np.array([0.0] + [s * cfg.dt for s in marks]),
-            [u] + [type(u)(u.grid, x) for x in states])
+    return times, [u] + [type(u)(u.grid, x) for x in states]
 
 
 def reference_step_map(cfg: EulerConfig, dt_phys: float):
@@ -540,29 +593,30 @@ class StrainField:
         return float(self.op_norm.max())
 
 
+def _strain_parts(values: np.ndarray, g: Grid):
+    """(S_xx, S_xy, S_yy, |S|) of velocities (..., 2, n, n): the distinct
+    entries of S(v) = (grad v + grad v^T)/2 and its pointwise operator
+    norm.  For a symmetric 2x2 matrix [[a, b], [b, c]] the eigenvalues are
+    (a+c)/2 +- sqrt(((a-c)/2)^2 + b^2), so the operator norm is
+    |(a+c)/2| + sqrt(((a-c)/2)^2 + b^2)."""
+    (dudx, dudy), (dvdx, dvdy) = np.moveaxis(_gradient(values, g),
+                                             (-4, -3), (0, 1))
+    sxy = 0.5 * (dudy + dvdx)
+    radius = np.sqrt((0.5 * (dudx - dvdy)) ** 2 + sxy**2)
+    return dudx, sxy, dvdy, np.abs(0.5 * (dudx + dvdy)) + radius
+
+
 def strain(v) -> StrainField:
     """S(v) = (grad v + grad v^T)/2 with its pointwise operator norm.
 
-    `v` is a GridField or an Ensemble.  For a symmetric 2x2 matrix
-    [[a, b], [b, c]] the eigenvalues are (a+c)/2 +- sqrt(((a-c)/2)^2 + b^2),
-    so the operator norm is |(a+c)/2| + sqrt(((a-c)/2)^2 + b^2)."""
+    `v` is a GridField or an Ensemble."""
     g = v.grid
     if g.d != 2 or v.m != 2:
         raise ValueError("strain needs a 2D velocity field")
-    (dudx, dudy), (dvdx, dvdy) = np.moveaxis(_gradient(v.values, g),
-                                             (-4, -3), (0, 1))
-    sxy = 0.5 * (dudy + dvdx)
-    tensor = np.stack([np.stack([dudx, sxy], axis=-3),
-                       np.stack([sxy, dvdy], axis=-3)], axis=-4)
-    mean = 0.5 * (dudx + dvdy)
-    radius = np.sqrt((0.5 * (dudx - dvdy)) ** 2 + sxy**2)
-    return StrainField(g, tensor, np.abs(mean) + radius)
-
-
-def _weighted_strain_integral(w_values: np.ndarray, s: StrainField) -> float:
-    """integral |S(v)| |w|^2 dx on the grid, summed over any member axis."""
-    wsq = (w_values**2).sum(axis=-3)
-    return float(s.grid.cell_volume * np.sum(s.op_norm * wsq))
+    sxx, sxy, syy, op_norm = _strain_parts(v.values, g)
+    tensor = np.stack([np.stack([sxx, sxy], axis=-3),
+                       np.stack([sxy, syy], axis=-3)], axis=-4)
+    return StrainField(g, tensor, op_norm)
 
 
 def lambda_pointwise(u: GridField, v: GridField) -> float:
@@ -571,16 +625,57 @@ def lambda_pointwise(u: GridField, v: GridField) -> float:
                            Ensemble(v.grid, v.values[None]))[0]
 
 
+class _CoupledStrain:
+    """The coupled strain of aligned pairs (u_i, v_i) at each of `marks`:
+    lambda = sum_i int |S(v_i)| |u_i - v_i|^2 dx / sum_i ||u_i - v_i||^2
+    (zero when the denominator vanishes), max_x |S(v_i)| over members, and
+    the squared distances ||u_i - v_i||^2.
+
+    It is the hook of a march of the stacked batch (u; v) of 2N members
+    that meets at the marks (see `_march`): at a mark, worker k of W
+    evaluates the contiguous share [N k/W, N (k+1)/W) of the pairs into
+    arrays allocated here, and `gather` takes lambda and the largest strain
+    from the full arrays, so no value depends on the split."""
+
+    def __init__(self, N: int, grid: Grid, marks):
+        self.N, self.grid = N, grid
+        self.index = {s: c for c, s in enumerate(marks)}
+        self.rows = np.empty((N,) + grid.shape)  # |S(v_i)| |u_i - v_i|^2
+        self.peaks = np.empty(N)                 # max_x |S(v_i)|
+        self.sq = np.empty((len(marks), N))
+        self.lam = np.empty(len(marks))
+        self.sup = np.empty(len(marks))
+
+    def share(self, s, vel, k, workers):
+        N = self.N
+        lo, hi = N * k // workers, N * (k + 1) // workers
+        if hi > lo:
+            self.pairs(s, vel[lo:hi], vel[N + lo:N + hi], slice(lo, hi))
+
+    def pairs(self, s, u, v, at):
+        """Evaluate the pairs (u, v) (m, 2, n, n) into the members `at`."""
+        op_norm = _strain_parts(v, self.grid)[3]
+        w = u - v
+        self.sq[self.index[s], at] = _sq_norms(w, self.grid)
+        np.multiply(op_norm, (w**2).sum(axis=-3), out=self.rows[at])
+        self.peaks[at] = op_norm.max(axis=(-2, -1))
+
+    def gather(self, s):
+        c = self.index[s]
+        den = float(np.sum(self.sq[c]))
+        self.lam[c] = (float(self.grid.cell_volume * np.sum(self.rows)) / den
+                       if den != 0.0 else 0.0)
+        self.sup[c] = self.peaks.max()
+
+
 def _coupled_strain(pairs_u: Ensemble, pairs_v: Ensemble):
     """lambda, max_x |S(v_i)| over members, and the per-member squared
     distances ||u_i - v_i||^2 of an aligned coupling, from one strain
     evaluation of the whole ensemble."""
-    s = strain(pairs_v)
-    w = pairs_u.values - pairs_v.values
-    sq = _sq_norms(w, pairs_u.grid)
-    den = float(np.sum(sq))
-    lam = _weighted_strain_integral(w, s) / den if den != 0.0 else 0.0
-    return lam, s.max_norm, sq
+    coupled = _CoupledStrain(pairs_u.size, pairs_u.grid, [0])
+    coupled.pairs(0, pairs_u.values, pairs_v.values, slice(None))
+    coupled.gather(0)
+    return float(coupled.lam[0]), float(coupled.sup[0]), coupled.sq[0]
 
 
 def lambda_coupled(pairs_u: Ensemble, pairs_v: Ensemble) -> float:
@@ -617,6 +712,7 @@ def l2_difference_identity_check(u0: GridField, v0: GridField, cfg: EulerConfig,
     idx = np.linspace(2, n_steps - 2, checkpoints).astype(int)
     marks = np.unique(idx[:, None] + np.arange(-2, 3))
     path = np.empty((len(marks),) + pair.shape)  # velocities at the marks
+    _check_mean_free(pair)
     _march(pair, cfg, n_steps, dict(zip(marks.tolist(), path)))
     w = path[:, 0] - path[:, 1]
     half_sq = 0.5 * _sq_norms(w, g)
@@ -653,10 +749,10 @@ def w2_strain_bound_check(a: Ensemble, b: Ensemble, cfg: EulerConfig, t: float,
 
     w2_0, plan = wasserstein_exact(a, b, p=2)
     b_aligned = Ensemble(b.grid, b.values[plan.permutation])
-    times, path_a, path_b, lam, sup_strain, sq = push_coupling(
+    times, a_t, b_t, lam, sup_strain, sq = push_coupling(
         a, b_aligned, cfg, t, checkpoints)
     m_vals = np.mean(sq, axis=1)
-    w2_t, _ = wasserstein_exact(path_a[-1], path_b[-1], p=2)
+    w2_t, _ = wasserstein_exact(a_t, b_t, p=2)
     integral = float(np.trapezoid(lam, times))
     sup_integral = float(np.trapezoid(sup_strain, times))
     w2_bound = np.exp(integral) * w2_0

