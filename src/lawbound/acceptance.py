@@ -294,12 +294,11 @@ def crit10_certification(quick: bool, seed: int):
     return checks
 
 
-def pf_ode_checks(seed: int, dim: int = 4, c: float = 0.2,
-                  tau_nodes: int = 33, mc_size: int = 4096,
-                  sigma0: float = 1.0, sigma_slope: float = 0.0):
+def pf_ode_checks(seed: int, dim: int, c: float, tau_nodes: int,
+                  mc_size: int, sigma0: float, sigma_slope: float):
     """(pf_identities report, Check rows) of a Gaussian diffusion drawn from
-    `seed`: the `pfode` command at its config, crit11 at the defaults (the
-    `pfode` table's)."""
+    `seed`: the `pfode` command at its config, crit11 at the `pfode`
+    table's defaults."""
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((dim, dim)) * 0.3
     gd = C.GaussianDiffusion(mean=rng.standard_normal(dim),
@@ -319,7 +318,9 @@ def pf_ode_checks(seed: int, dim: int = 4, c: float = 0.2,
 
 def crit11_pf_ode(quick: bool, seed: int):
     """Score-to-drift identity and probability-flow marginal agreement."""
-    return pf_ode_checks(seed)[1]
+    from .cli import TABLES  # here, since cli imports this module
+    return pf_ode_checks(seed, **{key: spec[1] for key, spec
+                                  in TABLES["pfode"].items()})[1]
 
 
 def crit12_scores(quick: bool, seed: int):

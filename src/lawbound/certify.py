@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import Ensemble, LawCurve
-from .euler import _check_resolvable, _drift_march, _resolved_drift, _rk4_step
+from .euler import _drift_march, _rk4_step
 from .fields import (
     Grid,
     GridField,
@@ -41,7 +41,6 @@ __all__ = [
     "DriftSpec",
     "GaussianDiffusion",
     "random_test_tuple",
-    "euler_drift_resolved",
     "drift_driven_curve",
     "certification_report",
     "pf_identities",
@@ -95,25 +94,6 @@ def random_test_tuple(grid: Grid, k: int, k_test: int, horizon: float,
     return TestTuple([tests.member(i) for i in range(k)], horizon)
 
 
-# ------------------------------------------------------------ Euler drift
-
-def euler_drift_resolved(u: GridField, K: float) -> GridField:
-    """Resolved Euler tendency: P_{<=K} Leray(-div(u x u)), dealiased.
-
-    The N=1 view of the drift that the certification march evaluates on
-    the Euler solver's half-spectrum core.  The input must be
-    divergence-free and band-limited to n/3 so the quadratic product is
-    alias-free after truncation.
-    """
-    g = u.grid
-    if g.d != 2 or u.m != 2:
-        raise ValueError("resolved Euler drift needs a 2D velocity field")
-    if K < 1 or K > g.n / 3.0:
-        raise ValueError(f"resolution K must lie in [1, n/3], got {K}")
-    _check_resolvable(u, "input field")
-    return GridField(g, _resolved_drift(u.values[None], K)[0])
-
-
 # ------------------------------------------------------------ drift model
 
 @dataclass
@@ -138,6 +118,7 @@ class DriftSpec:
             raise ValueError("perturbation must be divergence-free")
 
 
+# only tests and perfbench's tracer reach it; it goes with ROADMAP item 11
 def drift_driven_curve(e0: Ensemble, drift: DriftSpec, horizon: float,
                        n_steps: int) -> LawCurve:
     """RK4 integration of du/dt = B(t, u) over [0, horizon] in n_steps

@@ -59,6 +59,7 @@ class Ensemble:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("ensemble values must be finite")
 
+    # only tests and perfbench call it; it goes with ROADMAP item 11
     @classmethod
     def from_fields(cls, members) -> "Ensemble":
         members = list(members)
@@ -172,12 +173,6 @@ class StructureCurve:
             raise ValueError("radii and values must align")
         if np.any(self.values < 0):
             raise ValueError("structure values must be nonnegative")
-
-    def is_monotone(self, slack: float = 0.05) -> bool:
-        """Nondecreasing in r up to the given relative slack."""
-        v = self.values
-        running = np.maximum.accumulate(v)
-        return bool(np.all(v >= running * (1.0 - slack)))
 
 
 def moment(e: Ensemble, p: int) -> float:

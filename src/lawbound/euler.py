@@ -49,13 +49,11 @@ from .runtime import parallel_map, worker_count
 __all__ = [
     "EulerConfig",
     "StrainField",
-    "step",
     "evolve",
     "reference_step_map",
     "energy",
     "enstrophy",
     "strain",
-    "lambda_pointwise",
     "lambda_coupled",
     "l2_difference_identity_check",
     "w2_strain_bound_check",
@@ -506,12 +504,6 @@ def _push(u, cfg: EulerConfig, n_steps: int, marks) -> list:
     return [snaps[s].reshape(u.values.shape) for s in marks]
 
 
-def step(u, cfg: EulerConfig):
-    """One RK4 step of 2D Euler applied to a divergence-free velocity field
-    (a GridField, or every member of an Ensemble)."""
-    return type(u)(u.grid, _push(u, cfg, 1, [1])[0])
-
-
 def _steps_for(dt: float, t: float) -> int:
     steps = t / dt
     if not 0.0 <= steps < np.inf:
@@ -588,10 +580,6 @@ class StrainField:
     tensor: np.ndarray     # (..., 2, 2, n, n)
     op_norm: np.ndarray    # (..., n, n) pointwise spectral norm
 
-    @property
-    def max_norm(self) -> float:
-        return float(self.op_norm.max())
-
 
 def _strain_parts(values: np.ndarray, g: Grid):
     """(S_xx, S_xy, S_yy, |S|) of velocities (..., 2, n, n): the distinct
@@ -617,12 +605,6 @@ def strain(v) -> StrainField:
     tensor = np.stack([np.stack([sxx, sxy], axis=-3),
                        np.stack([sxy, syy], axis=-3)], axis=-4)
     return StrainField(g, tensor, op_norm)
-
-
-def lambda_pointwise(u: GridField, v: GridField) -> float:
-    """Distance-weighted strain ratio for one pair; zero when u == v."""
-    return _coupled_strain(Ensemble(u.grid, u.values[None]),
-                           Ensemble(v.grid, v.values[None]))[0]
 
 
 class _CoupledStrain:

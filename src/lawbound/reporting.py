@@ -22,11 +22,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .ensemble import Ensemble, LawCurve, LazyEnsembles, _check_times
-from .fields import Grid, GridField
+from .fields import Grid
 
 __all__ = [
-    "write_lbf",
-    "read_lbf",
     "write_ensemble",
     "read_ensemble",
     "manifest_kind",
@@ -49,23 +47,17 @@ _MAGIC = b"LBF1"
 
 # -------------------------------------------------------------------- LBF
 
-def _write_lbf(path, grid: Grid, values: np.ndarray, size=None) -> None:
-    """Write `values` (m, *shape) as version 1, or (size, m, *shape) as
-    version 2, whose header adds the u32 member count after the grid."""
-    payload = np.ascontiguousarray(values, dtype="<f8")
+def _write_lbf(path, e: Ensemble) -> None:
+    """Write the members (N, m, *shape) as version 2, whose header adds the
+    u32 member count N after the grid."""
+    grid = e.grid
+    payload = np.ascontiguousarray(e.values, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<IBBH", 1 if size is None else 2, grid.d,
-                             payload.shape[-grid.d - 1], 0))
+        fh.write(struct.pack("<IBBH", 2, grid.d, e.m, 0))
         fh.write(struct.pack(f"<{grid.d}I", *([grid.n] * grid.d)))
-        if size is not None:
-            fh.write(struct.pack("<I", size))
+        fh.write(struct.pack("<I", e.size))
         fh.write(memoryview(payload).cast("B"))
-
-
-def write_lbf(path, f: GridField) -> None:
-    """Write one field as a version-1 LBF file."""
-    _write_lbf(path, f.grid, f.values)
 
 
 def _read_exact(fh, size: int, path) -> bytes:
@@ -116,17 +108,6 @@ def _read_payload(fh, path, out: np.ndarray) -> None:
         raise ValueError(f"{path}: non-finite field values")
 
 
-def read_lbf(path) -> GridField:
-    """Read one field; the file must end exactly at its payload."""
-    with open(path, "rb") as fh:
-        grid, m, size = _read_header(fh, path)
-        if size != 1:
-            raise ValueError(f"{path}: holds {size} members, not one field")
-        values = np.empty((m,) + grid.shape, dtype="<f8")
-        _read_payload(fh, path, values)
-    return GridField(grid, values)
-
-
 # -------------------------------------------------------------- manifests
 
 def write_ensemble(directory, e: Ensemble, time: float = 0.0) -> Path:
@@ -134,7 +115,7 @@ def write_ensemble(directory, e: Ensemble, time: float = 0.0) -> Path:
     the JSON manifest `ensemble.json` naming it; returns the manifest path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    _write_lbf(directory / "ensemble.lbf", e.grid, e.values, size=e.size)
+    _write_lbf(directory / "ensemble.lbf", e)
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "kind": "ensemble",
@@ -404,13 +385,6 @@ class Report:
 
     def write(self, path) -> None:
         Path(path).write_text(canonical_json(self.as_dict()) + "\n")
-
-
-def read_report(path) -> dict:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported report schema {doc.get('schema_version')!r}")
-    return doc
 
 
 def strip_timing(report_text: str) -> str:

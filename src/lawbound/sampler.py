@@ -10,7 +10,7 @@ reference map, which is all the law-level diagnostics need.
 A kernel step acts on a whole ensemble: the reference map is called once
 on the Ensemble, each member's start state and drift data are drawn into
 one (N, m, *shape) batch, and one RK4 over internal time integrates the
-batch.  `sample_step` is the batch of one.
+batch.
 
 Seed policy: member i at physical step n draws from a stream derived from
 (master_seed, i, n), so runs are reproducible and do not depend on the
@@ -43,13 +43,11 @@ __all__ = [
     "KernelSpec",
     "PathBundle",
     "RegularityReport",
-    "sample_step",
     "rollout_paths",
     "mixture_interpolation",
     "CylindricalObservable",
     "linear_observable",
     "bilinear_observable",
-    "constant_observable",
     "continuity_equation_check",
     "time_regularity_report",
     "holder_from_action_check",
@@ -148,15 +146,14 @@ class _KernelStep:
 
     The reference map is called once, on the whole ensemble (a GridField
     target is the batch of one).  Member i draws its init, then endpoint,
-    noise from _member_rng(master_seed, members[i], step) in the calling
+    noise from _member_rng(master_seed, i, step) in the calling
     thread (drawn in pool threads, the buffers raised peak RSS through
     per-thread malloc arenas); one `parallel_map` over members then writes
     each start state and chord (target, for pf-ode) into the batch."""
 
     def __init__(self, e: Ensemble, spec: KernelSpec, reference_map,
-                 master_seed, step: int, members=None):
+                 master_seed, step: int):
         grid, values = e.grid, e.values
-        members = range(e.size) if members is None else members
         target = reference_map(e).values.reshape(values.shape)
         self.spec = spec
         self.start = np.empty_like(values)
@@ -171,7 +168,7 @@ class _KernelStep:
         def draws(i):
             """Member i's init and endpoint noise (None where the kernel has
             none), divergence-free draws normalized to E ||xi||_2^2 = 1."""
-            rng = _member_rng(master_seed, members[i], step)
+            rng = _member_rng(master_seed, i, step)
             return [random_divfree(grid, spec.noise_exponent, k_max,
                                    seed=rng).values / scale if w else None
                     for w in wanted]
@@ -243,20 +240,6 @@ def _step_endpoints(e: Ensemble, spec: KernelSpec, reference_map, master_seed,
     for x in _KernelStep(e, spec, reference_map, master_seed, step).march(taus):
         pass
     return Ensemble(e.grid, x)
-
-
-def sample_step(u: GridField, spec: KernelSpec, reference_map, master_seed,
-                member: int = 0, step: int = 0):
-    """Draw one internal-time path for one member: the batch of one, on the
-    stream of `member`.  `reference_map` maps u (a GridField) to its target.
-
-    Returns (output GridField, states array (internal_steps+1, m, *shape),
-    tau nodes)."""
-    taus = np.linspace(0.0, 1.0, spec.internal_steps + 1)
-    states = _KernelStep(Ensemble(u.grid, u.values[None]), spec,
-                         lambda _: reference_map(u), master_seed, step,
-                         [member]).integrate(taus)[0]
-    return GridField(u.grid, states[-1]), states, taus
 
 
 @dataclass
@@ -373,10 +356,6 @@ class CylindricalObservable:
         grads = self.partials(*self.pairings(x))
         return sum((gj * pj for gj, pj in zip(grads, self.pairings(w))),
                    np.zeros(len(x)))
-
-
-def constant_observable(c: float) -> CylindricalObservable:
-    return CylindricalObservable([], lambda: c, lambda: ())
 
 
 def linear_observable(f: GridField) -> CylindricalObservable:

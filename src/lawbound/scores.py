@@ -16,8 +16,8 @@ from typing import Callable
 import numpy as np
 
 from .ensemble import Ensemble, LawCurve
-from .fields import Grid, GridField, inner, l2_norm
-from .transport import _exact_from_distances, _w1_per_time
+from .fields import Grid, GridField, l2_norm
+from .transport import _w1_per_time
 
 __all__ = [
     "crps",
@@ -26,7 +26,6 @@ __all__ = [
     "crps_w1_check",
     "energy_score",
     "energy_between",
-    "w1_assignment",
     "ResolvedObservable",
     "inner_product_observable",
     "mollified_point_observable",
@@ -106,16 +105,6 @@ def energy_between(p_samples, q_samples) -> float:
                  - 0.5 * _pair_mean_norm(y, y))
 
 
-def w1_assignment(p_samples, q_samples) -> float:
-    """Exact W1 between equal-size empirical vector laws via assignment."""
-    x = np.atleast_2d(np.asarray(p_samples, dtype=np.float64))
-    y = np.atleast_2d(np.asarray(q_samples, dtype=np.float64))
-    if x.shape != y.shape:
-        raise ValueError("assignment W1 needs equal shapes")
-    diff = x[:, None, :] - y[None, :, :]
-    return _exact_from_distances(np.sqrt((diff**2).sum(axis=2)), 1)[0]
-
-
 # ---------------------------------------------------- resolved observables
 
 @dataclass
@@ -129,9 +118,6 @@ class ResolvedObservable:
     def __post_init__(self):
         if self.lipschitz <= 0:
             raise ValueError("observable must have positive Lipschitz constant")
-
-    def apply(self, u: GridField) -> float:
-        return inner(u, self.psi)
 
     def apply_ensemble(self, e: Ensemble) -> np.ndarray:
         """l(u) of every member, one pairing over the flattened values."""

@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+import golden_ledger
 from lawbound import acceptance as A
 from lawbound.reporting import strip_timing
 
@@ -102,3 +103,4 @@ def test_criterion_14_determinism(tmp_path):
     print(f"ACCEPTANCE 14_determinism: {status} (3 runs compared)")
     assert same_seed, "repeated runs with one seed differ"
     assert same_threads, "worker count changed the report payload"
+    golden_ledger.compare("verify_quick", first)

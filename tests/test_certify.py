@@ -16,9 +16,16 @@ def bandlimited_unit(seed, k_max=8, grid=GRID, exponent=3.5):
 
 
 # ------------------------------------------------------------------ oracles
-# Independent per-member references for the batched code in certify: the
-# velocity-form resolved drift on full-complex FFTs, and the residual routes
-# evaluated one member at a time.
+# References for the batched code in certify: the N=1 view of the drift,
+# and, independent of the package, the velocity-form resolved drift on
+# full-complex FFTs and the residual routes evaluated one member at a time.
+
+def euler_drift_resolved(u, K):
+    """The N=1 view of `euler._resolved_drift` behind the input check of
+    the certification march (`euler._check_resolvable`)."""
+    EU._check_resolvable(u, "input field")
+    return F.GridField(u.grid, EU._resolved_drift(u.values[None], K)[0])
+
 
 def drift_velocity_form(vals, K):
     """P_{<=K} Leray(-div(u x u)) of a batch (N, 2, n, n), assembled from
@@ -253,14 +260,14 @@ def oracle_certification_pass(curve, tt, K, drift):
 
 def test_drift_zero_field():
     z = F.GridField(GRID, np.zeros((2,) + GRID.shape))
-    out = C.euler_drift_resolved(z, 8)
+    out = euler_drift_resolved(z, 8)
     assert np.max(np.abs(out.values)) == 0.0
 
 
 def test_drift_duality_against_quadrature_oracle():
     u = bandlimited_unit(1)
     K = 8
-    drift = C.euler_drift_resolved(u, K)
+    drift = euler_drift_resolved(u, K)
     for s in range(5):
         phi = bandlimited_unit(100 + s, k_max=K)
         pairing = F.inner(drift, phi)
@@ -270,7 +277,7 @@ def test_drift_duality_against_quadrature_oracle():
 
 def test_taylor_green_drift_is_pure_gradient():
     tg = EU.taylor_green(GRID)
-    drift = C.euler_drift_resolved(tg, 10)
+    drift = euler_drift_resolved(tg, 10)
     assert F.l2_norm(drift) < 1e-12
     for s in range(5):
         phi = bandlimited_unit(200 + s, k_max=10)
@@ -287,7 +294,7 @@ def test_drift_matches_vorticity_solver_tendency():
     EU._advection(w_hat[None], EU._Workspace(1, n), EU._solver_arrays(n)[2], dw)
     du = EU.velocity_from_vorticity(GRID, dw[0])
     du_iso = F.inverse(F.project_leq(F.forward(du), n / 3.0))
-    drift = C.euler_drift_resolved(u, n / 3.0)
+    drift = euler_drift_resolved(u, n / 3.0)
     gap = F.l2_norm(F.GridField(GRID, du_iso.values - drift.values))
     assert gap <= 1e-12 * max(F.l2_norm(drift), 1e-12)
 
@@ -297,7 +304,7 @@ def test_drift_batch_matches_single():
     vals = np.stack([m.values for m in members])
     batch = EU._resolved_drift(vals, 8)
     for i, m in enumerate(members):
-        single = C.euler_drift_resolved(m, 8)
+        single = euler_drift_resolved(m, 8)
         assert np.max(np.abs(batch[i] - single.values)) < 1e-14
 
 
@@ -326,7 +333,7 @@ def test_drift_rejects_unbanded_input():
     rng = np.random.default_rng(5)
     raw = F.GridField(GRID, rng.standard_normal((2,) + GRID.shape))
     with pytest.raises(ValueError):
-        C.euler_drift_resolved(raw, 8)
+        euler_drift_resolved(raw, 8)
 
 
 def test_drift_rejects_divergent_input():
@@ -335,7 +342,7 @@ def test_drift_rejects_divergent_input():
     x = GRID.coordinates()
     grad = F.GridField(GRID, np.stack([np.cos(x[0]), np.zeros(GRID.shape)]))
     with pytest.raises(ValueError, match="divergence-free"):
-        C.euler_drift_resolved(grad, 8)
+        euler_drift_resolved(grad, 8)
 
 
 def test_drift_spec_checks_are_relative_to_the_perturbation_norm():

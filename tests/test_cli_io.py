@@ -1,4 +1,5 @@
 import json
+import struct
 import subprocess
 import sys
 
@@ -20,6 +21,15 @@ def rand_field(seed, m=2, grid=GRID):
     return F.GridField(grid, rng.standard_normal((m,) + grid.shape))
 
 
+def write_lbf_v1(path, f):
+    """One field as a version-1 LBF file, which the library reads but no
+    longer writes: the version-2 header without the member count."""
+    g = f.grid
+    path.write_bytes(b"LBF1" + struct.pack("<IBBH", 1, g.d, f.m, 0)
+                     + struct.pack(f"<{g.d}I", *([g.n] * g.d))
+                     + np.ascontiguousarray(f.values, dtype="<f8").tobytes())
+
+
 def write_ensemble_v1(directory, e, time=0.0, prefix="member"):
     """The version-1 layout: one LBF1 file per member plus a manifest
     listing them (the writer `write_ensemble` used before version 2)."""
@@ -27,7 +37,7 @@ def write_ensemble_v1(directory, e, time=0.0, prefix="member"):
     names = []
     for i in range(e.size):
         name = f"{prefix}_{i:04d}.lbf"
-        RP.write_lbf(directory / name, e.member(i))
+        write_lbf_v1(directory / name, e.member(i))
         names.append(name)
     manifest = {
         "schema_version": RP.SCHEMA_VERSION,
@@ -46,42 +56,39 @@ def write_ensemble_v1(directory, e, time=0.0, prefix="member"):
 
 def test_lbf_round_trip(tmp_path):
     f = rand_field(0)
-    path = tmp_path / "f.lbf"
-    RP.write_lbf(path, f)
-    back = RP.read_lbf(path)
-    assert back.grid == f.grid and back.m == f.m
-    assert np.array_equal(back.values, f.values)
+    back, _ = RP.read_ensemble(write_ensemble_v1(
+        tmp_path, E.Ensemble(f.grid, f.values[None])))
+    assert back.grid == f.grid and back.m == f.m and back.size == 1
+    assert np.array_equal(back.values[0], f.values)
 
 
 def test_lbf_rejects_bad_magic_and_version(tmp_path):
     f = rand_field(1, m=1, grid=F.Grid(1, 16))
-    path = tmp_path / "f.lbf"
-    RP.write_lbf(path, f)
+    manifest = write_ensemble_v1(tmp_path, E.Ensemble(f.grid, f.values[None]))
+    path = tmp_path / "member_0000.lbf"
     raw = bytearray(path.read_bytes())
-    bad = tmp_path / "bad.lbf"
-    bad.write_bytes(b"XXXX" + bytes(raw[4:]))
+    path.write_bytes(b"XXXX" + bytes(raw[4:]))
     with pytest.raises(ValueError, match="magic"):
-        RP.read_lbf(bad)
-    raw2 = bytearray(path.read_bytes())
-    raw2[4] = 9  # version field
-    bad2 = tmp_path / "bad2.lbf"
-    bad2.write_bytes(bytes(raw2))
+        RP.read_ensemble(manifest)
+    raw[4] = 9  # version field
+    path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="version"):
-        RP.read_lbf(bad2)
+        RP.read_ensemble(manifest)
 
 
 def test_lbf_header_layout(tmp_path):
-    f = rand_field(2, m=1, grid=F.Grid(2, 16))
-    path = tmp_path / "f.lbf"
-    RP.write_lbf(path, f)
-    raw = path.read_bytes()
-    assert raw[:4] == b"LBF1"
-    assert int.from_bytes(raw[4:8], "little") == 1
-    assert raw[8] == 2 and raw[9] == 1            # d, m
-    assert int.from_bytes(raw[10:12], "little") == 0
-    assert int.from_bytes(raw[12:16], "little") == 16
-    assert int.from_bytes(raw[16:20], "little") == 16
+    # the version-1 header as documented, built byte by byte: magic,
+    # version, d, m, reserved, n per dimension, then the f64 samples
+    values = np.random.default_rng(2).standard_normal((1, 16, 16))
+    manifest = write_ensemble_v1(tmp_path, E.Ensemble(
+        F.Grid(2, 16), np.zeros((1, 1, 16, 16))))
+    raw = (b"LBF1" + (1).to_bytes(4, "little") + bytes([2, 1])
+           + (0).to_bytes(2, "little") + (16).to_bytes(4, "little") * 2
+           + values.astype("<f8").tobytes())
     assert len(raw) == 20 + 16 * 16 * 8
+    (tmp_path / "member_0000.lbf").write_bytes(raw)
+    back, _ = RP.read_ensemble(manifest)
+    assert back.values.tobytes() == values.tobytes()
 
 
 def test_lbf_v2_ensemble_file_layout(tmp_path):
@@ -99,8 +106,11 @@ def test_lbf_v2_ensemble_file_layout(tmp_path):
     assert raw[24:] == e.values.astype("<f8").tobytes()
     doc = json.loads((tmp_path / "ensemble.json").read_text())
     assert doc["members"] == "ensemble.lbf" and doc["size"] == 3
-    with pytest.raises(ValueError, match="not one field"):
-        RP.read_lbf(tmp_path / "ensemble.lbf")
+    # a version-1 member list holds one field per file
+    doc["members"] = ["ensemble.lbf"]
+    (tmp_path / "ensemble.json").write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="disagree"):
+        RP.read_ensemble(tmp_path / "ensemble.json")
 
 
 # --------------------------------------------------------------- manifests
@@ -161,7 +171,8 @@ def test_report_round_trip_and_hash_stability(tmp_path):
     rep = RP.Report("metrics", {"b": 2, "a": 1})
     rep.add("x", 1.0, 2.0, True, 1e-9)
     rep.write(tmp_path / "r.json")
-    doc = RP.read_report(tmp_path / "r.json")
+    doc = json.loads((tmp_path / "r.json").read_text())
+    assert doc["schema_version"] == RP.SCHEMA_VERSION
     assert doc["command"] == "metrics"
     assert doc["checks"][0]["satisfied"] is True
     # hash independent of key order
@@ -1028,7 +1039,7 @@ def test_read_ensemble_names_the_member_that_disagrees(tmp_path):
         (2, 2) + GRID.shape))
     write_ensemble_v1(tmp_path / "a", e)
     member = tmp_path / "a" / "member_0001.lbf"
-    RP.write_lbf(member, rand_field(5, m=1))
+    write_lbf_v1(member, rand_field(5, m=1))
     with pytest.raises(ValueError, match="disagree") as info:
         RP.read_ensemble(tmp_path / "a" / "ensemble.json")
     assert str(member) in str(info.value)
@@ -1091,9 +1102,10 @@ json_values = st.recursive(
 def lbf_bytes(draw, ensemble=False):
     """A valid LBF file, then maybe cut, extended or with bytes replaced.
 
-    Returns (file bytes, manifest text): a version-1 field file and no
-    manifest, or with `ensemble` a version-2 file of 1-3 members and the
-    ensemble manifest written with it."""
+    Returns (file bytes, manifest text): a version-1 field file and the
+    one-member list naming it, `member_0000.lbf`, or with `ensemble` a
+    version-2 file of 1-3 members and the ensemble manifest written with
+    it."""
     d = draw(st.sampled_from([1, 2]))
     m = draw(st.integers(1, 2))
     size = draw(st.integers(1, 3)) if ensemble else 1
@@ -1105,11 +1117,11 @@ def lbf_bytes(draw, ensemble=False):
     with tempfile.TemporaryDirectory() as tmp:
         if ensemble:
             manifest = RP.write_ensemble(Path(tmp), E.Ensemble(grid, values))
-            path, text = Path(tmp) / "ensemble.lbf", manifest.read_text()
+            path = Path(tmp) / "ensemble.lbf"
         else:
-            path, text = Path(tmp) / "f.lbf", None
-            RP.write_lbf(path, F.GridField(grid, values[0]))
-        data = bytearray(path.read_bytes())
+            manifest = write_ensemble_v1(Path(tmp), E.Ensemble(grid, values))
+            path = Path(tmp) / "member_0000.lbf"
+        data, text = bytearray(path.read_bytes()), manifest.read_text()
     edit = draw(st.sampled_from(["none", "cut", "extend", "replace"]))
     if edit == "cut":
         del data[draw(st.integers(0, len(data) - 1)):]
@@ -1125,17 +1137,18 @@ def lbf_bytes(draw, ensemble=False):
 @FUZZ
 @given(lbf_bytes())
 def test_fuzz_lbf_reader_round_trips_or_names_the_file(drawn):
-    data, _ = drawn
+    data, text = drawn
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "f.lbf"
+        path = Path(tmp) / "member_0000.lbf"
         path.write_bytes(data)
+        (Path(tmp) / "ensemble.json").write_text(text)
         try:
-            f = RP.read_lbf(path)
+            e, _ = RP.read_ensemble(Path(tmp) / "ensemble.json")
         except ValueError as exc:
             assert str(path) in str(exc)
             return
         again = Path(tmp) / "g.lbf"
-        RP.write_lbf(again, f)
+        write_lbf_v1(again, e.member(0))
         assert again.read_bytes() == data
 
 

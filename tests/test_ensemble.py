@@ -151,7 +151,8 @@ def test_structure_curve_monotone_and_radius_guard():
     e = grf_ensemble(g, 8, s=0.5, k_max=24, seed0=3)
     radii = g.spacing * np.array([1.0, 2.0, 4.0, 8.0, 16.0])
     sc = E.pointwise_modulus(e, radii)
-    assert sc.is_monotone(slack=0.05)
+    # nondecreasing in r up to a 5% relative slack
+    assert np.all(sc.values >= 0.95 * np.maximum.accumulate(sc.values))
     with pytest.raises(ValueError):
         E.pointwise_modulus(e, [0.5 * g.spacing])
 

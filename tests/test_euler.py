@@ -204,7 +204,7 @@ def test_guard_trip_in_last_block_raises_oracle_message(threads, count):
             EU.evolve(E.Ensemble(GRID, vals), cfg, 4 * cfg.dt)
         assert str(got.value) == str(oracle.value)
     with pytest.raises(RuntimeError, match="CFL"):
-        EU.step(E.Ensemble(GRID, vals[:1]), cfg)
+        EU.evolve(E.Ensemble(GRID, vals[:1]), cfg, cfg.dt)
 
 
 def _scripted_rk4(trips):
@@ -347,7 +347,7 @@ def test_cfl_guard_trips_on_one_member_of_a_batch():
     a, _ = grf_pair_ensembles(3, amp=0.0, seed0=95)
     cfg = EU.EulerConfig(GRID, dt=0.05)
     for i in range(a.size):
-        EU.step(a.member(i), cfg)      # each member alone is admissible
+        EU.evolve(a.member(i), cfg, cfg.dt)  # each member alone is admissible
     values = a.values.copy()
     values[1] *= 50.0
     with pytest.raises(RuntimeError, match="CFL"):
@@ -359,7 +359,7 @@ def test_cfl_guard_trips_on_one_member_of_a_batch():
 def test_zero_field_stays_zero():
     cfg = EU.EulerConfig(GRID, dt=0.01)
     z = F.GridField(GRID, np.zeros((2,) + GRID.shape))
-    out = EU.step(z, cfg)
+    out = EU.evolve(z, cfg, cfg.dt)
     assert np.max(np.abs(out.values)) == 0.0
 
 
@@ -391,7 +391,7 @@ def test_cfl_guard_trips():
     u0 = F.GridField(GRID, 50.0 * unit_grf(4).values)
     cfg = EU.EulerConfig(GRID, dt=0.05)
     with pytest.raises(RuntimeError, match="CFL"):
-        EU.step(u0, cfg)
+        EU.evolve(u0, cfg, cfg.dt)
 
 
 def test_evolve_checkpoints_layout():
@@ -497,13 +497,13 @@ def test_mean_flow_is_rejected_before_any_step():
     with pytest.raises(ValueError, match="member 2 has a mean velocity"):
         EU.evolve(moving, cfg, 4 * cfg.dt, checkpoints=2)
     with pytest.raises(ValueError, match="member 0 has a mean velocity"):
-        EU.step(moving.member(2), cfg)
+        EU.evolve(moving.member(2), cfg, cfg.dt)
     with pytest.raises(ValueError, match="mean velocity"):
         EU.l2_difference_identity_check(a.member(0), moving.member(2), cfg,
                                         t=0.1, checkpoints=4)
     # a mean of roundoff size is not a mean flow
     values[2, 0] -= values[2, 0].mean()
-    EU.step(E.Ensemble(GRID, values), cfg)
+    EU.evolve(E.Ensemble(GRID, values), cfg, cfg.dt)
 
 
 def test_antisymmetric_part_invisible():
@@ -548,11 +548,17 @@ def test_strain_symmetric_tracefree_for_divfree():
 def test_lambda_zero_branches():
     u = unit_grf(11)
     zero = F.GridField(GRID, np.zeros((2,) + GRID.shape))
-    assert EU.lambda_pointwise(u, u) == 0.0
-    assert EU.lambda_pointwise(u, zero) == 0.0  # S(0) = 0
+    assert lambda_pointwise(u, u) == 0.0
+    assert lambda_pointwise(u, zero) == 0.0  # S(0) = 0
     # w supported where S(v) = 0: shear-free v (constant field is divergence
     # free with zero strain)
-    assert EU.lambda_pointwise(zero, zero) == 0.0
+    assert lambda_pointwise(zero, zero) == 0.0
+
+
+def lambda_pointwise(u, v):
+    """The one-pair coupled strain ratio, `lambda_coupled` of one member."""
+    return EU.lambda_coupled(E.Ensemble(u.grid, u.values[None]),
+                             E.Ensemble(v.grid, v.values[None]))
 
 
 def lambda_pointwise_oracle(u, v):
@@ -571,8 +577,8 @@ def test_lambda_pointwise_matches_its_old_body_bitwise():
     for k in range(10):
         u = unit_grf(100 + k)
         v = F.GridField(GRID, u.values + 0.1 * unit_grf(200 + k).values)
-        assert EU.lambda_pointwise(u, v) == lambda_pointwise_oracle(u, v)
-    assert EU.lambda_pointwise(u, u) == lambda_pointwise_oracle(u, u) == 0.0
+        assert lambda_pointwise(u, v) == lambda_pointwise_oracle(u, v)
+    assert lambda_pointwise(u, u) == lambda_pointwise_oracle(u, u) == 0.0
 
 
 def strain_stack_oracle(v):
@@ -633,7 +639,7 @@ def test_pointwise_stability_exponent_bound():
     v0 = F.GridField(GRID, u0.values + 0.05 * unit_grf(13).values)
     times, fu = EU.evolve(u0, cfg, 0.25, checkpoints=8)
     _, fv = EU.evolve(v0, cfg, 0.25, checkpoints=8)
-    lam = [EU.lambda_pointwise(a, b) for a, b in zip(fu, fv)]
+    lam = [lambda_pointwise(a, b) for a, b in zip(fu, fv)]
     integral = np.trapezoid(lam, times)
     w0 = F.l2_norm(F.GridField(GRID, u0.values - v0.values))
     wt = F.l2_norm(F.GridField(GRID, fu[-1].values - fv[-1].values))

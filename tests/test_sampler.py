@@ -5,6 +5,7 @@ from lawbound import ensemble as E
 from lawbound import euler as EU
 from lawbound import fields as F
 from lawbound import sampler as SA
+from sampler_oracle import member_route, sample_step
 
 GRID = F.Grid(2, 32)
 CFG = EU.EulerConfig(GRID, dt=0.00625)
@@ -28,7 +29,7 @@ ENS = unit_members(4)
 
 def test_straight_drift_hits_reference_exactly():
     spec = SA.KernelSpec("rectified-flow", internal_steps=8)
-    out, states, taus = SA.sample_step(ENS.member(0), spec, REF, 7)
+    out, states, taus = sample_step(ENS.member(0), spec, REF, 7)
     target = REF(ENS.member(0))
     assert np.max(np.abs(out.values - target.values)) < 1e-13
     assert np.array_equal(states[0], ENS.member(0).values)
@@ -39,7 +40,7 @@ def test_internal_step_count_irrelevant_for_constant_drift():
     outs = {}
     for steps in (1, 64):
         spec = SA.KernelSpec("rectified-flow", internal_steps=steps)
-        outs[steps], _, _ = SA.sample_step(u, spec, REF, 7)
+        outs[steps], _, _ = sample_step(u, spec, REF, 7)
     assert np.max(np.abs(outs[1].values - outs[64].values)) < 1e-12
 
 
@@ -55,7 +56,7 @@ def test_gaussian_endpoint_mean_mc_oracle():
     acc = np.zeros_like(u.values)
     acc_sq = 0.0
     for j in range(draws):
-        out, _, _ = SA.sample_step(u, spec, ref, 123, member=j, step=0)
+        out, _, _ = sample_step(u, spec, ref, 123, member=j, step=0)
         acc += out.values
         acc_sq += F.l2_norm(F.GridField(g, out.values - target.values)) ** 2
     mean = acc / draws
@@ -69,7 +70,7 @@ def test_pf_ode_endpoint_matches_closed_form():
                          pf_sigma_max=1.0)
     u = ENS.member(2)
     target = REF(u)
-    out, states, _ = SA.sample_step(u, spec, REF, 31)
+    out, states, _ = sample_step(u, spec, REF, 31)
     s0, sm = spec.noise_scale, spec.pf_sigma_max
     shrink = s0 / np.sqrt(s0**2 + sm**2)
     predicted = target.values + (states[0] - target.values) * shrink
@@ -96,7 +97,7 @@ def test_mixture_endpoints_and_midpoint():
     mix = SA.mixture_interpolation(ENS, spec, REF, tau, master_seed=9)
     assert np.array_equal(mix.ensembles[0].values, ENS.values)
     for i in range(ENS.size):
-        out, _, _ = SA.sample_step(ENS.member(i), spec, REF, 9, member=i, step=0)
+        out, _, _ = sample_step(ENS.member(i), spec, REF, 9, member=i, step=0)
         assert np.array_equal(mix.ensembles[-1].values[i], out.values)
         target = REF(ENS.member(i))
         midpoint = 0.5 * (ENS.values[i] + target.values)
@@ -137,8 +138,8 @@ def test_rollout_deterministic_across_workers(threads):
 def test_ce_constant_observable_zero():
     spec = SA.KernelSpec("rectified-flow", internal_steps=16, perturbation=0.5,
                          init="gaussian", noise_scale=0.2)
-    rep = SA.continuity_equation_check(ENS, spec, REF,
-                                       SA.constant_observable(2.0),
+    constant = SA.CylindricalObservable([], lambda: 2.0, lambda: ())
+    rep = SA.continuity_equation_check(ENS, spec, REF, constant,
                                        np.linspace(0, 1, 17), master_seed=5)
     assert rep["residual"] == 0.0
 
@@ -359,80 +360,6 @@ def test_path_reports_transform_the_bundle_once(monkeypatch):
 
 # ------------------------------------------- per-member oracle of the batch
 
-class MemberRealization:
-    """The per-member route the batched kernel step replaced: start state
-    and drift(x, tau) of one member, drawn from its own stream."""
-
-    def __init__(self, spec, u, target, rng, pert_field):
-        g = u.grid
-        k_max = SA._noise_band(spec, g)
-
-        def unit_noise():
-            draw = F.random_divfree(g, spec.noise_exponent, k_max, seed=rng)
-            return draw.values / np.sqrt(SA._expected_divfree_energy(
-                g, spec.noise_exponent, k_max))
-
-        y = target.values
-        if spec.init == "gaussian" and spec.noise_scale > 0:
-            start = u.values + spec.noise_scale * unit_noise()
-        else:
-            start = u.values.copy()
-        if spec.kind == "pf-ode":
-            s0, sm = spec.noise_scale, spec.pf_sigma_max
-            start = y + np.sqrt(s0**2 + sm**2) * unit_noise()
-
-            def drift(x, tau):
-                sig = sm * (1.0 - tau)
-                return -sm * sig / (s0**2 + sig**2) * (x - y)
-
-        elif spec.kind == "perturbed-reference":
-            chord = y + spec.noise_scale * unit_noise() - start
-
-            def drift(x, tau):
-                return chord
-
-        else:
-            chord = y - start
-            amp = spec.perturbation if spec.kind == "rectified-flow" else 0.0
-
-            def drift(x, tau):
-                v = chord
-                if amp:
-                    v = v + amp * np.sin(2.0 * np.pi * tau) * pert_field
-                return v
-
-        self.start = start
-        self.drift = drift
-
-
-def member_integrate(real, tau_nodes, substeps):
-    x = real.start.copy()
-    out = np.empty((len(tau_nodes),) + x.shape)
-    out[0] = x
-    for c in range(len(tau_nodes) - 1):
-        h = (tau_nodes[c + 1] - tau_nodes[c]) / substeps
-        tau = tau_nodes[c]
-        for _ in range(substeps):
-            k1 = real.drift(x, tau)
-            k2 = real.drift(x + 0.5 * h * k1, tau + 0.5 * h)
-            k3 = real.drift(x + 0.5 * h * k2, tau + 0.5 * h)
-            k4 = real.drift(x + h * k3, tau + h)
-            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            tau += h
-        out[c + 1] = x
-    return out
-
-
-def member_route(e, spec, ref, tau_nodes, seed, step=0, substeps=1):
-    """Per-member realizations and their paths (N, C, m, *shape)."""
-    pert = SA._kernel_perturbation_field(spec, e.grid, seed)
-    reals = [MemberRealization(spec, e.member(i), ref(e.member(i)),
-                               SA._member_rng(seed, i, step), pert)
-             for i in range(e.size)]
-    return reals, np.stack([member_integrate(r, tau_nodes, substeps)
-                            for r in reals])
-
-
 def oracle_rollout_states(e, spec, ref, n_steps, seed):
     taus = np.linspace(0.0, 1.0, spec.internal_steps + 1)
     chunks = [e.values[:, None]]
@@ -514,11 +441,11 @@ def test_continuity_check_matches_member_oracle(kind, init, workers, threads):
 def test_sample_step_is_the_batch_of_one(kind, init):
     spec = oracle_spec(kind, init)
     taus = np.linspace(0.0, 1.0, 9)
-    _, expected = member_route(ENS, spec, REF, taus, 4, step=1)
-    out, states, _ = SA.sample_step(ENS.member(2), spec, REF, 4, member=2,
-                                    step=1)
-    assert states.tobytes() == expected[2].tobytes()
-    assert out.values.tobytes() == expected[2, -1].tobytes()
+    one = E.Ensemble(GRID, ENS.values[2:3])
+    mix = SA.mixture_interpolation(one, spec, REF, taus, 4, step=1)
+    _, states, _ = sample_step(ENS.member(2), spec, REF, 4, step=1)
+    for c, ens in enumerate(mix.ensembles):
+        assert ens.values[0].tobytes() == states[c].tobytes()
 
 
 def test_rollout_paths_reject_pf_ode_before_any_work():

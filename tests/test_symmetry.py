@@ -1,0 +1,114 @@
+"""Symmetries of the periodic square that need no oracle.
+
+Incompressible Euler on the torus commutes with grid translations and with
+the eight symmetries of the square, which act on positions and velocity
+components together: u'(x) = R u(R^T x).  So the solver, the strain and
+the resolved drift must be equivariant, and every law-level value built
+from them (W2, the tails, the strain-growth report) invariant.  Unlike the
+spectral oracles, this check shares no axis convention with the package: a
+kx/ky swap or a sign error in one table breaks it.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from lawbound import ensemble as E
+from lawbound import euler as EU
+from lawbound import fields as F
+from lawbound import transport as T
+
+GRID = F.Grid(2, 16)
+CFG = EU.EulerConfig(GRID, dt=1.0 / 32)
+REL = 1e-13
+
+# (R, index map): the orthogonal map of the velocity components and the
+# grid point (i, j) that R^T x lands on, for x = (i h, j h)
+_n = GRID.n
+_i, _j = np.meshgrid(np.arange(_n), np.arange(_n), indexing="ij")
+_POINT = {
+    "rot90": (np.array([[0.0, -1.0], [1.0, 0.0]]), (_j, -_i % _n)),
+    "rot180": (-np.eye(2), (-_i % _n, -_j % _n)),
+    "rot270": (np.array([[0.0, 1.0], [-1.0, 0.0]]), (-_j % _n, _i)),
+    "flip_x": (np.diag([-1.0, 1.0]), (-_i % _n, _j)),
+    "flip_y": (np.diag([1.0, -1.0]), (_i, -_j % _n)),
+    "swap": (np.array([[0.0, 1.0], [1.0, 0.0]]), (_j, _i)),
+    "antiswap": (np.array([[0.0, -1.0], [-1.0, 0.0]]), (-_j % _n, -_i % _n)),
+}
+
+
+def group_element():
+    shifts = st.tuples(st.integers(0, _n - 1), st.integers(0, _n - 1)).map(
+        lambda s: ("shift", s))
+    return shifts | st.sampled_from(sorted(_POINT)).map(lambda k: (k, None))
+
+
+def act(g, values):
+    """u'(x) = R u(R^T x) on velocities (..., 2, n, n)."""
+    kind, shift = g
+    if kind == "shift":
+        return np.roll(values, shift, axis=(-2, -1))
+    R, (pi, pj) = _POINT[kind]
+    return np.einsum("ab,...bij->...aij", R, values[..., pi, pj])
+
+
+def act_tensor(g, tensor):
+    """S'(x) = R S(R^T x) R^T on tensors (..., 2, 2, n, n)."""
+    kind, shift = g
+    if kind == "shift":
+        return np.roll(tensor, shift, axis=(-2, -1))
+    R, (pi, pj) = _POINT[kind]
+    return np.einsum("ab,...bcij,dc->...adij", R, tensor[..., pi, pj], R)
+
+
+def act_scalar(g, values):
+    kind, shift = g
+    if kind == "shift":
+        return np.roll(values, shift, axis=(-2, -1))
+    _, (pi, pj) = _POINT[kind]
+    return values[..., pi, pj]
+
+
+def members(seed, N=4, k_max=5):
+    """N divergence-free members band-limited to n/3, RMS speed near 1."""
+    rng = np.random.default_rng(seed)
+    vals = np.stack([F.random_divfree(GRID, 3.0, k_max, seed=rng).values
+                     for _ in range(N)])
+    rms = np.sqrt(np.mean(vals**2, axis=(1, 2, 3), keepdims=True))
+    return E.Ensemble(GRID, vals / rms)
+
+
+def assert_close(got, want, what):
+    """max|got - want| within REL of max|want|."""
+    got, want = np.asarray(got, float), np.asarray(want, float)
+    gap = np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300)
+    assert gap <= REL, f"{what}: relative gap {gap:.3g}"
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(group_element(), st.integers(0, 2**16))
+def test_euler_and_law_values_respect_the_square_symmetries(g, seed):
+    a = members(seed)
+    b = E.Ensemble(GRID, a.values + 0.3 * members(seed + 1).values)
+    ga, gb = (E.Ensemble(GRID, act(g, e.values)) for e in (a, b))
+
+    # equivariance of the solver, the strain and the resolved drift
+    pushed = EU.evolve(a, CFG, 0.25).values
+    assert_close(EU.evolve(ga, CFG, 0.25).values, act(g, pushed), "evolve")
+    s, gs = EU.strain(a), EU.strain(ga)
+    assert_close(gs.tensor, act_tensor(g, s.tensor), "strain tensor")
+    assert_close(gs.op_norm, act_scalar(g, s.op_norm), "strain norm")
+    drift = EU._resolved_drift(a.values, 4.0)
+    assert_close(EU._resolved_drift(ga.values, 4.0), act(g, drift), "drift")
+
+    # invariance of the law-level values
+    assert_close(T.wasserstein_exact(ga, gb, p=2)[0],
+                 T.wasserstein_exact(a, b, p=2)[0], "W2")
+    Ks = [1.0, 2.0, 4.0]
+    assert_close(E.tail_profile(ga, Ks), E.tail_profile(a, Ks), "tails")
+    rep = EU.w2_strain_bound_check(a, b, CFG, t=0.25, checkpoints=4)
+    grep = EU.w2_strain_bound_check(ga, gb, CFG, t=0.25, checkpoints=4)
+    for key, value in rep.items():
+        if isinstance(value, bool):
+            assert grep[key] == value, key
+        else:
+            assert_close(grep[key], value, key)
