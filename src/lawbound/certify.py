@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import Ensemble, LawCurve
+from .ensemble import Ensemble
 from .euler import _drift_march, _rk4_step
 from .fields import (
     Grid,
@@ -41,7 +41,6 @@ __all__ = [
     "DriftSpec",
     "GaussianDiffusion",
     "random_test_tuple",
-    "drift_driven_curve",
     "certification_report",
     "pf_identities",
 ]
@@ -116,24 +115,6 @@ class DriftSpec:
             raise ValueError("perturbation must be band-limited to the resolution")
         if divergence_norm(ph) > 1e-10 * total:
             raise ValueError("perturbation must be divergence-free")
-
-
-# only tests and perfbench's tracer reach it; it goes with ROADMAP item 11
-def drift_driven_curve(e0: Ensemble, drift: DriftSpec, horizon: float,
-                       n_steps: int) -> LawCurve:
-    """RK4 integration of du/dt = B(t, u) over [0, horizon] in n_steps
-    steps, every step stored.
-
-    All members march as one half-spectrum vorticity plus their mean flow
-    (see `euler._drift_march`), so every member of e0 must be divergence-free
-    and band-limited to n/3 (a ValueError names the first that is not).
-    A non-finite state raises a RuntimeError."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        stored = [(t, u.copy()) for t, u, _ in _drift_march(
-            e0, drift.resolution, drift.epsilon, drift.perturbation, horizon,
-            n_steps)]
-    return LawCurve(np.array([t for t, _ in stored]),
-                    [Ensemble(e0.grid, u) for _, u in stored])
 
 
 # -------------------------------------------------------------- residuals

@@ -28,6 +28,7 @@ from . import scores as SC
 from . import transport as T
 from .acceptance import pf_ode_checks, run_battery
 from .reporting import (
+    Check,
     Range,
     Report,
     manifest_kind,
@@ -184,9 +185,10 @@ def _finish(report: Report, out_dir: Path, started: float) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     report.write(out_dir / "report.json")
     for c in report.checks:
-        status = "PASS" if c.satisfied else "FAIL"
-        print(f"[{status}] {c.name}: value={c.value:.6g} bound={c.bound:.6g}")
-    return 0 if report.all_satisfied else 2
+        print(c)
+    passed = sum(c.satisfied for c in report.checks)
+    print(f"{passed}/{len(report.checks)} checks satisfied")
+    return 0 if passed == len(report.checks) else 2
 
 
 # ------------------------------------------------------------- subcommands
@@ -209,15 +211,13 @@ def cmd_gen(args) -> int:
         lo, hi = E.default_fit_range(grid)
         radii = np.geomspace(lo, hi, 8)
         sc = E.pointwise_modulus(e, radii)
-        out.mkdir(parents=True, exist_ok=True)
         write_csv(out / "structure.csv", ["r", "value"],
                   list(zip(sc.radii.tolist(), sc.values.tolist())))
         c0, s_fit, resid = E.fit_power_modulus(sc)
         report.extra["structure_fit"] = {"C0": c0, "s": s_fit,
                                          "residual": resid}
-        report.add("gen.structure_exponent", s_fit,
-                   cfg["structure_exponent"],
-                   abs(s_fit - cfg["structure_exponent"]) <= 0.1, 0.1)
+        report.checks.append(Check("gen.structure_exponent", s_fit,
+                                   cfg["structure_exponent"], 0.1, "within"))
     return _finish(report, out, args.started)
 
 
@@ -238,8 +238,7 @@ def cmd_evolve(args) -> int:
                                  checkpoints=cfg["checkpoints"])
     curve = E.LawCurve(times, ensembles)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_lawcurve(out / "curve", curve)
+    write_lawcurve(out / "curve", curve)  # makes `out` too
     rows = []
     for c, ens in enumerate(ensembles):
         # one half spectrum per checkpoint serves both spectral columns
@@ -252,8 +251,8 @@ def cmd_evolve(args) -> int:
               ["t", "energy", "enstrophy", "divergence"], rows)
     e0, eT = rows[0][1], rows[-1][1]
     drift = abs(eT - e0) / max(e0, 1e-300) / max(cfg["horizon"], 1e-300)
-    report = Report("evolve", cfg)
-    report.add("evolve.energy_drift_per_time", drift, 1e-6, drift <= 1e-6, 1e-6)
+    report = Report("evolve", cfg, [
+        Check("evolve.energy_drift_per_time", drift, 1e-6, 1e-6)])
     return _finish(report, out, args.started)
 
 
@@ -265,7 +264,6 @@ def cmd_sample(args) -> int:
     euler_cfg = EU.EulerConfig(e.grid, dt=cfg["reference_dt"])
     ref = EU.reference_step_map(euler_cfg, cfg["dt_phys"])
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     report = Report("sample", cfg | {"seed": args.seed})
     if cfg["store_paths"]:
         # the path array (N, C, m, *shape) is built only when it is stored
@@ -304,7 +302,8 @@ def cmd_metrics(args) -> int:
     sweep = T.capacity_sweep(a, b, [float(K) for K in cfg["K_list"]])
     for K, rep in zip(cfg["K_list"], sweep):
         rows.append((float(K), rep.tail_a, rep.train_k, rep.bound, rep.w2))
-        report.add(f"capacity.K{K}", rep.w2, rep.bound, rep.satisfied, 1e-9)
+        report.checks.append(Check(f"capacity.K{K}", rep.w2, rep.bound, 1e-9,
+                                   "at_most_rel"))
         report.extra[f"K{K}"] = rep.as_dict()
     write_csv(out / "sweep.csv", ["K", "tail_a", "train", "bound", "w2"], rows)
     return _finish(report, out, args.started)
@@ -321,8 +320,8 @@ def cmd_transport(args) -> int:
                         "times": ca.times.tolist()}
         # d_T is bounded by the horizon times the worst per-time W1
         cap = float(ca.horizon * w1s.max()) if len(w1s) else 0.0
-        report.add("transport.d_T", d_t, cap, d_t <= cap * (1 + 1e-12),
-                   1e-12)
+        report.checks.append(Check("transport.d_T", d_t, cap, 1e-12,
+                                   "at_most_rel"))
     else:
         a, _ = read_ensemble(args.a)
         b, _ = read_ensemble(args.b)
@@ -331,7 +330,8 @@ def cmd_transport(args) -> int:
         report.extra = {"w1": w1, "w2": w2}
         if entropic is not None:
             report.extra["sinkhorn"] = entropic
-        report.add("transport.w1_le_w2", w1, w2, w1 <= w2 * (1 + 1e-9), 1e-9)
+        report.checks.append(Check("transport.w1_le_w2", w1, w2, 1e-9,
+                                   "at_most_rel"))
     return _finish(report, Path(args.out), args.started)
 
 
@@ -343,13 +343,13 @@ def cmd_stability(args) -> int:
     rep = EU.w2_strain_bound_check(a, b, euler_cfg, cfg["horizon"],
                                    checkpoints=cfg["checkpoints"],
                                    tol=cfg["tol"])
-    report = Report("stability", cfg)
-    report.add("stability.w2_growth", rep["w2_t"], rep["w2_bound"],
-               rep["w2_ok"], cfg["tol"])
-    report.add("stability.coupled_moment", rep["moment_t"], rep["moment_bound"],
-               rep["moment_ok"], cfg["tol"])
-    report.add("stability.avg_below_sup", rep["strain_integral"],
-               rep["sup_strain_integral"], rep["avg_below_sup"], 1e-12)
+    report = Report("stability", cfg, [
+        Check("stability.w2_growth", rep["w2_t"], rep["w2_bound"], cfg["tol"],
+              "at_most_rel"),
+        Check("stability.coupled_moment", rep["moment_t"],
+              rep["moment_bound"], cfg["tol"], "at_most_rel"),
+        Check("stability.avg_below_sup", rep["strain_integral"],
+              rep["sup_strain_integral"], 1e-12, "at_most_rel")])
     report.extra = {k: rep[k] for k in ("times", "lambda_curve",
                                         "strain_integral",
                                         "sup_strain_integral")}
@@ -372,13 +372,11 @@ def cmd_rollout(args) -> int:
     write_csv(out / "ledger.csv", ["n", "alpha", "eps", "delta", "bound"],
               [(r["n"], r["alpha"], r["eps"], r["delta"], r["bound"])
                for r in ledger.rows()])
-    report = Report("rollout", cfg | {"seed": args.seed})
-    report.add("rollout.final", rep["delta_final"], rep["bound_final"],
-               rep["final_ok"], cfg["slack"])
-    report.add("rollout.per_step", float(rep["per_step_ok"]), 1.0,
-               rep["per_step_ok"], cfg["slack"])
-    report.add("rollout.horizon_complete", float(rep["horizon_complete"]), 1.0,
-               rep["horizon_complete"], 0.0)
+    report = Report("rollout", cfg | {"seed": args.seed}, [
+        Check("rollout.final", rep["delta_final"], rep["bound_final"],
+              cfg["slack"], flag=rep["final_ok"]),
+        Check.holds("rollout.per_step", rep["per_step_ok"], cfg["slack"]),
+        Check.holds("rollout.horizon_complete", rep["horizon_complete"])])
     report.extra = {k: rep[k] for k in ("alpha_total", "max_defect",
                                         "violations", "guard_events")}
     return _finish(report, out, args.started)
@@ -388,11 +386,11 @@ def cmd_certify(args) -> int:
     cfg = _config(args)
     rep = C.certification_report(F.Grid(2, cfg["n"]), seed=int(args.seed),
                                  **{k: v for k, v in cfg.items() if k != "n"})
-    report = Report("certify", cfg | {"seed": args.seed})
-    report.add("certify.cross_route", rep["rel_gap"], cfg["rel_tol"],
-               rep["routes_agree"], cfg["rel_tol"])
-    report.add("certify.regression_bound", abs(rep["residual_defect"]),
-               rep["bound"], rep["satisfied"], 1e-9)
+    report = Report("certify", cfg | {"seed": args.seed}, [
+        Check("certify.cross_route", rep["rel_gap"], cfg["rel_tol"],
+              cfg["rel_tol"]),
+        Check("certify.regression_bound", abs(rep["residual_defect"]),
+              rep["bound"], 1e-9, "at_most_rel")])
     report.extra = {k: rep[k] for k in
                     ("residual_direct", "residual_defect", "rel_gap",
                      "l_drift", "m_2k", "bound")}
@@ -422,28 +420,19 @@ def cmd_scores(args) -> int:
     write_csv(out / "scores.csv", ["t", "crps", "w1_pushforward", "bound"],
               [(r["t"], r["crps"], r["w1_pushforward"], r["bound"])
                for r in rep["rows"]])
-    report = Report("scores", cfg)
-    report.add("scores.crps_dT", rep["crps_integral"],
-               2.0 * rep["lipschitz"] * rep["d_T"],
-               rep["integral_ok"], 1e-9)
-    report.add("scores.per_time_chain", float(rep["per_time_ok"]), 1.0,
-               rep["per_time_ok"], 1e-9)
+    report = Report("scores", cfg, [
+        Check("scores.crps_dT", rep["crps_integral"],
+              2.0 * rep["lipschitz"] * rep["d_T"], 1e-9,
+              flag=rep["integral_ok"]),
+        Check.holds("scores.per_time_chain", rep["per_time_ok"], 1e-9)])
     report.extra = {"d_T": rep["d_T"], "lipschitz": rep["lipschitz"]}
     return _finish(report, out, args.started)
 
 
 def cmd_verify_all(args) -> int:
-    checks = run_battery(quick=args.quick, seed=int(args.seed), log=print)
-    report = Report("verify-all", {"quick": bool(args.quick),
-                                   "seed": args.seed})
-    report.checks = checks
-    report.wall_time_s = time.time() - args.started
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    report.write(out / "report.json")
-    n_fail = sum(not c.satisfied for c in checks)
-    print(f"{len(checks) - n_fail}/{len(checks)} checks satisfied")
-    return 0 if n_fail == 0 else 2
+    report = Report("verify-all", {"quick": bool(args.quick), "seed": args.seed},
+                    run_battery(args.quick, int(args.seed), log=print))
+    return _finish(report, Path(args.out), args.started)
 
 
 # ------------------------------------------------------------------ parser

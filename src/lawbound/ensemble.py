@@ -59,7 +59,8 @@ class Ensemble:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("ensemble values must be finite")
 
-    # only tests and perfbench call it; it goes with ROADMAP item 11
+    # no src caller: perfbench/workloads.py builds the flow-coupling inputs
+    # with it, and the tests build ensembles from fields with it
     @classmethod
     def from_fields(cls, members) -> "Ensemble":
         members = list(members)

@@ -237,23 +237,6 @@ def _disk_mask(n: int, K: float) -> np.ndarray:
     return mask
 
 
-def _resolved_drift(vel: np.ndarray, K: float) -> np.ndarray:
-    """Resolved Euler tendency P_{<=K} Leray(-div(u x u)) of velocities
-    (N, 2, n, n), divergence-free and band-limited to n/3.
-
-    In 2D the curl of -div(u x u) is -u.grad(w) and both are mean-free, so
-    the drift is the Biot-Savart velocity of the vorticity tendency, masked
-    to the disk |k| <= min(K, n/3) where the quadratic product is
-    alias-free.  The advecting velocity is the Biot-Savart velocity of w
-    plus the mean of `vel`, which w cannot carry; for such input it equals
-    `vel` up to roundoff."""
-    n = vel.shape[-1]
-    ws = _Workspace(len(vel), n)
-    w = _vorticity_into(vel, ws, ws.stage)
-    _advection(w, ws, _disk_mask(n, K), ws.k1, mean=vel.mean(axis=(2, 3)))
-    return _velocity_into(ws.k1, ws, np.empty_like(vel))
-
-
 def _check_resolvable(u: GridField, name: str) -> None:
     """Reject a velocity the vorticity form would misread: one with modes
     beyond n/3, where the quadratic product aliases, or a gradient part,

@@ -340,20 +340,54 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical_json(config).encode()).hexdigest()
 
 
+# A check's comparison: name -> (its printed rule, its verdict)
+COMPARISONS = {
+    "at_most": ("value <= bound", lambda v, b, tol: v <= b),
+    "at_most_rel": ("value <= bound*(1+tol)",
+                    lambda v, b, tol: v <= b * (1 + tol)),
+    "within": ("|value - bound| <= tol", lambda v, b, tol: abs(v - b) <= tol),
+    "above": ("value > bound", lambda v, b, tol: v > b),
+    "at_least": ("value >= bound", lambda v, b, tol: v >= b),
+}
+
+
 @dataclass
 class Check:
+    """One report row: `value` against `bound` by the declared comparison,
+    which decides `satisfied`.  A check whose printed numbers cannot decide
+    its verdict passes it in as `flag` instead (README, "Checks")."""
+
     name: str
     value: float
     bound: float
-    satisfied: bool
-    tolerance: float
+    tolerance: float = 0.0
+    compare: str = "at_most"
+    flag: bool | None = None
+
+    @classmethod
+    def holds(cls, name, ok, tolerance=0.0) -> "Check":
+        """A boolean condition, reported as 1.0 (or 0.0) against 1.0."""
+        return cls(name, float(ok), 1.0, tolerance, "at_least")
+
+    @property
+    def satisfied(self) -> bool:
+        if self.flag is not None:
+            return bool(self.flag)
+        return bool(COMPARISONS[self.compare][1](self.value, self.bound,
+                                                 self.tolerance))
+
+    def __str__(self):
+        rule = "flag" if self.flag is not None else COMPARISONS[self.compare][0]
+        return (f"[{'PASS' if self.satisfied else 'FAIL'}] {self.name}: "
+                f"value={self.value:.6g} bound={self.bound:.6g} "
+                f"tol={self.tolerance:g} ({rule})")
 
     def as_dict(self) -> dict:
         return {
             "name": self.name,
             "value": float(self.value),
             "bound": float(self.bound),
-            "satisfied": bool(self.satisfied),
+            "satisfied": self.satisfied,
             "tolerance": float(self.tolerance),
         }
 
@@ -365,13 +399,6 @@ class Report:
     checks: list = field(default_factory=list)
     extra: dict = field(default_factory=dict)
     wall_time_s: float = 0.0
-
-    def add(self, name, value, bound, satisfied, tolerance) -> None:
-        self.checks.append(Check(name, value, bound, satisfied, tolerance))
-
-    @property
-    def all_satisfied(self) -> bool:
-        return all(c.satisfied for c in self.checks)
 
     def as_dict(self) -> dict:
         return {

@@ -29,3 +29,15 @@ def full_divergence_norms(coef, grid):
     (..., d, *grid.shape), one per leading index."""
     div = 1j * np.sum(F._modes(grid.d, grid.n) * coef, axis=-grid.d - 1)
     return np.sqrt(full_parseval_sq(div, grid))
+
+
+def count_full_complex_transforms(monkeypatch) -> list:
+    """Record the name of every full complex n-d transform numpy.fft runs
+    while `monkeypatch` holds; returns the list it appends to."""
+    calls = []
+    for name in ("fftn", "ifftn", "fft2", "ifft2"):
+        def counted(*args, _f=getattr(np.fft, name), _name=name, **kw):
+            calls.append(_name)
+            return _f(*args, **kw)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls

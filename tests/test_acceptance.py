@@ -25,9 +25,7 @@ def run_criterion(name, fn):
     status = "PASS" if not failed else "FAIL"
     print(f"ACCEPTANCE {name}: {status} ({len(checks)} checks)")
     for c in checks:
-        mark = "ok " if c.satisfied else "BAD"
-        print(f"    [{mark}] {c.name}: value={c.value:.6g} "
-              f"bound={c.bound:.6g} tol={c.tolerance:g}")
+        print(f"    {c}")
     assert not failed, f"{name}: {[c.name for c in failed]}"
 
 
@@ -93,12 +91,14 @@ def _run_verify_quick(out_dir, threads):
     return strip_timing((out_dir / "report.json").read_text())
 
 
-def test_criterion_14_determinism(tmp_path):
-    first = _run_verify_quick(tmp_path / "run1", threads=1)
-    second = _run_verify_quick(tmp_path / "run2", threads=1)
+def test_criterion_14_determinism(tmp_path, quick_battery):
+    # the shared in-process run, then one fresh process per worker count
+    code, first, _ = quick_battery
+    assert code == 0
+    second = _run_verify_quick(tmp_path / "run1", threads=1)
     threaded = _run_verify_quick(tmp_path / "run4", threads=4)
     same_seed = first == second
-    same_threads = first == threaded
+    same_threads = second == threaded
     status = "PASS" if same_seed and same_threads else "FAIL"
     print(f"ACCEPTANCE 14_determinism: {status} (3 runs compared)")
     assert same_seed, "repeated runs with one seed differ"

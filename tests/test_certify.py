@@ -5,6 +5,7 @@ from lawbound import certify as C
 from lawbound import ensemble as E
 from lawbound import euler as EU
 from lawbound import fields as F
+import euler_oracle as EO
 from spectral_oracle import full_spectrum
 
 GRID = F.Grid(2, 32)
@@ -16,15 +17,34 @@ def bandlimited_unit(seed, k_max=8, grid=GRID, exponent=3.5):
 
 
 # ------------------------------------------------------------------ oracles
-# References for the batched code in certify: the N=1 view of the drift,
-# and, independent of the package, the velocity-form resolved drift on
-# full-complex FFTs and the residual routes evaluated one member at a time.
+# References for the batched code in certify: the drift oracle on one
+# field, and, independent of the package, the velocity-form resolved drift
+# on full-complex FFTs and the residual routes evaluated one member at a
+# time.
 
 def euler_drift_resolved(u, K):
-    """The N=1 view of `euler._resolved_drift` behind the input check of
-    the certification march (`euler._check_resolvable`)."""
+    """The drift oracle `euler_oracle.resolved_drift` on one field, behind
+    the input check of the certification march (`euler._check_resolvable`)."""
     EU._check_resolvable(u, "input field")
-    return F.GridField(u.grid, EU._resolved_drift(u.values[None], K)[0])
+    return F.GridField(u.grid, EO.resolved_drift(u.values[None], K)[0])
+
+
+def march_drift(vals, K):
+    """The resolved drift the certification march yields at time 0."""
+    grid = F.Grid(2, vals.shape[-1])
+    zero = F.GridField(grid, np.zeros((2,) + grid.shape))
+    return next(EU._drift_march(E.Ensemble(grid, vals), K, 0.0, zero,
+                                1.0, 1))[2]
+
+
+def drift_driven_curve(e0, drift, horizon, n_steps):
+    """The certification march's n_steps+1 stored states as a law curve."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        stored = [(t, u.copy()) for t, u, _ in EU._drift_march(
+            e0, drift.resolution, drift.epsilon, drift.perturbation, horizon,
+            n_steps)]
+    return E.LawCurve(np.array([t for t, _ in stored]),
+                      [E.Ensemble(e0.grid, u) for _, u in stored])
 
 
 def drift_velocity_form(vals, K):
@@ -204,7 +224,7 @@ def oracle_drift_driven_curve(e0, drift, horizon, n_steps):
     bufs = [np.empty_like(e0.values) for _ in range(5)]
 
     def vel(y, _, out):
-        return np.add(EU._resolved_drift(y, K), pert, out=out)
+        return np.add(EO.resolved_drift(y, K), pert, out=out)
 
     for s in range(n_steps):
         EU._rk4_step(vel, states[s], 0.0, dt, bufs, states[s + 1])
@@ -227,7 +247,7 @@ def oracle_certification_pass(curve, tt, K, drift):
     m2k = 0.0
     for s, (t, e) in enumerate(zip(curve.times, curve.ensembles)):
         vals = e.values
-        base = EU._resolved_drift(vals, K)
+        base = EO.resolved_drift(vals, K)
         model = base + pert if drift.epsilon else base
         defect = base - model
         p = cell * np.einsum("ncxy,kcxy->nk", vals, phis)
@@ -302,7 +322,7 @@ def test_drift_matches_vorticity_solver_tendency():
 def test_drift_batch_matches_single():
     members = [bandlimited_unit(3 + i) for i in range(3)]
     vals = np.stack([m.values for m in members])
-    batch = EU._resolved_drift(vals, 8)
+    batch = march_drift(vals, 8)
     for i, m in enumerate(members):
         single = euler_drift_resolved(m, 8)
         assert np.max(np.abs(batch[i] - single.values)) < 1e-14
@@ -318,7 +338,7 @@ def test_shared_drift_matches_velocity_form_oracle(N, mean_flow):
         vals = vals + np.array([0.3, -0.2])[None, :, None, None]
     for K in (4, 8, GRID.n / 3.0):
         oracle = drift_velocity_form(vals, K)
-        shared = EU._resolved_drift(vals, K)
+        shared = march_drift(vals, K)
         scale = np.max(np.abs(oracle))
         assert scale > 0
         assert np.max(np.abs(shared - oracle)) <= 1e-13 * scale
@@ -419,7 +439,7 @@ def small_setup(k=1, eps=1e-2, n_steps=64, T=0.25, seed=21):
     tt = C.random_test_tuple(GRID, k, 6, T, seed=rng)
     g = bandlimited_unit(int(rng.integers(1 << 30)))
     drift = C.DriftSpec(resolution=8, epsilon=eps, perturbation=g)
-    curve = C.drift_driven_curve(e0, drift, T, n_steps)
+    curve = drift_driven_curve(e0, drift, T, n_steps)
     return e0, tt, drift, curve
 
 
@@ -465,7 +485,7 @@ def test_fused_pass_matches_public_routes():
     # against the per-member oracle routes above
     _, tt, drift, curve = small_setup(k=2, eps=1e-2, n_steps=32)
     sweep = C._fused_certification_pass(
-        ((t, e.values, EU._resolved_drift(e.values, 8))
+        ((t, e.values, EO.resolved_drift(e.values, 8))
          for t, e in zip(curve.times, curve.ensembles)), tt, drift)
     assert abs(sweep["direct"] - residual_direct(curve, tt, 8)) < 1e-12
     assert abs(sweep["defect"] - residual_via_defect(curve, tt, 8, drift)) < 1e-12
@@ -490,7 +510,7 @@ def test_vorticity_march_matches_velocity_form_curve(N, eps, mean_flow):
     drift = C.DriftSpec(resolution=8, epsilon=eps,
                         perturbation=F.GridField(GRID, g))
     e0 = E.Ensemble(GRID, vals)
-    got = C.drift_driven_curve(e0, drift, 0.25, 32)
+    got = drift_driven_curve(e0, drift, 0.25, 32)
     want = oracle_drift_driven_curve(e0, drift, 0.25, 32)
     assert got.times.tobytes() == want.times.tobytes()
     for a, b in zip(got.ensembles, want.ensembles):
@@ -566,7 +586,7 @@ def test_drift_driven_curve_rejects_unresolvable_member(broken, match):
     drift = C.DriftSpec(resolution=8, epsilon=0.0,
                         perturbation=bandlimited_unit(72))
     with pytest.raises(ValueError, match=match):
-        C.drift_driven_curve(e0, drift, 0.25, 4)
+        drift_driven_curve(e0, drift, 0.25, 4)
 
 
 def test_single_mode_closed_form():
@@ -578,7 +598,7 @@ def test_single_mode_closed_form():
     tt = C.TestTuple([g], T)
     e0 = E.Ensemble.from_fields([bandlimited_unit(31)])
     drift = C.DriftSpec(resolution=8, epsilon=eps, perturbation=g)
-    curve = C.drift_driven_curve(e0, drift, T, 512)
+    curve = drift_driven_curve(e0, drift, T, 512)
     analytic = -eps * F.inner(g, g) * T / 4.0  # integral of theta is T/4
     theta_quad = np.trapezoid([tt.theta(t) for t in curve.times], curve.times)
     discrete = -eps * F.inner(g, g) * theta_quad

@@ -168,8 +168,8 @@ def test_lawcurve_manifest_round_trip(tmp_path):
 # ----------------------------------------------------------------- reports
 
 def test_report_round_trip_and_hash_stability(tmp_path):
-    rep = RP.Report("metrics", {"b": 2, "a": 1})
-    rep.add("x", 1.0, 2.0, True, 1e-9)
+    rep = RP.Report("metrics", {"b": 2, "a": 1},
+                    [RP.Check("x", 1.0, 2.0, 1e-9)])
     rep.write(tmp_path / "r.json")
     doc = json.loads((tmp_path / "r.json").read_text())
     assert doc["schema_version"] == RP.SCHEMA_VERSION
@@ -181,12 +181,49 @@ def test_report_round_trip_and_hash_stability(tmp_path):
 
 
 def test_strip_timing_removes_only_wall_time(tmp_path):
-    rep = RP.Report("x", {}, wall_time_s=1.23)
-    rep.add("c", 0.0, 1.0, True, 0.0)
+    rep = RP.Report("x", {}, [RP.Check("c", 0.0, 1.0)], wall_time_s=1.23)
     text = RP.canonical_json(rep.as_dict())
     stripped = RP.strip_timing(text)
     assert "wall_time_s" not in stripped
     assert "checks" in stripped
+
+
+@pytest.mark.parametrize("compare, holds, fails", [
+    ("at_most", (1.0, 1.0, 0.0), (1.5, 1.0, 0.0)),
+    ("at_most_rel", (1.05, 1.0, 0.1), (1.2, 1.0, 0.1)),
+    ("within", (-0.45, -0.5, 0.1), (-0.3, -0.5, 0.1)),
+    ("above", (1.5, 1.0, 0.0), (1.0, 1.0, 0.0)),
+    ("at_least", (1.0, 1.0, 0.0), (0.5, 1.0, 0.0)),
+])
+def test_check_verdict_is_its_declared_comparison(compare, holds, fails):
+    assert RP.Check("c", *holds, compare).satisfied
+    assert not RP.Check("c", *fails, compare).satisfied
+    assert not RP.Check("c", np.nan, 1.0, 0.1, compare).satisfied
+    assert RP.COMPARISONS[compare][0] in str(RP.Check("c", *holds, compare))
+
+
+def test_check_flag_is_the_verdict_and_a_boolean_is_at_least_one():
+    assert not RP.Check("c", 0.0, 1.0, flag=False).satisfied
+    assert RP.Check("c", 2.0, 1.0, flag=True).satisfied
+    assert str(RP.Check("c", 2.0, 1.0, flag=True)).endswith("(flag)")
+    assert RP.Check.holds("b", False, 1e-9).as_dict() == {
+        "name": "b", "value": 0.0, "bound": 1.0, "satisfied": False,
+        "tolerance": 1e-9}
+
+
+def test_cli_verify_all_non_finite_check_exit_3(tmp_path, capsys,
+                                                monkeypatch):
+    # verify-all wrote its report itself, and a NaN check failed the JSON
+    # encoder: exit 1, as for bad input, with no check named
+    from lawbound import acceptance as A
+    monkeypatch.setattr(A, "CRITERIA", [("nan", lambda quick, seed: [
+        RP.Check("nan.check", float("nan"), 1.0)])])
+    capsys.readouterr()
+    assert main(["verify-all", "--quick", "--seed", "1",
+                 "--out", str(tmp_path / "v")]) == 3
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "check nan.check" in err
+    assert not (tmp_path / "v" / "report.json").exists()
 
 
 def test_validate_config_rejects_unknown_and_missing():

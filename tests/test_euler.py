@@ -9,6 +9,7 @@ from lawbound import ensemble as E
 from lawbound import euler as EU
 from lawbound import fields as F
 from lawbound import transport as T
+import euler_oracle as EO
 from spectral_oracle import full_spectrum, full_synthesize
 
 GRID = F.Grid(2, 64)
@@ -70,93 +71,6 @@ def ref_evolve(u, dt, n_steps):
     return full_synthesize(ref_velocity_hat(w, n), u.grid)
 
 
-# ------------------------------------ allocating half-spectrum oracle
-# The half-spectrum route before the solver workspace: every stage
-# allocates its arrays and transforms through rfft2/irfft2.  The workspace
-# march and drift must reproduce it bit for bit.
-
-def _irfft2(spec, n):
-    return np.fft.irfft2(spec, s=(n, n), norm="forward")
-
-
-def _velocity_hat(w_hat, n):
-    ikd, inv_k2, _ = EU._solver_arrays(n)
-    psi_hat = -w_hat * inv_k2
-    return np.stack([-ikd[1] * psi_hat, ikd[0] * psi_hat], axis=-3)
-
-
-def _velocity(w_hat, n):
-    return _irfft2(_velocity_hat(w_hat, n), n)
-
-
-def _gradient_hat(w_hat, n):
-    ikd = EU._solver_arrays(n)[0]
-    return np.stack([ikd[0] * w_hat, ikd[1] * w_hat], axis=-3)
-
-
-def _advection(w_hat, n, mask, vel=None, mean=None):
-    """Advected by the Biot-Savart velocity of w_hat plus `mean` (N, 2),
-    or by the velocity `vel` (N, 2, n, n) when given."""
-    if vel is None:
-        spec = np.concatenate([_velocity_hat(w_hat, n), _gradient_hat(w_hat, n)],
-                              axis=-3)
-        u, v, wx, wy = np.moveaxis(_irfft2(spec, n), -3, 0)
-        if mean is not None:
-            u, v = u + mean[:, 0, None, None], v + mean[:, 1, None, None]
-    else:
-        u, v = np.moveaxis(vel, -3, 0)
-        wx, wy = np.moveaxis(_irfft2(_gradient_hat(w_hat, n), n), -3, 0)
-    adv_hat = np.fft.rfft2(u * wx + v * wy, norm="forward")
-    return -adv_hat * mask, (u, v)
-
-
-def _vorticity_of(values, n):
-    ikd = EU._solver_arrays(n)[0]
-    uh = np.fft.rfft2(values, norm="forward")
-    return ikd[0] * uh[..., 1, :, :] - ikd[1] * uh[..., 0, :, :]
-
-
-def _tendency(w_hat, n):
-    return _advection(w_hat, n, EU._solver_arrays(n)[2])
-
-
-def _rhs(w_hat, n):
-    return _tendency(w_hat, n)[0]
-
-
-def _check_cfl(u, v, cfg):
-    umax = max(np.abs(u).max(), np.abs(v).max())
-    if umax > 0 and cfg.dt > EU.CFL * cfg.grid.spacing / umax:
-        raise RuntimeError(
-            f"CFL violation: dt={cfg.dt} > {EU.CFL * cfg.grid.spacing / umax:.3e}"
-        )
-
-
-def _rk4_step(w_hat, cfg):
-    n, dt = cfg.grid.n, cfg.dt
-    k1, (u, v) = _tendency(w_hat, n)
-    _check_cfl(u, v, cfg)
-    k2 = _rhs(w_hat + 0.5 * dt * k1, n)
-    k3 = _rhs(w_hat + 0.5 * dt * k2, n)
-    k4 = _rhs(w_hat + dt * k3, n)
-    out = w_hat + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    if not np.all(np.isfinite(out)):
-        raise RuntimeError("NaN detected in Euler step")
-    return out
-
-
-def _resolved_drift(vel, K, velocity_form=False):
-    """Advected by the Biot-Savart velocity of the vorticity plus the mean
-    flow, or by `vel` itself in the velocity form (equal up to roundoff for
-    divergence-free input band-limited to n/3)."""
-    n = vel.shape[-1]
-    flow = ({"vel": vel} if velocity_form
-            else {"mean": vel.mean(axis=(-2, -1))})
-    adv_hat, _ = _advection(_vorticity_of(vel, n), n, EU._disk_mask(n, K),
-                            **flow)
-    return _velocity(adv_hat, n)
-
-
 def block_rows(n):
     """Members per block of the chunked march."""
     return EU._CHUNK_BYTES // (4 * n * n * 8)
@@ -180,10 +94,10 @@ def test_workspace_march_matches_allocating_oracle(threads, n, count):
         vals = unit_batch(grid, N, seed0=N)
         times, states = EU.evolve(E.Ensemble(grid, vals), cfg, 3 * cfg.dt,
                                   checkpoints=3)
-        w = _vorticity_of(vals, n)
+        w = EO.vorticity_of(vals, n)
         for s in range(1, 4):
-            w = _rk4_step(w, cfg)
-            assert states[s].values.tobytes() == _velocity(w, n).tobytes(), (N, s)
+            w = EO.rk4_step(w, cfg)
+            assert states[s].values.tobytes() == EO.velocity(w, n).tobytes(), (N, s)
         assert times[-1] == 3 * cfg.dt
 
 
@@ -199,7 +113,7 @@ def test_guard_trip_in_last_block_raises_oracle_message(threads, count):
         vals[0] *= first
         vals[-1] *= 60.0
         with pytest.raises(RuntimeError, match="CFL") as oracle:
-            _rk4_step(_vorticity_of(vals, GRID.n), cfg)
+            EO.rk4_step(EO.vorticity_of(vals, GRID.n), cfg)
         with pytest.raises(RuntimeError) as got:
             EU.evolve(E.Ensemble(GRID, vals), cfg, 4 * cfg.dt)
         assert str(got.value) == str(oracle.value)
@@ -262,17 +176,17 @@ def test_many_blocks_on_more_workers_than_cores(threads, monkeypatch):
     vals = unit_batch(grid, 9, seed0=50)
     fast = vals.copy()
     fast[4] *= 40.0
-    w = _vorticity_of(vals, grid.n)
+    w = EO.vorticity_of(vals, grid.n)
     for _ in range(3):
-        w = _rk4_step(w, cfg)
+        w = EO.rk4_step(w, cfg)
     with pytest.raises(RuntimeError, match="CFL") as oracle:
-        _rk4_step(_vorticity_of(fast, grid.n), cfg)
+        EO.rk4_step(EO.vorticity_of(fast, grid.n), cfg)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
             out = EU.evolve(E.Ensemble(grid, vals), cfg, 3 * cfg.dt)
-            assert out.values.tobytes() == _velocity(w, grid.n).tobytes()
+            assert out.values.tobytes() == EO.velocity(w, grid.n).tobytes()
             with pytest.raises(RuntimeError) as got:
                 EU.evolve(E.Ensemble(grid, fast), cfg, 3 * cfg.dt)
             assert str(got.value) == str(oracle.value)
@@ -291,20 +205,35 @@ def test_evolve_rejects_checkpoints_that_march_nothing(t, checkpoints, name):
 
 
 def test_workspace_drift_matches_allocating_drift():
+    # at every stored time, the certification march's drift b (read off its
+    # first RK4 stage) is the oracle's resolved drift of the velocity u it
+    # yields, with and without a mean flow (which the vorticity cannot
+    # carry) and forcing
     grid = F.Grid(2, 32)
-    for N, K, seed0, flow in ((3, 8, 10, 0.0), (2, grid.n / 3.0, 20, 0.0),
-                              (3, 4, 30, 0.05)):
-        vals = 0.1 * unit_batch(grid, N, seed0=seed0)
-        vals = np.stack([F.inverse(F.project_leq(F.forward(F.GridField(grid, v)),
-                                                 grid.n / 3.0)).values
-                         for v in vals])
-        vals[:, 0] += flow   # a mean flow, which the vorticity cannot carry
+
+    def resolved(vals):
+        return np.stack([F.inverse(F.project_leq(
+            F.forward(F.GridField(grid, v)), grid.n / 3.0)).values
+            for v in vals])
+
+    for N, K, seed0, flow, eps in ((3, 8, 10, 0.0, 0.0),
+                                   (2, grid.n / 3.0, 20, 0.0, 1e-2),
+                                   (3, 4, 30, 0.05, 1e-2)):
+        vals = resolved(0.1 * unit_batch(grid, N, seed0=seed0))
+        vals[:, 0] += flow
         vals[:, 1] -= 0.5 * flow
-        shared = EU._resolved_drift(vals, K)
-        assert shared.tobytes() == _resolved_drift(vals, K).tobytes()
-        velocity_form = _resolved_drift(vals, K, velocity_form=True)
-        assert (np.abs(shared - velocity_form).max()
-                <= 1e-13 * np.abs(velocity_form).max())
+        g = resolved(unit_batch(grid, 1, seed0=seed0 + 5))[0]
+        g[0] += flow
+        stored = 0
+        for t, u, b in EU._drift_march(E.Ensemble(grid, vals), K, eps,
+                                       F.GridField(grid, g), 0.25, 8):
+            want = EO.resolved_drift(u, K)
+            scale = np.abs(want).max()
+            assert np.abs(b - want).max() <= 1e-13 * scale, (N, t)
+            velocity_form = EO.resolved_drift(u, K, velocity_form=True)
+            assert np.abs(want - velocity_form).max() <= 1e-13 * scale
+            stored += 1
+        assert stored == 9
 
 
 @pytest.mark.parametrize("lanes", [slice(None), slice(0, 2), slice(2, 4)])
@@ -368,7 +297,7 @@ def test_taylor_green_is_steady():
     # of the vorticity equation at t=0, then integrated for t <= 1
     tg = EU.taylor_green(GRID)
     w_hat = EU.vorticity_hat(tg)
-    rhs = _rhs(w_hat, GRID.n)
+    rhs = EO.rhs(w_hat, GRID.n)
     assert np.max(np.abs(rhs)) < 1e-14
     cfg = EU.EulerConfig(GRID, dt=0.01)
     out = EU.evolve(tg, cfg, 1.0)
@@ -668,6 +597,22 @@ def test_evolve_ensemble_matches_member_loop():
     for i in range(a.size):
         direct = EU.evolve(a.member(i), cfg, 0.05)
         assert np.array_equal(pushed.values[i], direct.values)
+
+
+def test_rk4_drift_of_energy_and_enstrophy_falls_at_fifth_order():
+    # the 2/3-dealiased semi-discrete system conserves energy and enstrophy
+    # exactly, so their drift is RK4's alone: O(dt^6) per step on a skew
+    # mode, dt^5 over a fixed horizon.  No oracle is involved
+    grid = F.Grid(2, 32)
+    u = F.random_divfree(grid, 4.0, 8, seed=3)
+    u = F.GridField(grid, 2.0 * u.values / F.l2_norm(u))
+    drifts = []
+    for dt in (1 / 16, 1 / 32, 1 / 64, 1 / 128):
+        v = EU.evolve(u, EU.EulerConfig(grid, dt=dt), 0.5)
+        drifts.append((abs(EU.energy(v) / EU.energy(u) - 1),
+                       abs(EU.enstrophy(v) / EU.enstrophy(u) - 1)))
+    orders = np.log2(np.divide(drifts[:-1], drifts[1:]))
+    assert orders.min() >= 4.5, orders
 
 
 def test_only_euler_names_the_vorticity_workspace():

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from lawbound import fields as F
 from lawbound.cli import main
-from spectral_oracle import (full_divergence_norms, full_parseval_sq,
+from spectral_oracle import (count_full_complex_transforms,
+                             full_divergence_norms, full_parseval_sq,
                              full_spectrum, full_synthesize)
 
 
@@ -521,18 +522,13 @@ def test_half_layout_specfield_matches_full_complex_oracle(d, log2n, m,
 
 
 def test_no_full_complex_transform_in_battery_or_certify(tmp_path,
-                                                          monkeypatch):
+                                                          monkeypatch,
+                                                          quick_battery):
     # every spectrum in the package has the half layout: neither the quick
     # battery nor a certification run calls a full complex n-d transform
-    calls = []
-    for name in ("fftn", "ifftn", "fft2", "ifft2"):
-        def counted(*args, _f=getattr(np.fft, name), _name=name, **kw):
-            calls.append(_name)
-            return _f(*args, **kw)
-        monkeypatch.setattr(np.fft, name, counted)
-    assert main(["verify-all", "--quick", "--seed", "42",
-                 "--out", str(tmp_path / "battery")]) == 0
-    assert calls == []
+    code, _, battery_calls = quick_battery
+    assert code == 0 and battery_calls == []
+    calls = count_full_complex_transforms(monkeypatch)
     assert main(["certify", "--seed", "11",
                  "--out", str(tmp_path / "certify")]) == 0
     assert calls == []

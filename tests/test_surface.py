@@ -9,16 +9,16 @@ import re
 from collections import Counter
 from pathlib import Path
 
+from lawbound import reporting as RP
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "lawbound"
 
-# Names that only the benchmark and tests reach.  perfbench/ pins both, so
-# they go with the benchmark change of ROADMAP item 11.
+# Names that only the benchmark and tests reach.
 EXEMPT = {
-    # ROADMAP item 11: perfbench's tracer wraps it and its tests assert so
+    # perfbench/workloads.py builds the flow-coupling inputs with it, and
+    # its tracer wraps it (ROADMAP item 11)
     "ensemble.Ensemble.from_fields",
-    # ROADMAP item 11: perfbench's certify.* counters are keyed on it
-    "certify.drift_driven_curve",
 }
 
 
@@ -112,3 +112,47 @@ def test_library_api_and_exemptions_name_live_unreached_names():
         mod, node = names[dotted]
         assert not called(node.name, mod, node), (
             f"{dotted} has a src caller now: drop its exemption")
+
+
+# ------------------------------------------------------- check verdicts
+# Every check's verdict is its declared comparison, except the flags that
+# README's "Checks" section lists with their reasons.
+
+def _check_calls():
+    """(name pattern, keywords, positional args) of every `Check(...)` and
+    `Check.holds(...)` in src; an f-string name reads `*` for each field."""
+    for tree in _modules().values():
+        for n in ast.walk(tree):
+            func = n.func if isinstance(n, ast.Call) else None
+            if isinstance(func, ast.Attribute) and func.attr == "holds":
+                func = func.value
+            if not (isinstance(func, ast.Name) and func.id == "Check"):
+                continue
+            name = n.args[0]
+            if isinstance(name, ast.JoinedStr):
+                name = "".join(v.value if isinstance(v, ast.Constant) else "*"
+                               for v in name.values)
+            else:
+                name = name.value
+            yield name, {k.arg: k.value for k in n.keywords}, n.args
+
+
+def readme_flags():
+    """The check names in README's table of flag verdicts."""
+    text = (ROOT / "README.md").read_text()
+    table = text.split("| check | why its verdict is a flag |\n", 1)[1]
+    rows = table.split("\n\n", 1)[0].splitlines()[1:]
+    return {re.match(r"\| `([^`]+)`", row).group(1) for row in rows}
+
+
+def test_only_the_readme_flags_pass_their_verdict_in():
+    calls = list(_check_calls())
+    assert len(calls) > 30
+    flagged = {name for name, keywords, _ in calls if "flag" in keywords}
+    assert flagged == readme_flags()
+    for name, keywords, args in calls:
+        compare = keywords.get("compare", args[4] if len(args) > 4 else None)
+        if compare is not None:
+            assert compare.value in RP.COMPARISONS, name
+        if "flag" in keywords:
+            assert compare is None, f"{name}: a flag and a comparison"
