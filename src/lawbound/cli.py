@@ -221,18 +221,17 @@ def cmd_gen(args) -> int:
     return _finish(report, out, args.started)
 
 
-def _read_initial_ensemble(path):
+def _read_initial_ensemble(path) -> E.Ensemble:
     """Accept an ensemble manifest or a law-curve manifest, of which only
-    the final slice's payload is read."""
+    the final slice's payload is read; the input's time is not kept."""
     if manifest_kind(path) == "lawcurve":
-        curve = read_lawcurve(path)
-        return curve.ensembles[-1], float(curve.times[-1])
-    return read_ensemble(path)
+        return read_lawcurve(path).ensembles[-1]
+    return read_ensemble(path)[0]
 
 
 def cmd_evolve(args) -> int:
     cfg = _config(args, checkpoints=args.checkpoints)
-    e, t0 = _read_initial_ensemble(args.ensemble)
+    e = _read_initial_ensemble(args.ensemble)
     euler_cfg = EU.EulerConfig(e.grid, dt=cfg["dt"])
     times, ensembles = EU.evolve(e, euler_cfg, cfg["horizon"],
                                  checkpoints=cfg["checkpoints"])
@@ -469,6 +468,9 @@ def _build_parser() -> _Parser:
 
     add("gen", cmd_gen, seed=True)
     evp = add("evolve", cmd_evolve, ensemble=True)
+    evp.description = ("Push an ensemble, or the final slice of a law curve, "
+                       "through the Euler flow. The times written are "
+                       "relative to the input's time: they start at 0.")
     evp.add_argument("--checkpoints", type=int, default=None)
     add("sample", cmd_sample, seed=True, ensemble=True)
     add("metrics", cmd_metrics, pair=True)

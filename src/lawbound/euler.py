@@ -55,6 +55,7 @@ __all__ = [
     "enstrophy",
     "strain",
     "lambda_coupled",
+    "push_coupling",
     "l2_difference_identity_check",
     "w2_strain_bound_check",
     "taylor_green",
@@ -633,6 +634,34 @@ class _CoupledStrain:
         self.sup[c] = self.peaks.max()
 
 
+def push_coupling(a: Ensemble, b_aligned: Ensemble, cfg: EulerConfig,
+                  t: float, checkpoints: int) -> tuple:
+    """Push the aligned coupling (a_i, b_aligned_i) through the flow over
+    [0, t], the two ensembles stacked into one march of 2N members.
+
+    Returns (times, a_t, b_t, lambda, max|S|, squared distances
+    (checkpoints+1, N)): the end states, and the coupled strain at the
+    checkpoints+1 times of `evolve`.  The march's workers meet at each
+    checkpoint and evaluate its strain there, each on a share of the pairs
+    (`_CoupledStrain`), so no checkpoint is kept: the checkpoints
+    take turns in two velocity buffers."""
+    if checkpoints < 1:
+        raise ValueError(f"checkpoints must be positive, got {checkpoints}")
+    if a.size != b_aligned.size:
+        raise ValueError("coupled ensembles must have equal size")
+    n_steps, marks, times = _checkpoint_marks(cfg, t, checkpoints)
+    values = np.concatenate([_velocity_batch(a, cfg),
+                             _velocity_batch(b_aligned, cfg)])
+    coupled = _CoupledStrain(a.size, a.grid, [0] + marks)
+    bufs = (np.empty_like(values), np.empty_like(values))
+    _march(values, cfg, n_steps,
+           {s: bufs[c % 2] for c, s in enumerate(marks)}, hook=coupled)
+    end = bufs[(checkpoints - 1) % 2]
+    return (times, Ensemble(a.grid, end[:a.size]),
+            Ensemble(a.grid, end[a.size:]), coupled.lam, coupled.sup,
+            coupled.sq)
+
+
 def _coupled_strain(pairs_u: Ensemble, pairs_v: Ensemble):
     """lambda, max_x |S(v_i)| over members, and the per-member squared
     distances ||u_i - v_i||^2 of an aligned coupling, from one strain
@@ -709,7 +738,6 @@ def w2_strain_bound_check(a: Ensemble, b: Ensemble, cfg: EulerConfig, t: float,
     over the checkpoints.  Also reports the worst-case comparison against
     max_x |S|.
     """
-    from .rollout import push_coupling
     from .transport import wasserstein_exact
 
     w2_0, plan = wasserstein_exact(a, b, p=2)

@@ -48,8 +48,8 @@ _MAGIC = b"LBF1"
 # -------------------------------------------------------------------- LBF
 
 def _write_lbf(path, e: Ensemble) -> None:
-    """Write the members (N, m, *shape) as version 2, whose header adds the
-    u32 member count N after the grid."""
+    """Write the members (N, m, *shape) as one version-2 LBF file; its
+    header ends with the u32 member count N after the grid."""
     grid = e.grid
     payload = np.ascontiguousarray(e.values, dtype="<f8")
     with open(path, "wb") as fh:
@@ -68,13 +68,13 @@ def _read_exact(fh, size: int, path) -> bytes:
 
 
 def _read_header(fh, path) -> tuple:
-    """Check an LBF header and the file's exact length; returns
-    (grid, m, N), N being the member count (1 for version 1)."""
+    """Check a version-2 LBF header and the file's exact length; returns
+    (grid, m, N), N being the member count."""
     magic = fh.read(4)
     if magic != _MAGIC:
         raise ValueError(f"{path}: bad magic {magic!r}")
     version, d, m, reserved = struct.unpack("<IBBH", _read_exact(fh, 8, path))
-    if version not in (1, 2):
+    if version != 2:
         raise ValueError(f"{path}: unsupported version {version}")
     if reserved != 0:
         raise ValueError(f"{path}: nonzero reserved field")
@@ -85,8 +85,7 @@ def _read_header(fh, path) -> tuple:
         grid = Grid(d, ns[0])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    size = 1 if version == 1 else struct.unpack(
-        "<I", _read_exact(fh, 4, path))[0]
+    size = struct.unpack("<I", _read_exact(fh, 4, path))[0]
     # the length check comes before any payload buffer is allocated
     length = fh.tell() + 8 * size * m * grid.n**d
     actual = os.fstat(fh.fileno()).st_size
@@ -193,30 +192,28 @@ def _is_name(v) -> bool:
 
 
 @dataclass(frozen=True)
-class _EnsembleFiles:
-    """An ensemble on disk whose manifest, headers and file lengths are
-    checked: `files` holds (path, payload offset, member count) per file.
-    `load` reads the payloads, each with its finite-value check."""
+class _EnsembleFile:
+    """An ensemble on disk whose manifest, header and file length are
+    checked; `load` reads the payload at `offset` of `path`, with its
+    finite-value check."""
 
     grid: Grid
     m: int
     size: int
-    files: tuple
+    path: Path
+    offset: int
 
     def load(self) -> Ensemble:
         values = np.empty((self.size, self.m) + self.grid.shape, dtype="<f8")
-        start = 0
-        for member, offset, size in self.files:
-            with open(member, "rb") as fh:
-                fh.seek(offset)
-                _read_payload(fh, member, values[start:start + size])
-            start += size
+        with open(self.path, "rb") as fh:
+            fh.seek(self.offset)
+            _read_payload(fh, self.path, values)
         return Ensemble(self.grid, values)
 
 
 def _open_ensemble(path: Path) -> tuple:
-    """Check an ensemble manifest and the headers and exact lengths of its
-    files; returns (_EnsembleFiles, time) without reading any payload."""
+    """Check an ensemble manifest and the header and exact length of its
+    file; returns (_EnsembleFile, time) without reading the payload."""
     doc = _load_manifest(path, "ensemble")
     spec = _field(doc, "grid", lambda v: isinstance(v, dict)
                   and _is_int(v.get("d")) and _is_int(v.get("n")),
@@ -224,43 +221,34 @@ def _open_ensemble(path: Path) -> tuple:
     m = _field(doc, "m", lambda v: _is_int(v) and v >= 1,
                "a positive integer", path)
     time = float(_field(doc, "time", _is_finite, "a finite number", path))
-    names = _field(doc, "members", lambda v: _is_name(v)
-                   or _is_list_of(_is_name)(v),
-                   "a file name or a non-empty list of file names", path)
-    if isinstance(names, str):
-        sizes = [_field(doc, "size", lambda v: _is_int(v) and v >= 1,
-                        "a positive integer", path)]
-        names = [names]
-    else:
-        sizes = [1] * len(names)
-    files = []
-    for name, size in zip(names, sizes):
-        member = path.parent / name
-        try:
-            fh = open(member, "rb")
-        except (OSError, ValueError) as exc:
-            raise ValueError(f"{path}: field members: cannot open "
-                             f"{name!r}: {exc}") from None
-        with fh:
-            grid, m_file, size_file = _read_header(fh, member)
-            if (grid.d, grid.n, m_file, size_file) != (spec["d"], spec["n"],
-                                                       m, size):
-                raise ValueError(
-                    f"{path}: fields grid, m and size (d={spec['d']}, "
-                    f"n={spec['n']}, m={m}, size={size}) disagree with "
-                    f"{member} (d={grid.d}, n={grid.n}, m={m_file}, "
-                    f"size={size_file})")
-            files.append((member, fh.tell(), size))
-    return _EnsembleFiles(grid, m, sum(sizes), tuple(files)), time
+    name = _field(doc, "members", _is_name, "a file name", path)
+    size = _field(doc, "size", lambda v: _is_int(v) and v >= 1,
+                  "a positive integer", path)
+    member = path.parent / name
+    try:
+        fh = open(member, "rb")
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{path}: field members: cannot open "
+                         f"{name!r}: {exc}") from None
+    with fh:
+        grid, m_file, size_file = _read_header(fh, member)
+        if (grid.d, grid.n, m_file, size_file) != (spec["d"], spec["n"],
+                                                   m, size):
+            raise ValueError(
+                f"{path}: fields grid, m and size (d={spec['d']}, "
+                f"n={spec['n']}, m={m}, size={size}) disagree with "
+                f"{member} (d={grid.d}, n={grid.n}, m={m_file}, "
+                f"size={size_file})")
+        return _EnsembleFile(grid, m, size, member, fh.tell()), time
 
 
 def read_ensemble(manifest_path) -> tuple:
     """Returns (Ensemble, time).
 
-    `members` names one version-2 file holding `size` members, or lists
-    one version-1 file per member.  Every file must carry the manifest's
-    grid, component count and member count; all headers and lengths are
-    checked before the members are read into one (N, m, *shape) array."""
+    `members` names one version-2 file holding `size` members, which must
+    carry the manifest's grid and component count; its header and length
+    are checked before the members are read into one (N, m, *shape)
+    array."""
     on_disk, time = _open_ensemble(Path(manifest_path))
     return on_disk.load(), time
 

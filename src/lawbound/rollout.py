@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import Ensemble
-from .euler import (EulerConfig, _checkpoint_marks, _CoupledStrain, _march,
-                    _velocity_batch, evolve)
+from .euler import EulerConfig, evolve, push_coupling
 # evolve and parallel_map are not called here; perfbench/test_perfbench.py
 # checks that the tracer rebinds both names in this module
 from .runtime import parallel_map
@@ -29,7 +28,6 @@ __all__ = [
     "gronwall_closed_form",
     "rollout_bound",
     "constant_coefficient_bound",
-    "push_coupling",
     "run_rollout_experiment",
 ]
 
@@ -102,34 +100,6 @@ def constant_coefficient_bound(delta0: float, alpha_bar: float,
     ea = np.exp(alpha_bar)
     return float(np.exp(N * alpha_bar) * delta0
                  + eps_bar * (np.exp(N * alpha_bar) - 1.0) / (ea - 1.0))
-
-
-def push_coupling(a: Ensemble, b_aligned: Ensemble, cfg: EulerConfig,
-                  t: float, checkpoints: int) -> tuple:
-    """Push the aligned coupling (a_i, b_aligned_i) through the flow over
-    [0, t], the two ensembles stacked into one march of 2N members.
-
-    Returns (times, a_t, b_t, lambda, max|S|, squared distances
-    (checkpoints+1, N)): the end states, and the coupled strain at the
-    checkpoints+1 times of `evolve`.  The march's workers meet at each
-    checkpoint and evaluate its strain there, each on a share of the pairs
-    (`euler._CoupledStrain`), so no checkpoint is kept: the checkpoints
-    take turns in two velocity buffers."""
-    if checkpoints < 1:
-        raise ValueError(f"checkpoints must be positive, got {checkpoints}")
-    if a.size != b_aligned.size:
-        raise ValueError("coupled ensembles must have equal size")
-    n_steps, marks, times = _checkpoint_marks(cfg, t, checkpoints)
-    values = np.concatenate([_velocity_batch(a, cfg),
-                             _velocity_batch(b_aligned, cfg)])
-    coupled = _CoupledStrain(a.size, a.grid, [0] + marks)
-    bufs = (np.empty_like(values), np.empty_like(values))
-    _march(values, cfg, n_steps,
-           {s: bufs[c % 2] for c, s in enumerate(marks)}, hook=coupled)
-    end = bufs[(checkpoints - 1) % 2]
-    return (times, Ensemble(a.grid, end[:a.size]),
-            Ensemble(a.grid, end[a.size:]), coupled.lam, coupled.sup,
-            coupled.sq)
 
 
 def run_rollout_experiment(a: Ensemble, b: Ensemble, cfg: EulerConfig,

@@ -3,7 +3,7 @@
 LAWBOUND_THREADS caps the thread pools of `parallel_map`: the per-member
 start states of a sampler step, and the member blocks of one Euler march
 (one call per march, or one per meeting of a march whose workers meet, as
-`rollout.push_coupling`'s do at its checkpoints).  Each item is computed
+`euler.push_coupling`'s do at its checkpoints).  Each item is computed
 independently and results are gathered in input order, so outputs do not
 depend on the worker count.
 

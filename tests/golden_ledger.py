@@ -8,6 +8,16 @@ roundoff rule of ROADMAP.md reads off the failure.  A change that moves a
 value on purpose rewrites the ledger in its own diff:
 
     PYTHONPATH=src python tests/golden_ledger.py
+
+The full ledger, which tier-1 does not run, holds the stripped payload of
+the full battery (`FULL_RUNS`, about 20 s) and the per-operation and result
+digests of one pass of each benchmark workload at seed `BENCH_SEED`.  Every
+change to `src` checks it, and fails naming each moved value:
+
+    PYTHONPATH=src python tests/golden_ledger.py --full
+
+and a change that moves one of them on purpose rewrites it with
+`--full --write`.
 """
 
 from __future__ import annotations
@@ -16,6 +26,7 @@ import contextlib
 import io
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -31,6 +42,11 @@ RUNS = {
     "certify": ["certify", "--seed", str(SEED)],
     "pfode": ["pfode", "--seed", str(SEED)],
 }
+FULL_RUNS = {
+    "verify_full": ["verify-all", "--seed", str(SEED)],
+}
+BENCH_SEED = 11
+BENCH_WORKLOADS = ("flow-coupling", "cli-pipeline")
 
 
 def machine() -> dict:
@@ -44,8 +60,9 @@ def run_payload(name: str, out_dir) -> str:
     from lawbound import cli
     from lawbound.reporting import strip_timing
 
+    argv = {**RUNS, **FULL_RUNS}[name]
     with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(RUNS[name] + ["--out", str(out_dir)])
+        code = cli.main(argv + ["--out", str(out_dir)])
     assert code == 0, f"{name} exited {code}"
     return strip_timing((Path(out_dir) / "report.json").read_text())
 
@@ -104,15 +121,58 @@ def compare(name: str, got_text: str, stored: dict | None = None) -> None:
                          + "\n  ".join(lines))
 
 
-def write_ledger() -> None:
-    GOLDEN.mkdir(exist_ok=True)
+def bench_digests() -> str:
+    """Per-operation and result digests of one pass of each workload."""
+    sys.path.insert(0, str(GOLDEN.parent.parent))
+    from perfbench import workloads
+    from perfbench.run import run_pass
+
+    doc = {}
+    for name in BENCH_WORKLOADS:
+        with tempfile.TemporaryDirectory() as tmp:
+            wl = workloads.build(name, BENCH_SEED, Path(tmp) / "work")
+            ledger = workloads.Ledger()
+            run_pass(wl, ledger)
+        doc[name] = {"operations": dict(ledger.reference),
+                     "result": ledger.result_digest()}
+    return json.dumps(doc, indent=1, sort_keys=True)
+
+
+def _payloads(runs) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
-        for name in RUNS:
-            text = run_payload(name, Path(tmp) / name)
-            (GOLDEN / f"{name}.json").write_text(text + "\n")
+        return {name: run_payload(name, Path(tmp) / name) for name in runs}
+
+
+def _full_payloads() -> dict:
+    return {**_payloads(FULL_RUNS), "bench_digests": bench_digests()}
+
+
+def write_ledger(full: bool = False) -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    texts = _full_payloads() if full else _payloads(RUNS)
+    for name, text in texts.items():
+        (GOLDEN / f"{name}.json").write_text(text + "\n")
     (GOLDEN / "machine.json").write_text(
         json.dumps(machine(), indent=1, sort_keys=True) + "\n")
 
 
+def check_full() -> int:
+    """Compare the full ledger; one line per moved value, exit 1 if any."""
+    failures = []
+    for name, text in _full_payloads().items():
+        try:
+            compare(name, text)
+        except AssertionError as exc:
+            failures.append(str(exc))
+    print("\n".join(failures) or f"full ledger: {len(FULL_RUNS) + 1} "
+          "payloads unchanged")
+    return 1 if failures else 0
+
+
 if __name__ == "__main__":
-    write_ledger()
+    args = sys.argv[1:]
+    if args not in ([], ["--full"], ["--full", "--write"]):
+        sys.exit("usage: golden_ledger.py [--full [--write]]")
+    if args == ["--full"]:
+        sys.exit(check_full())
+    write_ledger(full=bool(args))

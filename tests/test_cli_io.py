@@ -1,5 +1,4 @@
 import json
-import struct
 import subprocess
 import sys
 
@@ -21,74 +20,22 @@ def rand_field(seed, m=2, grid=GRID):
     return F.GridField(grid, rng.standard_normal((m,) + grid.shape))
 
 
-def write_lbf_v1(path, f):
-    """One field as a version-1 LBF file, which the library reads but no
-    longer writes: the version-2 header without the member count."""
-    g = f.grid
-    path.write_bytes(b"LBF1" + struct.pack("<IBBH", 1, g.d, f.m, 0)
-                     + struct.pack(f"<{g.d}I", *([g.n] * g.d))
-                     + np.ascontiguousarray(f.values, dtype="<f8").tobytes())
-
-
-def write_ensemble_v1(directory, e, time=0.0, prefix="member"):
-    """The version-1 layout: one LBF1 file per member plus a manifest
-    listing them (the writer `write_ensemble` used before version 2)."""
-    directory.mkdir(parents=True, exist_ok=True)
-    names = []
-    for i in range(e.size):
-        name = f"{prefix}_{i:04d}.lbf"
-        write_lbf_v1(directory / name, e.member(i))
-        names.append(name)
-    manifest = {
-        "schema_version": RP.SCHEMA_VERSION,
-        "kind": "ensemble",
-        "grid": {"d": e.grid.d, "n": e.grid.n},
-        "m": e.m,
-        "time": time,
-        "members": names,
-    }
-    path = directory / "ensemble.json"
-    path.write_text(RP.canonical_json(manifest) + "\n")
-    return path
-
-
 # --------------------------------------------------------------------- LBF
-
-def test_lbf_round_trip(tmp_path):
-    f = rand_field(0)
-    back, _ = RP.read_ensemble(write_ensemble_v1(
-        tmp_path, E.Ensemble(f.grid, f.values[None])))
-    assert back.grid == f.grid and back.m == f.m and back.size == 1
-    assert np.array_equal(back.values[0], f.values)
-
 
 def test_lbf_rejects_bad_magic_and_version(tmp_path):
     f = rand_field(1, m=1, grid=F.Grid(1, 16))
-    manifest = write_ensemble_v1(tmp_path, E.Ensemble(f.grid, f.values[None]))
-    path = tmp_path / "member_0000.lbf"
+    manifest = RP.write_ensemble(tmp_path, E.Ensemble(f.grid, f.values[None]))
+    path = tmp_path / "ensemble.lbf"
     raw = bytearray(path.read_bytes())
     path.write_bytes(b"XXXX" + bytes(raw[4:]))
     with pytest.raises(ValueError, match="magic"):
         RP.read_ensemble(manifest)
-    raw[4] = 9  # version field
-    path.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="version"):
-        RP.read_ensemble(manifest)
-
-
-def test_lbf_header_layout(tmp_path):
-    # the version-1 header as documented, built byte by byte: magic,
-    # version, d, m, reserved, n per dimension, then the f64 samples
-    values = np.random.default_rng(2).standard_normal((1, 16, 16))
-    manifest = write_ensemble_v1(tmp_path, E.Ensemble(
-        F.Grid(2, 16), np.zeros((1, 1, 16, 16))))
-    raw = (b"LBF1" + (1).to_bytes(4, "little") + bytes([2, 1])
-           + (0).to_bytes(2, "little") + (16).to_bytes(4, "little") * 2
-           + values.astype("<f8").tobytes())
-    assert len(raw) == 20 + 16 * 16 * 8
-    (tmp_path / "member_0000.lbf").write_bytes(raw)
-    back, _ = RP.read_ensemble(manifest)
-    assert back.values.tobytes() == values.tobytes()
+    for version in (9, 1):
+        raw[4] = version
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=f"version {version}") as info:
+            RP.read_ensemble(manifest)
+        assert str(info.value).startswith(f"{path}:")
 
 
 def test_lbf_v2_ensemble_file_layout(tmp_path):
@@ -106,10 +53,10 @@ def test_lbf_v2_ensemble_file_layout(tmp_path):
     assert raw[24:] == e.values.astype("<f8").tobytes()
     doc = json.loads((tmp_path / "ensemble.json").read_text())
     assert doc["members"] == "ensemble.lbf" and doc["size"] == 3
-    # a version-1 member list holds one field per file
+    # `members` names one file; the version-1 list of files is rejected
     doc["members"] = ["ensemble.lbf"]
     (tmp_path / "ensemble.json").write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="disagree"):
+    with pytest.raises(ValueError, match="field members must be a file name"):
         RP.read_ensemble(tmp_path / "ensemble.json")
 
 
@@ -121,18 +68,6 @@ def test_ensemble_manifest_round_trip(tmp_path):
     back, t = RP.read_ensemble(manifest)
     assert t == 0.25
     assert np.array_equal(back.values, e.values)
-
-
-def test_v1_member_directory_reads_equal_to_its_v2_rewrite(tmp_path):
-    e = E.Ensemble(GRID, np.random.default_rng(6).standard_normal(
-        (5, 2) + GRID.shape))
-    old, t_old = RP.read_ensemble(write_ensemble_v1(tmp_path / "v1", e, 0.5))
-    new, t_new = RP.read_ensemble(RP.write_ensemble(tmp_path / "v2", old,
-                                                    t_old))
-    assert t_old == t_new == 0.5
-    assert old.values.tobytes() == new.values.tobytes() == e.values.tobytes()
-    assert sorted(p.name for p in (tmp_path / "v2").iterdir()) == [
-        "ensemble.json", "ensemble.lbf"]
 
 
 @pytest.mark.parametrize("field, value", [
@@ -937,8 +872,8 @@ def test_cli_pfode_rejects_bad_field_naming_it(tmp_path, capsys, field, value):
     assert len(err.splitlines()) == 1 and f"{field} must" in err
 
 
-def _curve_pair(tmp_path):
-    _gen_pair(tmp_path)
+def _curve_pair(tmp_path, members=2):
+    _gen_pair(tmp_path, members)
     evo_cfg = tmp_path / "e.json"
     evo_cfg.write_text(json.dumps({"horizon": 0.025, "dt": 0.0125,
                                    "checkpoints": 2}))
@@ -1071,17 +1006,6 @@ def test_cli_transport_rejects_non_object_manifest(tmp_path, capsys, text):
     assert len(err.splitlines()) == 1 and str(manifest) in err
 
 
-def test_read_ensemble_names_the_member_that_disagrees(tmp_path):
-    e = E.Ensemble(GRID, np.random.default_rng(8).standard_normal(
-        (2, 2) + GRID.shape))
-    write_ensemble_v1(tmp_path / "a", e)
-    member = tmp_path / "a" / "member_0001.lbf"
-    write_lbf_v1(member, rand_field(5, m=1))
-    with pytest.raises(ValueError, match="disagree") as info:
-        RP.read_ensemble(tmp_path / "a" / "ensemble.json")
-    assert str(member) in str(info.value)
-
-
 @pytest.mark.parametrize("entries", [
     None, [], 7, [{"time": 0.0}], [{"time": "0", "ensemble": "x"}],
     [{"time": 0.0, "ensemble": 3}]])
@@ -1101,6 +1025,42 @@ def test_cli_scores_rejects_malformed_lawcurve_manifest(tmp_path, capsys,
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1
     assert ca in err and "field entries" in err
+
+
+def _as_version_1(manifest, listed):
+    """Rewrite the one-member ensemble of `manifest` in the version-1
+    layout, which no command writes: the LBF header without the member
+    count and, if `listed`, `members` as a list of file names."""
+    lbf = manifest.parent / "ensemble.lbf"
+    raw = lbf.read_bytes()
+    grid_end = 16 + 4 * raw[8]
+    lbf.write_bytes(raw[:4] + (1).to_bytes(4, "little") + raw[8:grid_end]
+                    + raw[grid_end + 4:])
+    if listed:
+        doc = json.loads(manifest.read_text())
+        doc["members"] = ["ensemble.lbf"]
+        manifest.write_text(json.dumps(doc))
+    return lbf
+
+
+@pytest.mark.parametrize("listed", [False, True], ids=["file", "list"])
+@pytest.mark.parametrize("command", ["transport", "scores"])
+def test_cli_rejects_the_version_1_layout(tmp_path, capsys, command, listed):
+    if command == "transport":
+        _gen_pair(tmp_path, members=1)
+        a, b = (str(tmp_path / name / "ensemble.json") for name in "ab")
+        manifest = tmp_path / "a" / "ensemble.json"
+    else:
+        a, b = _curve_pair(tmp_path, members=1)
+        manifest = tmp_path / "evo_a" / "curve" / "t_0001" / "ensemble.json"
+    lbf = _as_version_1(manifest, listed)
+    capsys.readouterr()
+    assert main([command, "--a", a, "--b", b,
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert (f"{manifest}: field members must be a file name" if listed
+            else f"{lbf}: unsupported version 1") in err
 
 
 def test_lawcurve_manifest_rejects_bad_time_order(tmp_path):
@@ -1136,28 +1096,22 @@ json_values = st.recursive(
 
 
 @st.composite
-def lbf_bytes(draw, ensemble=False):
+def lbf_bytes(draw):
     """A valid LBF file, then maybe cut, extended or with bytes replaced.
 
-    Returns (file bytes, manifest text): a version-1 field file and the
-    one-member list naming it, `member_0000.lbf`, or with `ensemble` a
-    version-2 file of 1-3 members and the ensemble manifest written with
-    it."""
+    Returns (file bytes, manifest text): a version-2 file of 1-3 members
+    and the ensemble manifest written with it."""
     d = draw(st.sampled_from([1, 2]))
     m = draw(st.integers(1, 2))
-    size = draw(st.integers(1, 3)) if ensemble else 1
+    size = draw(st.integers(1, 3))
     count = size * m * 8**d
     values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                            min_size=count, max_size=count))
     grid = F.Grid(d, 8)
     values = np.array(values).reshape((size, m) + grid.shape)
     with tempfile.TemporaryDirectory() as tmp:
-        if ensemble:
-            manifest = RP.write_ensemble(Path(tmp), E.Ensemble(grid, values))
-            path = Path(tmp) / "ensemble.lbf"
-        else:
-            manifest = write_ensemble_v1(Path(tmp), E.Ensemble(grid, values))
-            path = Path(tmp) / "member_0000.lbf"
+        manifest = RP.write_ensemble(Path(tmp), E.Ensemble(grid, values))
+        path = Path(tmp) / "ensemble.lbf"
         data, text = bytearray(path.read_bytes()), manifest.read_text()
     edit = draw(st.sampled_from(["none", "cut", "extend", "replace"]))
     if edit == "cut":
@@ -1173,24 +1127,6 @@ def lbf_bytes(draw, ensemble=False):
 
 @FUZZ
 @given(lbf_bytes())
-def test_fuzz_lbf_reader_round_trips_or_names_the_file(drawn):
-    data, text = drawn
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "member_0000.lbf"
-        path.write_bytes(data)
-        (Path(tmp) / "ensemble.json").write_text(text)
-        try:
-            e, _ = RP.read_ensemble(Path(tmp) / "ensemble.json")
-        except ValueError as exc:
-            assert str(path) in str(exc)
-            return
-        again = Path(tmp) / "g.lbf"
-        write_lbf_v1(again, e.member(0))
-        assert again.read_bytes() == data
-
-
-@FUZZ
-@given(lbf_bytes(ensemble=True))
 def test_fuzz_lbf_ensemble_file_round_trips_or_names_the_file(drawn):
     data, text = drawn
     with tempfile.TemporaryDirectory() as tmp:
@@ -1210,11 +1146,7 @@ _FUZZ_DIR = tempfile.TemporaryDirectory()
 
 
 def _fuzz_curve():
-    """A written two-entry law curve, made once for the manifest fuzz.
-
-    Its first entry is rewritten in the version-1 layout; the directory
-    keeps the version-2 file and its manifest as `v2.json`, so a member
-    list may name files of both layouts."""
+    """A written two-entry law curve, made once for the manifest fuzz."""
     root = Path(_FUZZ_DIR.name)
     manifest = root / "curve" / "lawcurve.json"
     if not manifest.exists():
@@ -1224,9 +1156,6 @@ def _fuzz_curve():
                                                        (2, 2, 8, 8)))
                                         for _ in range(2)])
         RP.write_lawcurve(root / "curve", curve)
-        first = root / "curve" / "t_0000"
-        (first / "ensemble.json").rename(first / "v2.json")
-        write_ensemble_v1(first, curve.ensembles[0])
     return manifest
 
 
@@ -1239,16 +1168,14 @@ def _mutate(draw, doc, keys):
     return doc
 
 
-_FUZZ_NAMES = ["member_0000.lbf", "member_0001.lbf", "ensemble.lbf",
-               "missing.lbf", "", "."]
+_FUZZ_NAMES = ["ensemble.lbf", "missing.lbf", "", "."]
 
 
 @FUZZ
 @given(st.data())
 def test_fuzz_ensemble_manifest_reads_or_names_the_field(data):
     base = _fuzz_curve().parent / "t_0000"
-    layout = data.draw(st.sampled_from(["ensemble.json", "v2.json"]))
-    doc = _mutate(data.draw, json.loads((base / layout).read_text()),
+    doc = _mutate(data.draw, json.loads((base / "ensemble.json").read_text()),
                   ["schema_version", "kind", "grid", "m", "time", "members",
                    "size"])
     members = data.draw(st.sampled_from(["keep", "list", "name"]))
@@ -1264,15 +1191,10 @@ def test_fuzz_ensemble_manifest_reads_or_names_the_field(data):
     except ValueError as exc:
         assert str(exc).startswith(str(path) + ":")
         return
-    assert t == doc["time"]
-    # what each file holds: member i in the version-1 files, both in one
-    # version-2 file
-    first = RP.read_ensemble(base / "v2.json")[0].values
-    held = {"member_0000.lbf": first[:1], "member_0001.lbf": first[1:],
-            "ensemble.lbf": first}
-    names = [doc["members"]] if isinstance(doc["members"], str) \
-        else doc["members"]
-    assert np.array_equal(e.values, np.concatenate([held[n] for n in names]))
+    # a list of names, the version-1 layout, never reads
+    assert t == doc["time"] and doc["members"] == "ensemble.lbf"
+    assert np.array_equal(e.values,
+                          RP.read_ensemble(base / "ensemble.json")[0].values)
 
 
 @FUZZ
@@ -1674,11 +1596,27 @@ def test_cli_sample_stepwise_memory_does_not_grow_with_steps(tmp_path):
 
 def test_cli_evolve_from_lawcurve_reads_only_the_final_slice(tmp_path,
                                                              monkeypatch):
+    # the input curve ends at t = 0.025; the continued curve and its
+    # conservation table are relative to that time, so they start at 0
     ca, _ = _curve_pair(tmp_path)
+    last = Path(ca).parent / "t_0002"
+    assert RP.read_ensemble(last / "ensemble.json")[1] == 0.025
     reads = _count_payload_reads(monkeypatch)
     assert main(["evolve", "--ensemble", ca, "--out", str(tmp_path / "ev"),
                  "--config", str(tmp_path / "e.json")]) == 0
-    assert reads == [Path(ca).parent / "t_0002" / "ensemble.lbf"]
+    assert reads == [last / "ensemble.lbf"]
+    curve = RP.read_lawcurve(tmp_path / "ev" / "curve" / "lawcurve.json")
+    assert curve.times.tolist() == [0.0, 0.0125, 0.025]
+    table = (tmp_path / "ev" / "conservation.csv").read_text().splitlines()
+    assert [float(row.split(",")[0]) for row in table[1:]] == [0.0, 0.0125,
+                                                               0.025]
+    # the same bytes as evolving the final slice's ensemble manifest
+    assert main(["evolve", "--ensemble", str(last / "ensemble.json"),
+                 "--out", str(tmp_path / "ev_last"),
+                 "--config", str(tmp_path / "e.json")]) == 0
+    for name in ("conservation.csv", "curve/t_0002/ensemble.lbf"):
+        assert (tmp_path / "ev" / name).read_bytes() == \
+            (tmp_path / "ev_last" / name).read_bytes()
 
 
 def _damage_last_slice(curve_manifest, damage):

@@ -615,6 +615,28 @@ def test_rk4_drift_of_energy_and_enstrophy_falls_at_fifth_order():
     assert orders.min() >= 4.5, orders
 
 
+def test_drift_march_at_zero_epsilon_conserves_to_fifth_order():
+    # certification's march at epsilon = 0 masks the product to the disk
+    # |k| <= min(K, n/3), not the solver's square; for a member
+    # band-limited to n/3 it is still an exact Galerkin truncation, so its
+    # energy and enstrophy drift is RK4's alone and falls as dt^5 over the
+    # horizon.  K = n leaves the n/3 cap to the mask
+    grid = F.Grid(2, 32)
+    u = F.random_divfree(grid, 4.0, 8, seed=3)
+    u = F.GridField(grid, 2.0 * u.values / F.l2_norm(u))
+    zero = F.GridField(grid, np.zeros_like(u.values))
+    drifts = []
+    for n_steps in (8, 16, 32, 64):
+        *_, (_, end, _) = EU._drift_march(E.Ensemble(grid, u.values[None]),
+                                          grid.n, 0.0, zero, 0.5,
+                                          n_steps)
+        v = F.GridField(grid, end[0].copy())
+        drifts.append((abs(EU.energy(v) / EU.energy(u) - 1),
+                       abs(EU.enstrophy(v) / EU.enstrophy(u) - 1)))
+    orders = np.log2(np.divide(drifts[:-1], drifts[1:]))
+    assert orders.min() >= 4.5, orders
+
+
 def test_only_euler_names_the_vorticity_workspace():
     # the workspace's buffer layout and the transforms into it are the
     # solver's; other modules drive the vorticity core through its marches

@@ -59,3 +59,12 @@ def test_moved_values_reports_the_relative_change():
         "extra.x[1]: 's' -> 't'",
         "extra.y: (new) -> 1",
     ]
+
+
+def test_a_moved_benchmark_digest_names_its_workload_and_operation():
+    doc = json.loads((G.GOLDEN / "bench_digests.json").read_text())
+    doc["cli-pipeline"]["operations"]["lawbound scores"] = "0" * 64
+    with pytest.raises(AssertionError) as info:
+        G.compare("bench_digests", json.dumps(doc, indent=1, sort_keys=True))
+    assert "1 moved" in str(info.value)
+    assert "cli-pipeline.operations.lawbound scores" in str(info.value)

@@ -170,7 +170,7 @@ def test_experiment_guard_trip_reported():
     with pytest.raises(RuntimeError, match="CFL") as alone:
         EU.evolve(b, CFG, DT, checkpoints=8)
     with pytest.raises(RuntimeError) as pushed:
-        R.push_coupling(a, b, CFG, DT, 8)
+        EU.push_coupling(a, b, CFG, DT, 8)
     assert str(pushed.value) == str(alone.value)
     _, rep = R.run_rollout_experiment(a, b, CFG, spec, n_steps=2, dt_phys=DT,
                                       master_seed=1)
@@ -240,7 +240,7 @@ def test_push_coupling_lambda_matches_per_checkpoint_loop(threads):
         for count in (1, 2, 3):
             threads(count)
             for args, oracle in cases:
-                got = R.push_coupling(*args)
+                got = EU.push_coupling(*args)
                 times, a_t, b_t, lam, sup, sq = oracle
                 assert got[0].tobytes() == times.tobytes()
                 assert got[1].values.tobytes() == a_t.values.tobytes()
@@ -263,7 +263,7 @@ def test_push_coupling_peak_does_not_grow_with_checkpoints():
     def peak(checkpoints):
         tracemalloc.start()
         try:
-            R.push_coupling(a, b, CFG, t, checkpoints)
+            EU.push_coupling(a, b, CFG, t, checkpoints)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -355,7 +355,7 @@ def test_experiment_peak_does_not_grow_with_windows():
 
 def test_experiment_makes_one_march_per_window(monkeypatch):
     calls = {"march": 0, "from_fields": 0}
-    march = R._march
+    march = EU._march
     from_fields = E.Ensemble.from_fields.__func__
 
     def counted_march(*args, **kw):
@@ -370,7 +370,7 @@ def test_experiment_makes_one_march_per_window(monkeypatch):
     b = E.Ensemble(GRID, a.values + 0.02 * unit_ensemble(3, 60).values)
     spec = SA.KernelSpec("perturbed-reference", internal_steps=2,
                          noise_scale=2e-3)
-    monkeypatch.setattr(R, "_march", counted_march)
+    monkeypatch.setattr(EU, "_march", counted_march)
     monkeypatch.setattr(E.Ensemble, "from_fields",
                         classmethod(counted_from_fields))
     R.run_rollout_experiment(a, b, CFG, spec, n_steps=3, dt_phys=DT,

@@ -4,7 +4,10 @@ Incompressible Euler on the torus commutes with grid translations and with
 the eight symmetries of the square, which act on positions and velocity
 components together: u'(x) = R u(R^T x).  So the solver, the strain and
 the resolved drift must be equivariant, and every law-level value built
-from them (W2, the tails, the strain-growth report) invariant.  Unlike the
+from them (W2, the tails, the structure moduli, the strain-growth report,
+the CRPS rows and d_T with the observable moved along, and the
+certification residuals with the test tuple and the perturbation moved
+alike) invariant.  Unlike the
 spectral oracles, this check shares no axis convention with the package: a
 kx/ky swap or a sign error in one table breaks it.
 """
@@ -12,9 +15,11 @@ kx/ky swap or a sign error in one table breaks it.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from lawbound import certify as C
 from lawbound import ensemble as E
 from lawbound import euler as EU
 from lawbound import fields as F
+from lawbound import scores as SC
 from lawbound import transport as T
 
 GRID = F.Grid(2, 16)
@@ -111,6 +116,9 @@ def test_euler_and_law_values_respect_the_square_symmetries(g, seed):
                  T.wasserstein_exact(a, b, p=2)[0], "W2")
     Ks = [1.0, 2.0, 4.0]
     assert_close(E.tail_profile(ga, Ks), E.tail_profile(a, Ks), "tails")
+    radii = [0.5, 1.0, 2.0]
+    assert_close(E.pointwise_modulus(ga, radii).values,
+                 E.pointwise_modulus(a, radii).values, "structure moduli")
     rep = EU.w2_strain_bound_check(a, b, CFG, t=0.25, checkpoints=4)
     grep = EU.w2_strain_bound_check(ga, gb, CFG, t=0.25, checkpoints=4)
     for key, value in rep.items():
@@ -118,3 +126,51 @@ def test_euler_and_law_values_respect_the_square_symmetries(g, seed):
             assert grep[key] == value, key
         else:
             assert_close(grep[key], value, key)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(group_element(), st.integers(0, 2**16))
+def test_crps_and_d_T_are_invariant_with_the_observable_moved(g, seed):
+    # l(u) = <u, psi> is unchanged when u and psi are moved alike, and the
+    # field W1 is a law-level value, so every CRPS row and d_T is too
+    a = members(seed)
+    b = E.Ensemble(GRID, a.values + 0.3 * members(seed + 1).values)
+    ga, gb = (E.Ensemble(GRID, act(g, e.values)) for e in (a, b))
+    obs = SC.mollified_point_observable(GRID, [1.0, 2.0], 0, 0.5)
+    moved = SC.ResolvedObservable(obs.kind, F.GridField(
+        GRID, act(g, obs.psi.values)), obs.lipschitz)
+
+    def crps(x, y, observable):
+        return SC.crps_dT_check(*(E.LawCurve(*EU.evolve(
+            e, CFG, 0.25, checkpoints=2)) for e in (x, y)), observable)
+
+    rep, grep = crps(a, b, obs), crps(ga, gb, moved)
+    for row, grow in zip(rep.pop("rows"), grep.pop("rows")):
+        for key, value in row.items():
+            assert_close(grow[key], value, f"t={row['t']} {key}")
+    for key, value in rep.items():
+        assert_close(grep[key], value, key)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(group_element(), st.integers(0, 2**16))
+def test_certification_residuals_are_invariant_with_tests_moved(g, seed):
+    # every residual integrand pairs the curve with the test fields, and
+    # the drift defect is the perturbation: moving the initial ensemble,
+    # the test tuple and the perturbation alike changes no residual
+    e0 = members(seed)
+    tt = C.random_test_tuple(GRID, 2, 4, 0.25, seed=seed)
+    pert = members(seed + 1, N=1).member(0)
+
+    def residuals(e, fields, perturbation):
+        drift = C.DriftSpec(5.0, 0.05, perturbation)
+        march = EU._drift_march(e, 5.0, 0.05, perturbation, 0.25, 4)
+        return C._fused_certification_pass(march, C.TestTuple(fields, 0.25),
+                                           drift)
+
+    rep = residuals(e0, tt.fields, pert)
+    grep = residuals(E.Ensemble(GRID, act(g, e0.values)),
+                     [F.GridField(GRID, act(g, f.values)) for f in tt.fields],
+                     F.GridField(GRID, act(g, pert.values)))
+    for key, value in rep.items():
+        assert_close(grep[key], value, key)
